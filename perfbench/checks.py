@@ -10,9 +10,10 @@ equals the reference answer's and the reference passes the oracle:
 * diversified answers: ``min(k, |Mu|)`` members, all drawn from ``Mu``.
 
 References are one-shot ``repro.api`` answers on the pinned graph, so a
-batch or pool answer must also equal the one-shot answer.  A sampled
-write-stream cycle is checked against a fresh default session on a
-twin graph that replays the same ops.
+batch or pool answer must also equal the one-shot answer.  Of the pool's
+diversified answers, a seeded sample is checked; a sampled write-stream
+cycle is checked against a fresh default session on a twin graph that
+replays the same ops.
 """
 
 from __future__ import annotations
@@ -99,19 +100,50 @@ class CheckReport:
             self.reasons.append(reason)
 
 
+#: Diversified pool answers checked per run, a seeded sample: each pool
+#: query has its own lambda, so its reference cannot be reused across
+#: runs, and a one-shot diversified answer on the pool's graph costs
+#: ~0.3 s (about 70 of them per run).
+DIVERSIFIED_SAMPLE = 12
+
+
+def sample_pool(plan: dict[str, Any], indices: set[int], report: CheckReport) -> set[int]:
+    """The pool queries to check: all except diversified ones, and a
+    seeded sample of ``DIVERSIFIED_SAMPLE`` of those."""
+    diversified = sorted(i for i in indices if plan["specs"][i]["mode"] == "diversified")
+    rng = random.Random(f"check:{plan['seed']}:diversified")
+    sample = rng.sample(diversified, min(DIVERSIFIED_SAMPLE, len(diversified)))
+    report.notes.append(
+        f"pool: every top-k, multi and baseline answer checked; diversified answers "
+        f"to queries {sorted(sample)} checked, a seeded sample of {len(diversified)}"
+    )
+    return indices.difference(diversified).union(sample)
+
+
 def compare(report: CheckReport, requests: list[list[int]],
             fingerprints: list[list[str] | None], expected: dict[int, str | None],
             label: str) -> None:
-    """Count every query whose fingerprint misses its reference."""
+    """Count every query whose fingerprint misses its reference; queries
+    without an entry in ``expected`` are outside the checked sample."""
     for number, (request, got) in enumerate(zip(requests, fingerprints)):
         if got is None:
             continue  # raised: already counted by the serving process
         for spec_index, fp in zip(request, got):
+            if spec_index not in expected:
+                continue
             report.checked += 1
-            want = expected.get(spec_index)
+            want = expected[spec_index]
             if want is None or fp != want:
                 report.fail(1, f"{label} request {number}: query {spec_index} "
                                "differs from its checked reference")
+
+
+def reference_key(spec: dict[str, Any]) -> str:
+    """A query's JSON without the fields its one-shot answer ignores:
+    lambda and the method matter to diversified queries only."""
+    if spec["mode"] != "diversified":
+        spec = {**spec, "lam": None, "method": None}
+    return json.dumps(spec, sort_keys=True)
 
 
 def one_shot_references(plan: dict[str, Any], indices: set[int], load_graph: Any,
@@ -119,13 +151,13 @@ def one_shot_references(plan: dict[str, Any], indices: set[int], load_graph: Any
                         references: dict[str, dict[str, Any]]) -> dict[int, str | None]:
     """Reference fingerprints of queries on the pinned graph.
 
-    ``references`` maps a query's JSON to its one-shot answer's
+    ``references`` maps a query's ``reference_key`` to its one-shot answer's
     fingerprint and oracle verdict.  The caller keeps it per input set
     and program source; missing entries are computed here and added.
     Returns, per query index, the fingerprint an answer must have, or
     ``None`` when the reference itself failed the oracle.
     """
-    content = {i: json.dumps(plan["specs"][i], sort_keys=True) for i in indices}
+    content = {i: reference_key(plan["specs"][i]) for i in indices}
     missing = {content[i]: i for i in sorted(indices) if content[i] not in references}
     if missing:
         graph = load_graph().freeze()

@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload fig5d-batch --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload fig5d-batch --seed 1 --seconds 10 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with observability off.
 ``--trace 1`` is the separate traced run: it serves a fixed number of
@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import platform
 import shutil
@@ -40,10 +39,15 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 CACHE = ROOT / ".perfbench-cache"
 
-#: Wall-clock budget of one run, everything included.
-RUN_BUDGET_SECONDS = 170.0
-#: Share of the budget kept for the checks after serving.
-CHECK_RESERVE_SECONDS = 45.0
+#: The serving process's deadline is ``DEADLINE_BASE_SECONDS`` plus
+#: ``DEADLINE_PER_SECOND`` times ``--seconds``: room for the setups, the
+#: fixed request count of a traced run and a program twice as slow as
+#: this commit's, whose serving processes run for about 20-45 s.
+DEADLINE_BASE_SECONDS = 120.0
+DEADLINE_PER_SECOND = 2.0
+#: A serving process that reports no finished setup or request for this
+#: long is taken for hung: ten times this commit's slowest request.
+STALL_SECONDS = 100.0
 #: How long a finished run's processes get to exit before being killed.
 EXIT_GRACE_SECONDS = 10.0
 
@@ -166,22 +170,30 @@ class Outcome:
     seconds: float
 
 
-def supervise(argv: list[str], deadline: float, env: dict[str, str] | None = None) -> Outcome:
+def supervise(argv: list[str], deadline: float, env: dict[str, str] | None = None,
+              progress: Path | None = None) -> Outcome:
     """Run ``argv`` in its own process group and leave nothing behind.
 
-    Past ``deadline`` seconds the whole group is killed.  After the
-    leader exits, the group gets ``EXIT_GRACE_SECONDS`` to empty; every
-    process still alive then is counted and killed.
+    The whole group is killed past ``deadline`` seconds, or once the
+    file ``progress`` (or, before it exists, the start) is older than
+    ``STALL_SECONDS``.  After the leader exits, the group gets
+    ``EXIT_GRACE_SECONDS`` to empty; every process still alive then is
+    counted and killed.
     """
     started = time.monotonic()
     proc = subprocess.Popen(argv, cwd=ROOT, env=env, start_new_session=True)
+    last = time.time()
     timed_out = False
     try:
-        proc.wait(timeout=deadline)
-    except subprocess.TimeoutExpired:
-        timed_out = True
-        kill_group(proc.pid)
-        proc.wait()
+        while proc.poll() is None:
+            if progress is not None and progress.is_file():
+                last = max(last, progress.stat().st_mtime)
+            if time.monotonic() - started > deadline or time.time() - last > STALL_SECONDS:
+                timed_out = True
+                kill_group(proc.pid)
+                proc.wait()
+                break
+            time.sleep(0.1)
     except BaseException:  # interrupted or terminated: take the group along
         kill_group(proc.pid)
         proc.wait()
@@ -260,9 +272,12 @@ def check(plan: dict[str, Any], result: dict[str, Any], trace: int) -> Any:
     # the program and the inputs, both fixed by the inputs directory's
     # key, and on the checks: they are kept beside the inputs.
     writes = plan["surface"] == "writes"
+    served = plan["requests"][: max(len(fingerprints) for _, _, fingerprints in runs)]
     indices = set(plan["warm"])
     if not writes:
-        indices.update(i for request in plan["requests"] for i in request)
+        indices.update(i for request in served for i in request)
+    if plan["surface"] == "pool":
+        indices = checks.sample_pool(plan, indices, report)
     checker = files_digest([HERE / "checks.py", HERE / "serve.py"])
     store = Path(plan["graph_path"]).with_name(f"references-{checker}.json")
     references = json.loads(store.read_text()) if store.is_file() else {}
@@ -285,9 +300,16 @@ def check(plan: dict[str, Any], result: dict[str, Any], trace: int) -> Any:
     return report
 
 
+def beyond(samples: int, percent: int) -> int:
+    """How many of ``samples`` sorted samples lie above their ``percent``-th
+    percentile (the sample at rank ceil(percent/100 * samples))."""
+    return samples - -(-percent * samples // 100)
+
+
 def end_to_end(result: dict[str, Any]) -> tuple[dict[str, float], list[str]]:
     latencies = sorted(result["latencies"])
     memory = result["memory"]
+    n = len(latencies)
     metrics = {
         "throughput_qps": result["answered"] / result["busy_s"] if result["busy_s"] else 0.0,
         "latency_p50_ms": 1000.0 * median(latencies) if latencies else 0.0,
@@ -298,19 +320,21 @@ def end_to_end(result: dict[str, Any]) -> tuple[dict[str, float], list[str]]:
         f"  throughput_qps  {metrics['throughput_qps']:12.4f} 1/s  "
         f"({result['answered']} queries / {result['busy_s']:.3f} s inside requests)",
         f"  latency_p50_ms  {metrics['latency_p50_ms']:12.4f} ms   "
-        f"(p50 of {len(latencies)} requests)",
+        f"(p50 of {n} requests, at least {result['min_requests']} per run; "
+        f"{beyond(n, 50)} samples beyond it)",
     ]
-    # A percentile is reported only with ten samples beyond it.
-    if len(latencies) >= 200:
-        p95 = latencies[math.ceil(0.95 * len(latencies)) - 1] * 1000.0
-        lines.append(f"  latency_p95_ms  {p95:12.4f} ms   "
-                     f"(p95 of {len(latencies)} requests, not in the JSON line)")
+    # The highest percentile with ten samples beyond it, if any.
+    rank = next((r for r in (99, 95, 90) if beyond(n, r) >= 10), None)
+    if rank is not None:
+        tail = latencies[n - beyond(n, rank) - 1] * 1000.0
+        lines.append(f"  latency_p{rank}_ms  {tail:12.4f} ms   (p{rank} of {n} requests, "
+                     f"{beyond(n, rank)} beyond it; not in the JSON line)")
     else:
-        lines.append(f"  latency_p95_ms  {'-':>12}      "
-                     f"(n={len(latencies)}; p95 needs 200 requests)")
+        lines.append(f"  latency_p90_ms  {'-':>12}      "
+                     f"(p90 of {n} requests would have {beyond(n, 90)} samples beyond it)")
     lines += [
         f"  setup_s         {metrics['setup_s']:12.4f} s    "
-        f"(median of {len(result['setup_samples'])} setups: "
+        f"(median of {len(result['setup_samples'])} setups spread over the run: "
         + ", ".join(f"{s:.4f}" for s in result["setup_samples"]) + ")",
         f"  peak_mem_mb     {metrics['peak_mem_mb']:12.2f} MB   "
         f"(serving process {memory['runner_mb']:.1f} + "
@@ -323,7 +347,6 @@ def end_to_end(result: dict[str, Any]) -> tuple[dict[str, float], list[str]]:
 def run(name: str, seed: int, seconds: float, trace: int, scale: float = 1.0,
         deadline: float | None = None) -> tuple[dict[str, Any], list[str]]:
     """One benchmark run; returns the final JSON object and report lines."""
-    started = time.monotonic()
     run_dir, plan, input_digest = prepare(name, seed, scale)
     try:
         import numpy
@@ -333,17 +356,16 @@ def run(name: str, seed: int, seconds: float, trace: int, scale: float = 1.0,
             f"cpus={os.cpu_count()} python={platform.python_version()} "
             f"numpy={numpy.__version__} git={git_sha()} inputs={input_digest}",
         ]
-        budget = RUN_BUDGET_SECONDS - CHECK_RESERVE_SECONDS - (time.monotonic() - started)
+        if deadline is None:
+            deadline = DEADLINE_BASE_SECONDS + DEADLINE_PER_SECOND * seconds
+        progress = run_dir / "progress"
         outcome = supervise(
-            serving_command(run_dir, seconds, trace),
-            deadline if deadline is not None else budget,
-            serving_env(),
+            serving_command(run_dir, seconds, trace), deadline, serving_env(), progress
         )
         result_path = run_dir / "result.json"
         if outcome.timed_out or outcome.returncode != 0 or not result_path.is_file():
-            progress = run_dir / "progress"
-            attempted = max(1, int(progress.read_text()) if progress.is_file() else 1)
-            how = ("hit its deadline" if outcome.timed_out
+            attempted = max(1, int(progress.read_text() or 1) if progress.is_file() else 1)
+            how = ("hit its deadline or stalled" if outcome.timed_out
                    else f"exited with code {outcome.returncode}")
             lines.append(f"  FAILED: serving process {how} after {outcome.seconds:.1f} s; "
                          f"{outcome.leftovers} leftover processes; every operation "
@@ -352,7 +374,10 @@ def run(name: str, seed: int, seconds: float, trace: int, scale: float = 1.0,
                     "metrics": {}}, lines
 
         result = json.loads(result_path.read_text())
+        checking = time.monotonic()
         report = check(plan, result, trace)
+        lines.append(f"  wall: serving process {outcome.seconds:.1f} s, "
+                     f"checks {time.monotonic() - checking:.1f} s")
         warm = len(plan["warm"]) * (2 if trace else 1)
         attempted = result["attempted"] + warm
         failed = result["failed"] + report.failed + outcome.leftovers

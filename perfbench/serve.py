@@ -12,7 +12,7 @@ right after it returns, outside the timed region, and then dropped.
 
 Usage (normally through ``run.py``)::
 
-    python3 perfbench/serve.py --run-dir DIR --seconds 15 --trace 0
+    python3 perfbench/serve.py --run-dir DIR --seconds 10 --trace 0
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import sys
 import time
 import traceback
 from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from time import perf_counter
 from typing import Any
@@ -166,21 +167,14 @@ class WritesSurface(Surface):
 
 
 class PoolSurface(Surface):
-    """fig5g-pool: one long-lived ``workers=2`` session.
-
-    ``reuse_results=False``: every query is executed by a worker, never
-    answered from a result store, while the workers' artifacts stay
-    warm across batches.
-    """
+    """fig5g-pool: one long-lived ``workers=2`` session per round."""
 
     def setup(self) -> list[Any]:
         from repro.session import ExecutionConfig, MatchSession
 
         self.load()
         self.session = MatchSession(
-            self.graph,
-            config=ExecutionConfig(workers=self.plan["workers"]),
-            reuse_results=False,
+            self.graph, config=ExecutionConfig(workers=self.plan["workers"])
         )
         return self.session.run_batch([self.specs[i] for i in self.plan["warm"]])
 
@@ -249,6 +243,16 @@ class EngineTally:
         }
 
 
+@dataclass
+class Phase:
+    """The requests of one measured or traced phase, in issue order."""
+
+    latencies: list[float] = field(default_factory=list)
+    fingerprints: list[list[str] | None] = field(default_factory=list)
+    answered: int = 0
+    busy_s: float = 0.0
+
+
 class Runner:
     def __init__(self, run_dir: Path) -> None:
         self.run_dir = run_dir
@@ -258,22 +262,20 @@ class Runner:
         self.failed = 0
 
     def progress(self) -> None:
+        """Record the operations attempted so far; ``run.py`` also reads
+        the file's age to tell a stalled run from a slow one."""
         (self.run_dir / "progress").write_text(str(self.attempted))
 
-    def serve(self, count: int, seconds: float | None = None,
-              tracer: Any = None, tally: EngineTally | None = None) -> dict[str, Any]:
-        """Issue requests in a closed loop: ``count`` of them, or until
-        ``seconds`` of request time have been measured (rounded up to a
-        multiple of the plan's ``stop_every`` requests)."""
-        latencies: list[float] = []
-        fingerprints: list[list[str] | None] = []
-        answered = 0
-        busy = 0.0
-        for index in range(count):
-            if (seconds is not None and busy >= seconds
-                    and index % self.plan["stop_every"] == 0):
+    def serve(self, phase: Phase, count: int, seconds: float = 0.0, whole: int = 1,
+              tracer: Any = None, tally: EngineTally | None = None) -> None:
+        """Issue the phase's next requests in a closed loop, until it
+        holds at least ``count`` requests and ``seconds`` of request time,
+        at a multiple of ``whole`` requests."""
+        plan = self.plan
+        for index in range(len(phase.fingerprints), plan["max_requests"]):
+            if index >= count and phase.busy_s >= seconds and index % whole == 0:
                 break
-            size = len(self.plan["requests"][index])
+            size = len(plan["requests"][index])
             with tracer.explicit_gc() if tracer else nullcontext():
                 gc.collect()
             started = perf_counter()
@@ -284,61 +286,68 @@ class Runner:
                 traceback.print_exc()
                 answers = None
             elapsed = perf_counter() - started
-            busy += elapsed
+            phase.busy_s += elapsed
             self.attempted += size
             if answers is None:
                 self.failed += size
-                fingerprints.append(None)
+                phase.fingerprints.append(None)
             else:
-                latencies.append(elapsed)
-                answered += size
-                fingerprints.append([fingerprint(a) for a in answers])
+                phase.latencies.append(elapsed)
+                phase.answered += size
+                phase.fingerprints.append([fingerprint(a) for a in answers])
                 if tally is not None:
                     with tracer.paused():
-                        if self.plan["surface"] == "writes":
+                        if plan["surface"] == "writes":
                             tally.graph_changed()
-                        for i, answer in zip(self.plan["requests"][index], answers):
-                            tally.add(self.plan["specs"][i], answer,
+                        for i, answer in zip(plan["requests"][index], answers):
+                            tally.add(plan["specs"][i], answer,
                                       self.surface.specs[i].pattern)
             del answers
             self.progress()
-        return {
-            "latencies": latencies,
-            "fingerprints": fingerprints,
-            "answered": answered,
-            "busy_s": busy,
-        }
 
     def setup(self) -> tuple[float, list[str]]:
         gc.collect()
         started = perf_counter()
         warm = self.surface.setup()
         elapsed = perf_counter() - started
+        self.progress()
         return elapsed, [fingerprint(a) for a in warm]
 
     def teardown(self) -> None:
         self.surface.close()
         self.failed += reap_children()
 
-    def peak_memory(self) -> dict[str, Any]:
-        workers = [vm_hwm_mb(child.pid) for child in multiprocessing.active_children()]
-        return {"runner_mb": vm_hwm_mb("self"), "workers_mb": workers}
-
     def run_untraced(self, seconds: float) -> dict[str, Any]:
-        samples = []
-        for repeat in range(self.plan["setup_repeats"]):
-            if repeat:
+        """The measured run: ``rounds`` rounds of setups and requests.
+
+        Round ``r`` of ``R`` serves until the run holds ``(r+1)/R`` of
+        the minimum request count and of ``seconds`` of request time; the
+        last round ends only at a multiple of the plan's ``stop_every``.
+        """
+        plan = self.plan
+        rounds = plan["rounds"]
+        phase = Phase()
+        samples: list[float] = []
+        workers_mb: list[float] = []
+        for round_ in range(rounds):
+            for _ in range(plan["setups_per_round"]):
                 self.teardown()
-            elapsed, warm = self.setup()
-            samples.append(elapsed)
-        served = self.serve(self.plan["max_requests"], seconds)
-        memory = self.peak_memory()
+                elapsed, warm = self.setup()
+                samples.append(elapsed)
+            done = round_ + 1
+            self.serve(phase, -(-plan["min_requests"] * done // rounds),
+                       seconds * done / rounds,
+                       plan["stop_every"] if done == rounds else 1)
+            # Workers live for one round; keep the round whose workers peaked.
+            workers_mb = max(workers_mb, [vm_hwm_mb(child.pid) for child in
+                                          multiprocessing.active_children()], key=sum)
         self.teardown()
         return {
             "setup_samples": samples,
             "warm": warm,
-            "memory": memory,
-            **served,
+            "memory": {"runner_mb": vm_hwm_mb("self"), "workers_mb": workers_mb},
+            "min_requests": plan["min_requests"],
+            **asdict(phase),
         }
 
     def run_traced(self) -> dict[str, Any]:
@@ -347,7 +356,8 @@ class Runner:
         count = self.plan["traced_requests"]
         # Phase A, untraced: the same requests, for the overhead figure.
         _, warm_a = self.setup()
-        plain = self.serve(count)
+        plain = Phase()
+        self.serve(plain, count, whole=self.plan["stop_every"])
         self.teardown()
 
         tracer = SpanTracer()
@@ -360,7 +370,9 @@ class Runner:
             with tracer.paused():
                 warm_b = [fingerprint(a) for a in warm]
                 del warm
-            traced = self.serve(count, tracer=tracer, tally=tally)
+            traced = Phase()
+            self.serve(traced, count, whole=self.plan["stop_every"],
+                       tracer=tracer, tally=tally)
             with tracer.root("bench.teardown"):
                 self.surface.close()
         finally:
@@ -372,7 +384,7 @@ class Runner:
         layers = tracer.layer_metrics()
         layers.update(tally.metrics())
         qps = {
-            name: (phase["answered"] / phase["busy_s"]) if phase["busy_s"] else 0.0
+            name: phase.answered / phase.busy_s if phase.busy_s else 0.0
             for name, phase in (("untraced", plain), ("traced", traced))
         }
         layers["trace.throughput_qps_untraced"] = qps["untraced"]
@@ -384,8 +396,8 @@ class Runner:
             "layers": layers,
             "warm": warm_a,
             "warm_traced": warm_b,
-            "fingerprints": plain["fingerprints"],
-            "fingerprints_traced": traced["fingerprints"],
+            "fingerprints": plain.fingerprints,
+            "fingerprints_traced": traced.fingerprints,
             "spans_file": str(trace_path),
         }
 

@@ -145,9 +145,12 @@ def test_forced_wrong_answer_raises_error_rate(monkeypatch):
     assert (result["failed"] + report.failed) / result["attempted"] > 0
 
 
-def test_hung_pool_run_ends_by_its_deadline(monkeypatch):
+@pytest.mark.parametrize("deadline, stall", [(8.0, None), (120.0, 5.0)],
+                         ids=["deadline", "stall"])
+def test_hung_pool_run_ends_by_its_deadline(monkeypatch, deadline, stall):
     """A pool worker that never returns: the run is killed at its deadline,
-    every operation counts as failed and no process survives."""
+    or once its progress file is ``stall`` seconds old, every operation
+    counts as failed and no process survives."""
     seen = {}
 
     def hanging(run_dir, seconds, trace):
@@ -155,22 +158,91 @@ def test_hung_pool_run_ends_by_its_deadline(monkeypatch):
 
     original = bench.supervise
 
-    def spy(argv, deadline, env=None):
-        outcome = original(argv, deadline, env)
+    def spy(*args, **kwargs):
+        outcome = original(*args, **kwargs)
         seen["outcome"] = outcome
         return outcome
 
     monkeypatch.setattr(bench, "serving_command", hanging)
     monkeypatch.setattr(bench, "supervise", spy)
+    if stall is not None:
+        monkeypatch.setattr(bench, "STALL_SECONDS", stall)
     started = time.monotonic()
     final, lines = bench.run("fig5g-pool", seed=1, seconds=0.5, trace=0,
-                             scale=TINY, deadline=8.0)
+                             scale=TINY, deadline=deadline)
     outcome = seen["outcome"]
     assert outcome.timed_out
-    assert time.monotonic() - started < 8.0 + 60.0
+    assert outcome.seconds < (stall or deadline) + 30.0
+    assert time.monotonic() - started < outcome.seconds + 60.0
     assert not final["correct"]
     assert final["failed"] == final["attempted"] >= 1
     assert bench.group_members(outcome.pgid) == []
+
+
+def test_deadline_grows_with_the_measured_seconds():
+    """A run of the benchmark's length, checks included, ends within 180 s."""
+    deadline = bench.DEADLINE_BASE_SECONDS + bench.DEADLINE_PER_SECOND * SPEC["run_seconds"]
+    assert deadline + 30.0 <= 180.0
+    assert bench.DEADLINE_PER_SECOND >= 2.0
+
+
+def test_runs_hold_the_minimum_requests_and_spread_their_setups(monkeypatch):
+    """The stop rule: at least ``min_requests`` requests, at least
+    ``seconds`` of request time, whole passes; setups in every round."""
+    run_dir, plan, _ = bench.prepare("fig5e-oneshot", 6, TINY)
+    try:
+        runner = serve.Runner(run_dir)
+        order = []
+        setup, request = runner.surface.setup, runner.surface.request
+        monkeypatch.setattr(runner.surface, "setup",
+                            lambda: order.append("setup") or setup())
+        monkeypatch.setattr(runner.surface, "request",
+                            lambda index: order.append(index) or request(index))
+        result = runner.run_untraced(0.0)
+    finally:
+        shutil.rmtree(run_dir)
+    assert len(result["latencies"]) == plan["min_requests"] > 20
+    assert len(result["setup_samples"]) == plan["rounds"] * plan["setups_per_round"]
+    per_round = plan["min_requests"] // plan["rounds"]
+    setups = [i for i, step in enumerate(order) if step == "setup"]
+    assert len(setups) == len(result["setup_samples"])
+    assert setups[plan["setups_per_round"]] == plan["setups_per_round"] + per_round
+    assert order[-1] == plan["min_requests"] - 1
+
+
+def test_pool_stream_is_distinct_and_keeps_the_mix():
+    import random
+    from collections import Counter
+
+    stream = workloads.pool_stream(random.Random(1), 4, 40)
+    queries = [spec for batch in stream for spec in batch]
+    assert all(len(batch) == workloads.POOL_BATCH for batch in stream)
+    assert len({json.dumps(q, sort_keys=True) for q in queries}) == len(queries)
+    shares = Counter(q["mode"] if q["mode"] != "diversified" else q["method"] for q in queries)
+    mix = Counter(q["mode"] if q["mode"] != "diversified" else q["method"]
+                  for q in workloads.serving_mix(4))
+    for kind, count in mix.items():
+        assert abs(shares[kind] / len(queries) - count / workloads.MIX_SIZE) < 0.02
+    assert {q["k"] for q in queries} == set(range(5, 11))
+    assert 0.1 <= min(q["lam"] for q in queries) < max(q["lam"] for q in queries) <= 0.9
+
+
+def test_pool_checks_every_answer_but_a_diversified_sample():
+    import checks
+
+    run_dir, plan, _ = bench.prepare("fig5g-pool", 2, TINY)
+    shutil.rmtree(run_dir)
+    indices = set(range(len(plan["specs"])))
+    report = checks.CheckReport()
+    kept = checks.sample_pool(plan, indices, report)
+    diversified = {i for i in indices if plan["specs"][i]["mode"] == "diversified"}
+    assert indices - diversified <= kept
+    assert len(kept & diversified) == checks.DIVERSIFIED_SAMPLE
+    assert kept == checks.sample_pool(plan, indices, checks.CheckReport())
+    topk = dict(plan["specs"][0], mode="topk", multi=False)
+    assert checks.reference_key(dict(topk, lam=0.2)) == checks.reference_key(dict(topk, lam=0.7))
+    div = dict(topk, mode="diversified")
+    assert checks.reference_key(dict(div, lam=0.2)) != checks.reference_key(dict(div, lam=0.7))
 
 
 def test_a_surviving_process_is_counted_and_killed(monkeypatch):

@@ -14,8 +14,9 @@ dataset surrogates, one per serving surface:
     6-op burst, refreshes one long-lived patching session and answers
     the 50-query mix again.
 ``fig5g-pool``
-    Synthetic DAG, DAG patterns, stratified 24-query batches through a
-    long-lived ``workers=2`` session.
+    Synthetic DAG, DAG patterns, a stream of distinct 24-query batches
+    (pattern and kind dealt from the mix, k and lambda drawn per query)
+    through a long-lived ``workers=2`` session per round.
 
 The sizes below are fixed here rather than read from
 ``repro.bench.workloads``, whose ``REPRO_BENCH_SCALE`` would change the
@@ -47,14 +48,25 @@ MIX_SIZE = 50
 BURST_OPS = 6
 POOL_WORKERS = 2
 
-#: Upper bounds on the requests one run can issue; a run stops at the
-#: earlier of these and its measured time.
-MAX_REQUESTS = {"batch": 64, "oneshot": 2000, "writes": 96, "pool": 400}
+#: Upper bounds on the requests one run can issue.
+MAX_REQUESTS = {"batch": 64, "oneshot": 2000, "writes": 96, "pool": 160}
+#: Requests a measured run serves at least, whatever ``--seconds`` says.
+#: At this commit each count takes 11-21 s of request time on two
+#: cores, more than the benchmark's 10 s, so the count, not the clock,
+#: ends a run and every run holds the same number of samples.  More
+#: would not fit the benchmark's time budget: a fig5d batch takes
+#: 6-10 s and a write cycle 2.7-4 s.
+MIN_REQUESTS = {"batch": 2, "oneshot": 150, "writes": 5, "pool": 9}
 #: Requests in each phase of a traced run.  Fixed, so the counts a traced
 #: run reports repeat exactly for a seed.
 TRACED_REQUESTS = {"batch": 2, "oneshot": 100, "writes": 4, "pool": 8}
-#: Setups timed per run; ``setup_s`` is their median.
-SETUP_REPEATS = {"batch": 9, "oneshot": 9, "writes": 3, "pool": 3}
+#: A measured run is split into rounds, each a few setups followed by
+#: its share of the requests, so the setup samples are spread over the
+#: run like the requests are, not taken back to back when it starts.
+#: ``setup_s`` is the median of every round's setups.  The write stream
+#: keeps one long-lived session: its setups run back to back before it.
+ROUNDS = {"batch": 2, "oneshot": 15, "writes": 1, "pool": 3}
+SETUPS_PER_ROUND = {"batch": 6, "oneshot": 1, "writes": 3, "pool": 1}
 
 
 @dataclass(frozen=True)
@@ -149,45 +161,52 @@ def serving_mix(num_patterns: int) -> list[dict[str, Any]]:
     return specs
 
 
-#: Per pattern and pool batch: one query per slot, with k and lambda
-#: drawn per query (4 patterns x 6 slots = the 24-query batch of
-#: ``benchmarks/bench_parallel.py``).  Stratifying the modes keeps batch cost comparable
-#: across draws, so a run's median does not hinge on its mode mix.
-POOL_SLOTS = ("topk", "topk", "multi", "heuristic", "heuristic", "approx")
-POOL_K = {"topk": (5, 10), "multi": (5, 10), "heuristic": (3, 5), "approx": (3, 5)}
-POOL_LAMBDAS = (0.3, 0.7)
+#: Queries per pool batch (the batch size of ``benchmarks/bench_parallel.py``).
+POOL_BATCH = 24
+#: Range of the per-query draws of the pool stream: k between the mix's
+#: two k values, lambda away from the pure-relevance/pure-diversity ends.
+POOL_K = (5, 10)
+POOL_LAMBDA = (0.1, 0.9)
 
 
-def pool_catalogue(num_patterns: int) -> list[dict[str, Any]]:
-    """Every spec a pool batch can draw."""
-    specs = []
-    for pattern in range(num_patterns):
-        for slot in dict.fromkeys(POOL_SLOTS):
-            for k in POOL_K[slot]:
-                if slot in ("topk", "multi"):
-                    specs.append(_spec(pattern, mode=slot, k=k, multi=slot == "multi"))
-                    continue
-                for lam in POOL_LAMBDAS:
-                    specs.append(_spec(pattern, mode="diversified", k=k, lam=lam,
-                                       method=slot))
-    return specs
+def pool_warm(num_patterns: int) -> list[dict[str, Any]]:
+    """The pool's warm batch: the mix's first ``POOL_BATCH`` queries.  The
+    same for every seed, so the setup it is part of costs the same."""
+    return serving_mix(num_patterns)[:POOL_BATCH]
 
 
-def _pool_batch(rng: random.Random, index: dict[str, int], num_patterns: int) -> list[int]:
-    """One stratified batch, as indices into the catalogue (``index``
-    maps each catalogue spec's JSON to its position)."""
-    batch = []
-    for pattern in range(num_patterns):
-        for slot in POOL_SLOTS:
-            k = rng.choice(POOL_K[slot])
-            if slot in ("topk", "multi"):
-                spec = _spec(pattern, mode=slot, k=k, multi=slot == "multi")
-            else:
-                spec = _spec(pattern, mode="diversified", k=k,
-                             lam=rng.choice(POOL_LAMBDAS), method=slot)
-            batch.append(index[json.dumps(spec, sort_keys=True)])
-    rng.shuffle(batch)
-    return batch
+def pool_stream(rng: random.Random, num_patterns: int, batches: int) -> list[list[dict[str, Any]]]:
+    """``batches`` pool batches of distinct queries.
+
+    Each query takes its pattern and kind (mode, method, one output or
+    two) from the serving mix, dealt like cards: the mix is shuffled and
+    dealt out before it is shuffled again, so every run holds the mix's
+    shares and its cost does not hinge on how the kinds fell.  k and
+    lambda are drawn per query.  lambda is part of the session's
+    result-store key, so no query of the stream repeats one before it
+    and the parent's result store never answers one (lambda changes the
+    answers of diversified queries only).
+    """
+    mix = serving_mix(num_patterns)
+    deck: list[dict[str, Any]] = []
+    seen = {json.dumps(spec, sort_keys=True) for spec in pool_warm(num_patterns)}
+    stream = []
+    for _ in range(batches):
+        batch: list[dict[str, Any]] = []
+        while len(batch) < POOL_BATCH:
+            if not deck:
+                deck = list(mix)
+                rng.shuffle(deck)
+            card = deck.pop()
+            key = ""
+            while not key or key in seen:
+                spec = dict(card, k=rng.randint(*POOL_K),
+                            lam=round(rng.uniform(*POOL_LAMBDA), 3))
+                key = json.dumps(spec, sort_keys=True)
+            seen.add(key)
+            batch.append(spec)
+        stream.append(batch)
+    return stream
 
 
 def build_plan(name: str, seed: int, graph: Any, patterns: list[Any]) -> dict[str, Any]:
@@ -211,8 +230,10 @@ def build_plan(name: str, seed: int, graph: Any, patterns: list[Any]) -> dict[st
         "ops": [],
         "warm": [],
         "max_requests": MAX_REQUESTS[surface],
+        "min_requests": MIN_REQUESTS[surface],
         "traced_requests": TRACED_REQUESTS[surface],
-        "setup_repeats": SETUP_REPEATS[surface],
+        "rounds": ROUNDS[surface],
+        "setups_per_round": SETUPS_PER_ROUND[surface],
         "workers": POOL_WORKERS if surface == "pool" else 0,
         # A one-shot run stops only between whole passes over the mix, so
         # every run holds the same query composition: per-query latency
@@ -221,11 +242,11 @@ def build_plan(name: str, seed: int, graph: Any, patterns: list[Any]) -> dict[st
         "stop_every": MIX_SIZE if surface == "oneshot" else 1,
     }
     if surface == "pool":
-        specs = pool_catalogue(len(patterns))
-        index = {json.dumps(spec, sort_keys=True): i for i, spec in enumerate(specs)}
-        plan["warm"] = _pool_batch(rng, index, len(patterns))
-        requests = [_pool_batch(rng, index, len(patterns))
-                    for _ in range(MAX_REQUESTS[surface])]
+        batches = pool_stream(rng, len(patterns), MAX_REQUESTS[surface])
+        specs = pool_warm(len(patterns)) + [spec for batch in batches for spec in batch]
+        plan["warm"] = list(range(POOL_BATCH))
+        requests = [list(range(start, start + POOL_BATCH))
+                    for start in range(POOL_BATCH, len(specs), POOL_BATCH)]
     else:
         specs = serving_mix(len(patterns))
         order = list(range(len(specs)))
