@@ -11,10 +11,15 @@ The algorithm:
        F'(v1, v2) = (1-λ)/(k-1) (δ'r(v1) + δ'r(v2)) + 2λ/(k-1) δd(v1, v2)
 
    and move it into ``S``;
-3. if ``k`` is odd, add the single match maximising ``F(S ∪ {v})``.
+3. if ``k`` is odd, add the single match maximising ``F(S ∪ {v})``.  For
+   ``k ≥ 3`` that is the match maximising ``Σ_{s ∈ S} F'(v, s)``, which
+   equals ``F(S ∪ {v}) - F(S)`` plus ``(1-λ)/(k-1) Σ_{s ∈ S} δ'r(s)``,
+   the same for every ``v``; for ``k = 1`` it is the match maximising
+   ``(1-λ) δ'r(v)``.
 
 Because ``Σ_{pairs of S} F' = F(S)``, this simulates the greedy MAXDISP
-2-approximation of Hassin et al., hence ``F(S) ≥ F(S*) / 2``.
+2-approximation of Hassin et al., hence ``F(S) ≥ F(S*) / 2``.  Each
+``F'`` is evaluated once per pair of matches.
 """
 
 from __future__ import annotations
@@ -106,9 +111,13 @@ def top_k_diversified_approx(
             return obj.pair_objective(context, v1, relevant[v1], v2, relevant[v2])
 
         def single_weight(v: int) -> float:
-            return (1.0 - obj.lam) / max(1, k - 1) * obj.relevance.value(context, v, relevant[v])
+            return (1.0 - obj.lam) * obj.relevance.value(context, v, relevant[v])
 
-        selected = greedy_max_dispersion(matches, k, pair_weight, single_weight)
+        # The pair weights to S already carry v's relevance term, so the
+        # singleton weight counts only when S is empty (k = 1).
+        selected = greedy_max_dispersion(
+            matches, k, pair_weight, single_weight if k == 1 else None
+        )
 
         scores = {v: obj.relevance.value(context, v, relevant[v]) for v in selected}
         objective_value = obj.score_matches(context, selected)

@@ -7,7 +7,9 @@ confirmed matches of ``uo`` are greedily swapped into the answer set when
 they increase ``F''`` — the diversification function evaluated on the
 in-flight state (``v.l / C_uo`` for relevance; Jaccard over the partial
 relevant sets for distance).  Terminates via Proposition 3, so it inspects
-no more matches than ``TopK`` does.
+no more matches than ``TopK`` does.  Trying every swap for a new match
+costs k distance evaluations, plus ``k(k-1)/2`` per batch to score the
+current set; the final replay over the inspected matches costs the same.
 
 No approximation guarantee (it is a heuristic), but Section 6 measures
 ``F(S')`` at ≥ 77 % of ``TopKDiv``'s on Amazon — our benchmark

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datasets.synthetic import synthetic_graph
 from repro.diversify.approx import top_k_diversified_approx
 from repro.diversify.exact import optimal_diversified
 from repro.errors import MatchingError
@@ -9,6 +10,7 @@ from repro.graph.digraph import Graph
 from repro.patterns.pattern import pattern_from_edges
 from repro.ranking.context import RankingContext
 from repro.ranking.diversification import DiversificationObjective
+from repro.workloads.pattern_gen import random_dag_pattern
 
 
 class TestTopKDiv:
@@ -47,3 +49,21 @@ class TestTopKDiv:
         q = pattern_from_edges(["A", "B"], [(0, 1)], 0)
         result = top_k_diversified_approx(q, g, 2)
         assert result.matches == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_odd_k_last_pick_maximises_objective(self, seed):
+        graph = synthetic_graph(120, 400, num_labels=3, seed=seed)
+        pattern = random_dag_pattern(graph, 3, 2, seed=seed, min_matches=8)
+        ctx = RankingContext(pattern, graph)
+        for k in (3, 5, 7):
+            for lam in (0.1, 0.5, 0.9):
+                result = top_k_diversified_approx(pattern, graph, k, lam=lam, context=ctx)
+                objective = DiversificationObjective(lam=lam, k=k)
+                objective.prepare(ctx)
+                head, last = result.matches[:-1], result.matches[-1]
+                best = max(
+                    objective.score_matches(ctx, head + [v])
+                    for v in ctx.matches
+                    if v not in head
+                )
+                assert objective.score_matches(ctx, head + [last]) >= best - 1e-9

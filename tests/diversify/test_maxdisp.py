@@ -1,5 +1,9 @@
 """Tests for the greedy MAXDISP core."""
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from repro.diversify.maxdisp import greedy_max_dispersion
 
 
@@ -65,3 +69,72 @@ class TestGreedyMaxDispersion:
                 for sub in itertools.combinations(items, k)
             )
             assert chosen_score >= best / 2 - 1e-9  # Hassin et al. ratio
+
+
+def reference_greedy_max_dispersion(items, k, pair_weight, single_weight=None):
+    """The greedy written directly: each round re-evaluates every pair."""
+    pool = list(items)
+    if k >= len(pool):
+        return pool
+    selected = []
+    for _ in range(k // 2):
+        best_pair = None
+        best_score = float("-inf")
+        for i in range(len(pool)):
+            for j in range(i + 1, len(pool)):
+                score = pair_weight(pool[i], pool[j])
+                if score > best_score:
+                    best_score = score
+                    best_pair = (i, j)
+        if best_pair is None:
+            break
+        i, j = best_pair
+        selected.append(pool.pop(j))
+        selected.append(pool.pop(i))
+    if len(selected) < k and pool:
+        best_item_index = 0
+        best_score = float("-inf")
+        for index, item in enumerate(pool):
+            score = single_weight(item) if single_weight is not None else 0.0
+            score += sum(pair_weight(item, chosen) for chosen in selected)
+            if score > best_score:
+                best_score = score
+                best_item_index = index
+        selected.append(pool.pop(best_item_index))
+    return selected
+
+
+class TestAgainstReference:
+    @given(data=st.data(), n=st.integers(0, 14), k=st.integers(1, 15), singles=st.booleans())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_picks_match_reference(self, data, n, k, singles):
+        # Items in a drawn order, integer weights from a narrow range: ties
+        # are common, so the tie-break order is exercised.
+        items = data.draw(st.permutations(range(n)))
+        weights = {
+            (i, j): data.draw(st.integers(-2, 3)) for i in range(n) for j in range(i + 1, n)
+        }
+        single = None
+        if singles:
+            values = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+            single = values.__getitem__
+        w = pair_weight_from(weights)
+        assert greedy_max_dispersion(items, k, w, single) == reference_greedy_max_dispersion(
+            items, k, w, single
+        )
+
+
+class TestCost:
+    @pytest.mark.parametrize("n, k", [(219, 8), (219, 7), (30, 2), (30, 3), (30, 1)])
+    def test_each_pair_weight_evaluated_once(self, n, k):
+        calls = 0
+
+        def weight(a, b):
+            nonlocal calls
+            calls += 1
+            return float((a + b) % 7 + (a * b) % 5)
+
+        chosen = greedy_max_dispersion(list(range(n)), k, weight)
+        assert len(set(chosen)) == k
+        # A single pick needs no pair weights.
+        assert calls == (n * (n - 1) // 2 if k >= 2 else 0)
