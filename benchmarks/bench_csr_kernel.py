@@ -90,7 +90,7 @@ def _run_shape(dataset, shape, cyclic, k, rounds, scale_factor):
     sim_dict_s = _best_of(sim_dict, rounds * 2)
     sim_csr_s = _best_of(sim_csr, rounds * 2)
 
-    # -- propagation engine -------------------------------------------
+    # -- top-k engine --------------------------------------------------
     engine = top_k if cyclic else top_k_dag
     eng_reference = engine(pattern, graph, k, use_csr=False)
     eng_fast = engine(pattern, graph, k, use_csr=True)

@@ -1,7 +1,7 @@
 """Overhead of the observability hooks on the fig 5(d) serving path.
 
 The tracing/metrics subsystem is threaded through every hot layer
-(candidate build, fixpoint kernels, the propagation engine, the session
+(candidate build, fixpoint kernels, the top-k engine, the session
 cache).  Its contract is that the *disabled* state — no ambient tracer,
 no ambient registry, ``ExecutionConfig`` flags off — costs essentially
 nothing: each hook is one contextvar read that returns ``None``.  This
@@ -67,7 +67,7 @@ WORKLOAD = {
 #: the ``repro.obs`` names it imported.  The stripped arm nulls these
 #: module globals so the hooks vanish, approximating the pre-PR code.
 INSTRUMENTED_MODULES = {
-    "repro.topk.engine": ("current_tracer", "trace"),
+    "repro.topk.engine": ("trace",),
     "repro.topk.cyclic": ("instrumentation", "record_run"),
     "repro.topk.dag": ("instrumentation", "record_run"),
     "repro.topk.match_all": ("instrumentation", "record_run"),

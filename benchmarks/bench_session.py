@@ -1,8 +1,7 @@
 """Batched serving through one MatchSession vs looped one-shot calls.
 
-PR 2 made the compiled snapshot graph-cached and PR 3/4 made the
-engine's heavy artifacts (simulation prefix, bound index, pair-CSRs)
-snapshot-keyed — but the one-shot API still rebuilds all of them per
+The compiled snapshot is graph-cached, but the one-shot API rebuilds
+the engine's pattern-keyed artifacts (simulation, top-k evaluation) per
 call.  This benchmark measures the session front end that amortises
 them: a **50-query mixed batch** (top-k, diversified heuristic and
 2-approximation, find-all baseline, multi-output fan-outs, repeated
@@ -19,9 +18,9 @@ templates) executed two ways:
 
 ``session``
     One ``MatchSession.run_batch`` over the same 50 specs: label
-    buckets, candidates, simulation prefixes, bound indexes, pair-CSRs
-    and ranking contexts are computed once per distinct pattern
-    structure and shared across the batch.
+    buckets, candidates, simulations, top-k evaluations and ranking
+    contexts are computed once per distinct pattern structure and
+    shared across the batch.
 
 Workloads mirror the Figure 5 engine-time figures:
 

@@ -9,12 +9,10 @@ Usage::
 The output is what EXPERIMENTS.md records: per figure, the swept
 parameter, the series the paper plots, and the reproduced values.
 ``--profile`` wraps the sweep in cProfile and prints the top functions
-by cumulative time, so hotspot claims ("the cyclic engine is dominated
-by the SCC group machinery") are reproducible in one command.  The
-counter tables it prints alongside — the engine's relevance-delta
-volume (enqueued / coalesced / applied) and the cache-effectiveness
-ratios (snapshot / simulation / bound-index / pair-CSR hits vs
-rebuilds), each summed per algorithm — are read straight from a
+by cumulative time, so hotspot claims are reproducible in one command.  The
+counter table it prints alongside — the cache-effectiveness ratios
+(snapshot / simulation / evaluation hits vs rebuilds), summed per
+algorithm — is read straight from a
 :class:`repro.obs.MetricsRegistry` installed ambiently around the
 sweep: the same ``repro_engine_*_total`` series any serving deployment
 would scrape, not a bench-only side channel.
@@ -45,33 +43,11 @@ def _counter(registry: MetricsRegistry, field: str, algorithm: str) -> int:
     return int(registry.value(f"repro_engine_{field}_total", algorithm=algorithm))
 
 
-def _delta_counter_table(registry: MetricsRegistry) -> None:
-    print("\n## Relevance-delta counters (per algorithm, summed over the sweep)\n")
-    rows = []
-    for name in _algorithms_observed(registry):
-        enqueued = _counter(registry, "deltas_enqueued", name)
-        applied = _counter(registry, "deltas_applied", name)
-        if not (enqueued or applied):
-            continue
-        rows.append([
-            name,
-            _counter(registry, "runs", name),
-            enqueued,
-            _counter(registry, "deltas_coalesced", name),
-            applied,
-        ])
-    if not rows:
-        print("(no engine runs recorded)")
-        return
-    print(format_table(["algorithm", "runs", "deltas enq", "coalesced", "applied"], rows))
-
-
 def _cache_counter_table(registry: MetricsRegistry) -> None:
     print("\n## Cache effectiveness (hits/builds per algorithm, summed over the sweep)\n")
     pairs = (
         ("snapshot_hits", "snapshot_builds"),
         ("sim_hits", "sim_builds"),
-        ("bounds_hits", "bounds_builds"),
         ("paircsr_hits", "paircsr_builds"),
     )
     rows = []
@@ -90,8 +66,7 @@ def _cache_counter_table(registry: MetricsRegistry) -> None:
         print("(no engine runs recorded)")
         return
     print(format_table(
-        ["algorithm", "runs", "snapshot h/b", "sim h/b", "bounds h/b",
-         "pair-CSR h/b"],
+        ["algorithm", "runs", "snapshot h/b", "sim h/b", "evaluation h/b"],
         rows,
     ))
 
@@ -399,7 +374,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.workers >= 2:
             _batch_serving_table(registry, args.workers)
     profiler.disable()
-    _delta_counter_table(registry)
     _cache_counter_table(registry)
     if args.workers >= 2:
         _worker_series_table(registry)

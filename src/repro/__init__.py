@@ -24,8 +24,8 @@ and ranking stay consistent while the graph mutates (``add_edge`` /
 maintained by delta simulation instead of per-query recomputation.
 
 For batched multi-query serving, :mod:`repro.session` pins one
-compiled snapshot generation and amortises candidates, simulation,
-bound indexes and pair-CSRs across a heterogeneous query batch::
+compiled snapshot generation and amortises candidates, simulation
+and top-k evaluations across a heterogeneous query batch::
 
     from repro import MatchSession, QuerySpec
 

@@ -425,8 +425,9 @@ class ObsNoOpGuarantee(Rule):
     )
     reference = (
         "CHANGES.md PR 6: 'all strictly no-op when disabled' + the "
-        "bench_obs_overhead CI guard; the engine pre-resolves "
-        "self._tracer for exactly this reason (topk/engine.py)."
+        "bench_obs_overhead CI guard; the top-k engine opens its "
+        "spans around phases, never per visited match "
+        "(tests/obs/test_disabled_trace_cost.py)."
     )
 
     def check(self, module: SourceModule, project: Project) -> Iterable[Finding]:

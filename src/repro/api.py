@@ -17,18 +17,16 @@ Since PR 5 every one-shot query function is a thin shim over an
 implicit, per-call :class:`repro.session.MatchSession` — one pinned
 snapshot generation, the same engine wrappers — so a one-shot call and
 a session query are literally the same code path.  To serve *batches*
-(and amortise candidates, simulation, bound indexes and pair-CSRs
-across queries) open the session yourself:
+(and amortise candidates, simulation and evaluations across queries)
+open the session yourself:
 
 >>> from repro.session import MatchSession, QuerySpec               # doctest: +SKIP
 >>> with MatchSession(graph) as session:                            # doctest: +SKIP
 ...     results = session.run_batch([QuerySpec(q1, k=10), QuerySpec(q2, k=5)])
 
-Execution toggles are one :class:`repro.session.ExecutionConfig`
-(``config=``); the legacy kwargs (``optimized`` / ``use_csr`` /
-``scc_incremental`` / ``rset_bitset`` / ``bound_strategy`` /
-``batch_size`` / ``presimulate`` / ``seed``) remain accepted through a
-deprecation adapter that maps them onto the same config.
+Execution settings are one :class:`repro.session.ExecutionConfig`
+(``config=``); the kwargs ``optimized`` / ``use_csr`` / ``seed`` remain
+accepted through an adapter that maps them onto the same config.
 
 For update streams, register the pattern once and mutate the graph —
 the materialized view follows along without per-query recomputation:
@@ -77,21 +75,10 @@ from repro.topk.dag import top_k_dag
 from repro.topk.match_all import match_baseline
 from repro.topk.result import TopKResult
 
-#: Legacy engine kwargs the deprecation adapter can express as an
-#: :class:`ExecutionConfig`.  Anything else (``candidates=...``,
-#: ``strategy=...``) bypasses the implicit session and goes straight to
-#: the engine wrapper, exactly as before.
-_CONFIG_KEYS = frozenset(
-    (
-        "use_csr",
-        "scc_incremental",
-        "rset_bitset",
-        "bound_strategy",
-        "batch_size",
-        "presimulate",
-        "seed",
-    )
-)
+#: Engine kwargs the adapter can express as an :class:`ExecutionConfig`.
+#: Anything else (``candidates=...``) bypasses the implicit session and
+#: goes straight to the engine wrapper.
+_CONFIG_KEYS = frozenset(("use_csr", "seed"))
 
 
 def _adapt_options(
@@ -99,7 +86,7 @@ def _adapt_options(
     config: ExecutionConfig | None,
     options: dict[str, Any],
 ) -> ExecutionConfig | None:
-    """Map the legacy kwargs surface onto one :class:`ExecutionConfig`.
+    """Map the engine kwargs onto one :class:`ExecutionConfig`.
 
     Returns ``None`` when ``options`` carries keys a config cannot
     express — the caller then falls back to the direct wrapper call
@@ -157,12 +144,10 @@ def top_k_matches(
 
     A thin shim over an implicit per-call :class:`MatchSession`.  Pass
     ``config=`` (an :class:`ExecutionConfig`) for the session-era
-    surface; the legacy ``engine_options`` kwargs — the representation
-    toggles ``use_csr`` / ``scc_incremental`` / ``rset_bitset`` (each
-    defaulting to follow ``optimized``), ``bound_strategy``,
-    ``batch_size``, ``presimulate``, ``seed`` — are accepted via the
-    deprecation adapter.  Options a config cannot express
-    (``candidates=...``) fall through to the engine wrapper directly.
+    surface; the ``engine_options`` kwargs ``use_csr`` (defaulting to
+    follow ``optimized``) and ``seed`` are accepted via the adapter.
+    Options a config cannot express (``candidates=...``) fall through
+    to the engine wrapper directly.
     """
     cfg = _adapt_options(optimized, config, engine_options)
     if cfg is None:
@@ -205,9 +190,9 @@ def diversified_matches(
     ``method="heuristic"`` runs the early-terminating ``TopKDH`` /
     ``TopKDAGDH``; ``method="approx"`` runs the 2-approximation
     ``TopKDiv``.  ``optimized=False`` selects the full dict-of-sets
-    reference path (and, for the heuristic, random seed selection).
+    reference path (and, for the heuristic, the random visiting order).
     A thin shim over an implicit per-call :class:`MatchSession`;
-    engine toggles pass through ``config=`` or the legacy ``options``
+    execution settings pass through ``config=`` or the ``options``
     kwargs, and both methods accept the same option set regardless of
     ``method``.
     """
@@ -287,10 +272,10 @@ def top_k_matches_multi(
     """topKP for patterns with *multiple* output nodes (Section 2.2).
 
     Runs the early-terminating engine once per designated output node
-    through **one** :class:`MatchSession`, so the pattern's candidates,
-    simulation prefix, bound index and pair-CSRs are built once and
-    shared across the fan-out — each extra output node costs only its
-    own ranking.  Returns ``{output_node: TopKResult}``.  Like
+    through **one** :class:`MatchSession`, so the pattern's candidates
+    and simulation are built once and shared across the fan-out — each
+    extra output node costs only its own evaluation and ranking.
+    Returns ``{output_node: TopKResult}``.  Like
     :func:`top_k_matches`, DAG patterns route through ``TopKDAG`` and
     cyclic ones through ``TopK``, and a generalised ``relevance_fn``
     (Section 3.4) applies to every output node's ranking.

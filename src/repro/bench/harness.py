@@ -94,13 +94,8 @@ def run_algorithm(
         objective_value=result.objective_value,
         matches=list(result.matches),
         extra={
-            # Relevance-delta propagation counters (engine family; zero
-            # for Match / TopKDiv, which run no propagation).
-            "deltas_enqueued": stats.deltas_enqueued,
-            "deltas_coalesced": stats.deltas_coalesced,
-            "deltas_applied": stats.deltas_applied,
             # Cache-effectiveness counters (snapshot / simulation /
-            # bound-index / pair-CSR hits vs rebuilds; hits come from
+            # evaluation hits vs rebuilds; hits come from
             # the graph-level snapshot cache and, under a MatchSession,
             # the session's shared artifact store).
             **stats.cache_counters(),
@@ -144,8 +139,8 @@ def exact_objective(
     """``F(S)`` of a returned set, evaluated on exact relevant sets.
 
     Used by the quality experiment (Fig. 5(i)) to compare ``TopKDiv`` and
-    ``TopKDH`` on equal footing — the heuristic's in-flight ``F''`` value
-    may rest on partial lower bounds.
+    ``TopKDH`` on equal footing; both report this value as their
+    ``objective_value``.
     """
     ctx = context if context is not None else RankingContext(pattern, graph)
     objective = DiversificationObjective(lam=lam, k=k)

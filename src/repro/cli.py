@@ -119,16 +119,11 @@ def _cmd_match(args: argparse.Namespace) -> int:
     if args.no_csr:
         # Force the dict-of-sets reference path.  ``Match`` / ``TopKDiv``
         # gate it on ``optimized``; the engine family has a dedicated
-        # ``use_csr`` toggle (``optimized`` there picks seed selection).
+        # ``use_csr`` toggle (``optimized`` there picks the visiting order).
         if algorithm in ("Match", "TopKDiv"):
             options["optimized"] = False
         else:
             options["use_csr"] = False
-    if args.no_rset_bitset and algorithm not in ("Match", "TopKDiv"):
-        # Force the reference set-per-group relevant sets (one delta at
-        # a time); by default the engine packs them into bitsets
-        # whenever the CSR path is active.
-        options["rset_bitset"] = False
     with _maybe_tracing(args.trace):
         record = run_algorithm(
             algorithm, pattern, graph, args.k, args.lam, **options
@@ -213,7 +208,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     entries = load_batch_file(args.queries)
     config = ExecutionConfig(
         use_csr=False if args.no_csr else None,
-        rset_bitset=False if args.no_rset_bitset else None,
         slow_query_seconds=args.slow_query,
         workers=args.workers,
         sim_shards=args.sim_shards,
@@ -411,9 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="force a specific algorithm")
     match.add_argument("--no-csr", action="store_true",
                        help="disable the CSR snapshot fast path (reference run)")
-    match.add_argument("--no-rset-bitset", action="store_true",
-                       help="disable packed relevant-set groups / batched "
-                            "delta propagation (reference representation)")
     match.add_argument("--trace", metavar="FILE",
                        help="record the run's phase spans as JSON lines here")
     match.add_argument("--json", action="store_true", help="machine-readable output")
@@ -432,9 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default lambda for diversified queries")
     batch.add_argument("--no-csr", action="store_true",
                        help="disable the CSR snapshot fast path (reference run)")
-    batch.add_argument("--no-rset-bitset", action="store_true",
-                       help="disable packed relevant-set groups (reference "
-                            "representation)")
     batch.add_argument("--trace", metavar="FILE",
                        help="record the batch's phase spans as JSON lines here")
     batch.add_argument("--workers", type=int, default=0, metavar="N",

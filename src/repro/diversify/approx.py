@@ -50,8 +50,6 @@ def top_k_diversified_approx(
     context: RankingContext | None = None,
     optimized: bool = True,
     use_csr: bool | None = None,
-    scc_incremental: bool | None = None,
-    rset_bitset: bool | None = None,
     config: "ExecutionConfig | None" = None,
     cache: "SessionCache | None" = None,
 ) -> TopKResult:
@@ -62,22 +60,15 @@ def top_k_diversified_approx(
     reuses an existing full evaluation.  ``optimized=False`` forces the
     dict-of-sets reference simulation.
 
-    The engine-family toggles (and ``config=`` carrying them) are
-    accepted for API symmetry, so facade callers can pass one option
-    set to either diversification method: the resolved ``use_csr``
-    selects the full-evaluation simulation path, while
-    ``scc_incremental`` / ``rset_bitset`` pick in-flight engine
-    machinery TopKDiv does not run (it ranks over the context's exact
-    relevant sets) and are no-ops here.  ``cache`` (a session's
-    artifact store) serves the full evaluation as a shared
+    ``use_csr`` (or ``config=`` carrying it) is accepted for API
+    symmetry, so facade callers can pass one option set to either
+    diversification method: the resolved ``use_csr`` selects the
+    full-evaluation simulation path.  ``cache`` (a session's artifact
+    store) serves the full evaluation as a shared
     :class:`RankingContext`.
     """
     cfg = ExecutionConfig.adapt(
-        config,
-        optimized=optimized,
-        use_csr=use_csr,
-        scc_incremental=scc_incremental,
-        rset_bitset=rset_bitset,
+        config, optimized=optimized, use_csr=use_csr
     ).resolved()
     optimized = cfg.use_csr
     if k < 1:

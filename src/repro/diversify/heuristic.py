@@ -1,19 +1,21 @@
 """``TopKDH`` / ``TopKDAGDH`` — diversified top-k with early termination
 (paper Section 5.2, Theorem 5(3)).
 
-Runs the same propagation engine as ``TopK`` with a
-:class:`repro.topk.policies.DiversifiedPolicy`: after each batch the newly
-confirmed matches of ``uo`` are greedily swapped into the answer set when
-they increase ``F''`` — the diversification function evaluated on the
-in-flight state (``v.l / C_uo`` for relevance; Jaccard over the partial
-relevant sets for distance).  Terminates via Proposition 3, so it inspects
-no more matches than ``TopK`` does.  Trying every swap for a new match
-costs k distance evaluations, plus ``k(k-1)/2`` per batch to score the
-current set; the final replay over the inspected matches costs the same.
+Runs the same engine as ``TopK`` with a
+:class:`repro.topk.policies.DiversifiedPolicy`: the output node's
+matches are visited in bound order, each with its exact relevant set,
+and greedily swapped into the answer set when they increase ``F`` (the
+normalised relevance ``δ'r`` and the Jaccard distance of Section 3.3).
+Every ``⌈|Mu|/64⌉`` visits the policy tests Proposition 3 on the
+relevance of its set, so it inspects no more matches than a full pass.
+Trying every swap for a new match costs k distance evaluations, plus
+``k(k-1)/2`` per integration to score the current set; the final
+replay over the visited matches costs the same.
 
 No approximation guarantee (it is a heuristic), but Section 6 measures
 ``F(S')`` at ≥ 77 % of ``TopKDiv``'s on Amazon — our benchmark
-``bench_fig5i_quality_div`` checks the same ratio band.
+``bench_fig5i_quality_div`` checks the same ratio band.  The reported
+``objective_value`` is ``F`` of the returned set.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from repro.simulation.candidates import CandidateSets
 from repro.topk.engine import TopKEngine
 from repro.topk.policies import DiversifiedPolicy
 from repro.topk.result import TopKResult
-from repro.topk.selection import GreedySelection, RandomSelection
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.session.cache import SessionCache
@@ -45,13 +46,8 @@ def top_k_diversified_heuristic(
     objective: DiversificationObjective | None = None,
     optimized: bool = True,
     seed: int = 0,
-    bound_strategy: str = "sim",
-    batch_size: int | None = None,
     candidates: CandidateSets | None = None,
-    presimulate: bool = True,
     use_csr: bool | None = None,
-    scc_incremental: bool | None = None,
-    rset_bitset: bool | None = None,
     config: ExecutionConfig | None = None,
     cache: "SessionCache | None" = None,
 ) -> TopKResult:
@@ -59,30 +55,19 @@ def top_k_diversified_heuristic(
 
     The algorithm name in the result follows the paper's convention:
     ``TopKDAGDH`` on DAG patterns, ``TopKDH`` otherwise.  Execution
-    toggles arrive as one :class:`ExecutionConfig` (``config=``) or as
-    the legacy kwargs, adapted onto the same config —
-    :meth:`ExecutionConfig.resolved` owns the defaulting chain, so
-    ``optimized=False`` is the dict reference path with random seed
-    selection.  With ``rset_bitset`` resolved on, the diversified
-    objective's Jaccard terms run word-parallel over the frozen bitset
-    views.  ``cache`` injects a session's shared artifact store.
+    settings arrive as one :class:`ExecutionConfig` (``config=``) or as
+    the kwargs ``optimized`` / ``seed`` / ``use_csr``, adapted onto the
+    same config; ``optimized=False`` visits in seeded random order over
+    the dict reference path.  ``cache`` injects a session's shared
+    artifact store.
     """
     obj = objective if objective is not None else DiversificationObjective(lam=lam, k=k)
     if obj.k != k:
         raise MatchingError(f"objective is configured for k={obj.k}, not k={k}")
     cfg = ExecutionConfig.adapt(
-        config,
-        optimized=optimized,
-        seed=seed,
-        bound_strategy=bound_strategy,
-        batch_size=batch_size,
-        presimulate=presimulate,
-        use_csr=use_csr,
-        scc_incremental=scc_incremental,
-        rset_bitset=rset_bitset,
+        config, optimized=optimized, seed=seed, use_csr=use_csr
     )
     name = "TopKDAGDH" if pattern.is_dag() else "TopKDH"
-    strategy = GreedySelection() if cfg.optimized else RandomSelection(cfg.seed)
     with instrumentation(cfg):
         started = time.perf_counter()
         engine = TopKEngine(
@@ -90,7 +75,6 @@ def top_k_diversified_heuristic(
             graph,
             k,
             policy=DiversifiedPolicy(obj),
-            strategy=strategy,
             candidates=candidates,
             algorithm_name=name,
             config=cfg,

@@ -56,41 +56,41 @@ def strongly_connected_components(
     for root in range(n):
         if index_of[root] != -1:
             continue
-        # Each frame is (node, iterator position) simulated with an index.
-        work: list[tuple[int, int]] = [(root, 0)]
+        index_of[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        # Each frame is a node and the iterator over its children; a
+        # frame is resumed where it left off after a child returns.
+        work = [(root, iter(successors(root)))]
         while work:
-            node, child_pos = work.pop()
-            if child_pos == 0:
-                index_of[node] = counter
-                lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            adjacency = successors(node)
-            advanced = False
-            for position in range(child_pos, len(adjacency)):
-                child = adjacency[position]
+            node, children = work[-1]
+            for child in children:
                 if index_of[child] == -1:
-                    work.append((node, position + 1))
-                    work.append((child, 0))
-                    advanced = True
+                    index_of[child] = lowlink[child] = counter
+                    counter += 1
+                    stack.append(child)
+                    on_stack[child] = True
+                    work.append((child, iter(successors(child))))
                     break
-                if on_stack[child]:
-                    lowlink[node] = min(lowlink[node], index_of[child])
-            if advanced:
-                continue
-            if lowlink[node] == index_of[node]:
-                component: list[int] = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if on_stack[child] and index_of[child] < lowlink[node]:
+                    lowlink[node] = index_of[child]
+            else:
+                work.pop()
+                low = lowlink[node]
+                if low == index_of[node]:
+                    component: list[int] = []
+                    while True:
+                        member = stack.pop()
+                        on_stack[member] = False
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+                if work:
+                    parent = work[-1][0]
+                    if low < lowlink[parent]:
+                        lowlink[parent] = low
     return components
 
 

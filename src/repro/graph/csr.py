@@ -1,8 +1,8 @@
 """Compiled CSR snapshots of a :class:`~repro.graph.digraph.Graph`.
 
 The matching hot paths — candidate computation, the HHK simulation
-fixpoint, and the top-k propagation engine — are ``O(|Q||G|)`` scans over
-adjacency.  The mutable graph stores adjacency as Python list-of-lists,
+fixpoint, and the top-k engine's pair-graph build — are ``O(|Q||G|)``
+scans over adjacency.  The mutable graph stores adjacency as Python list-of-lists,
 which is the right shape for the incremental update API but the wrong
 shape for those scans: every inner step pays a dict/set lookup and a
 pointer chase.
@@ -280,8 +280,8 @@ class CSRSnapshot:
         """Per node: how many successors have a nonzero ``membership`` flag.
 
         ``membership`` is a length-``num_nodes`` ``uint8`` array.  This is
-        the vectorised form of the counter initialisation the simulation
-        fixpoint and the propagation engine both start from.
+        the vectorised form of the simulation fixpoint's counter
+        initialisation.
         """
         if self.num_edges == 0:
             return np.zeros(self.num_nodes, dtype=np.int64)
@@ -332,27 +332,6 @@ class CSRSnapshot:
             boundaries = np.cumsum(lengths[:-1])
             step[boundaries] = starts[1:] - (starts[:-1] + lengths[:-1]) + 1
         return self.in_sources[np.cumsum(step)]
-
-    def in_max(self, values) -> "np.ndarray":
-        """Per node: max of ``values`` over its predecessors (0 when none).
-
-        ``values`` is a length-``num_nodes`` float array.  Used by the
-        greedy seed-selection sweep (owner-directed best-first scores).
-        """
-        result = np.zeros(self.num_nodes, dtype=np.float64)
-        if self.num_edges == 0:
-            return result
-        starts = self.in_offsets[:-1]
-        degrees = self.in_offsets[1:] - starts
-        nonempty = degrees > 0
-        if not nonempty.any():
-            return result
-        gathered = values[self.in_sources]
-        # reduceat over the starts of the *non-empty* segments only: each
-        # group then spans exactly one node's predecessor slice (empty
-        # segments contribute no elements between consecutive starts).
-        result[nonempty] = np.maximum.reduceat(gathered, starts[nonempty])
-        return result
 
     def restricted_out_csr(self, allowed) -> tuple:
         """Out-adjacency restricted to targets with a nonzero ``allowed`` flag.
@@ -542,8 +521,8 @@ class PatchedCSRSnapshot(CSRSnapshot):
       so bucket-keyed caches survive the patch.
 
     Every public accessor and bulk kernel reads through the overlay, so
-    downstream consumers (CSR-kernel scans, shard bounds, pair-CSR
-    compilation, the bound index's restricted CSR) are unchanged.
+    downstream consumers (CSR-kernel scans, shard bounds, the top-k
+    engine's pair graph, the bound index's restricted CSR) are unchanged.
     """
 
     __slots__ = (
@@ -913,15 +892,6 @@ class PatchedCSRSnapshot(CSRSnapshot):
             return base.in_sources[0:0]
         return np.concatenate(parts)
 
-    def in_max(self, values) -> "np.ndarray":
-        base = self._base
-        result = np.zeros(self.num_nodes, dtype=np.float64)
-        result[: base.num_nodes] = base.in_max(values)
-        for v in np.nonzero(self._in_touched)[0].tolist():
-            preds = self.predecessors(v)
-            result[v] = float(values[preds].max()) if preds.size else 0.0
-        return result
-
     def restricted_out_csr(self, allowed) -> tuple:
         base = self._base
         base_n = base.num_nodes
@@ -999,122 +969,19 @@ class PatchedCSRSnapshot(CSRSnapshot):
         )
 
 
-class ComponentPairCSR:
-    """Flat-array layout of one pattern component's *pair graph*.
-
-    The cyclic engine's nontrivial-SCC machinery works over candidate
-    pairs ``(u, v)`` connected by in-component pattern edges.  That pair
-    graph is fixed for the lifetime of an engine run (candidates never
-    grow), so it is compiled once into CSR-style parallel lists instead
-    of being rediscovered through per-pair adjacency probes on every
-    fixpoint, merge or resolve pass:
-
-    * ``out_offsets[i] : out_offsets[i + 1]`` slices ``out_targets`` /
-      ``out_eidx`` — the in-component child pairs of the ``i``-th pair,
-      as *global* pair ids, annotated with the pattern-edge slot they
-      arrive through (the parent's local out-edge index);
-    * ``in_offsets`` / ``in_sources`` / ``in_eidx`` are the reverse
-      view: parent pairs annotated with the parent's edge slot.
-
-    Plain Python int lists, not numpy arrays: every consumer is a
-    scalar worklist loop, and list indexing beats ndarray scalar reads
-    in the interpreter.  Build through :func:`build_component_pair_csr`.
-    """
-
-    __slots__ = (
-        "pids",
-        "local_of",
-        "num_edges",
-        "out_offsets",
-        "out_targets",
-        "out_eidx",
-        "in_offsets",
-        "in_sources",
-        "in_eidx",
-    )
-
-    def __init__(self) -> None:
-        self.pids: list[int] = []
-        self.local_of: dict[int, int] = {}
-        self.num_edges = 0
-
-
-def build_component_pair_csr(
-    pids: Sequence[int],
-    pair_u: Sequence[int],
-    pair_v: Sequence[int],
-    comp_edges: dict,
-    successors_of,
-    child_pid_of,
-) -> ComponentPairCSR:
-    """Compile one nontrivial component's pair graph into flat arrays.
-
-    ``pids``
-        The component's pair ids (dead pairs included — consumers filter
-        by live status, so the layout survives every state transition).
-    ``pair_u`` / ``pair_v``
-        Global pair id → query node / data node.
-    ``comp_edges``
-        Query node ``u`` → ``[(edge_local_idx, u_child), ...]`` for the
-        *in-component* pattern edges of ``u`` only.
-    ``successors_of``
-        Data node → iterable of data successors (a snapshot adjacency
-        slice or the mutable graph's view).
-    ``child_pid_of``
-        ``(u_child, v_child)`` → global pair id, or a negative value
-        when ``v_child`` is not a candidate of ``u_child``.
-    """
-    pcsr = ComponentPairCSR()
-    pcsr.pids = list(pids)
-    local_of = {pid: i for i, pid in enumerate(pcsr.pids)}
-    pcsr.local_of = local_of
-
-    n = len(pcsr.pids)
-    out_lists: list[list[int]] = [[] for _ in range(n)]
-    out_eidx_lists: list[list[int]] = [[] for _ in range(n)]
-    in_lists: list[list[int]] = [[] for _ in range(n)]
-    in_eidx_lists: list[list[int]] = [[] for _ in range(n)]
-    for i, pid in enumerate(pcsr.pids):
-        u, v = pair_u[pid], pair_v[pid]
-        for local_idx, u_child in comp_edges.get(u, ()):
-            for v_child in successors_of(v):
-                q = child_pid_of(u_child, v_child)
-                if q >= 0:
-                    out_lists[i].append(q)
-                    out_eidx_lists[i].append(local_idx)
-                    j = local_of[q]
-                    in_lists[j].append(pid)
-                    in_eidx_lists[j].append(local_idx)
-
-    out_offsets = [0] * (n + 1)
-    in_offsets = [0] * (n + 1)
-    for i in range(n):
-        out_offsets[i + 1] = out_offsets[i] + len(out_lists[i])
-        in_offsets[i + 1] = in_offsets[i] + len(in_lists[i])
-    pcsr.out_offsets = out_offsets
-    pcsr.in_offsets = in_offsets
-    pcsr.out_targets = [q for lst in out_lists for q in lst]
-    pcsr.out_eidx = [e for lst in out_eidx_lists for e in lst]
-    pcsr.in_sources = [p for lst in in_lists for p in lst]
-    pcsr.in_eidx = [e for lst in in_eidx_lists for e in lst]
-    pcsr.num_edges = len(pcsr.out_targets)
-    return pcsr
-
-
 class NodeInterner:
     """Dense bit-index assignment over a fixed universe of node ids.
 
-    The top-k engine's relevant sets only ever contain candidate data
-    nodes, so their members can be interned into a contiguous bit space
-    once per engine run: bit ``i`` stands for ``node_of[i]``, and
-    ``bit_of[v]`` maps a node id back to its bit (``-1`` for nodes
-    outside the universe).  The layout is deterministic (ascending node
-    id), which is what lets two engines over the same candidates compare
-    packed relevant sets word for word.
+    The top-k engine's relevant sets only ever contain matches of the
+    query nodes the output node reaches, so their members can be
+    interned into a contiguous bit space once per evaluation: bit ``i``
+    stands for ``node_of[i]``, and ``bit_of[v]`` maps a node id back to
+    its bit (``-1`` for nodes outside the universe).  The layout is
+    deterministic (ascending node id).
 
     Pure Python (no numpy): the packed sets built on top of this are
     arbitrary-precision ints, whose word-at-a-time union/popcount are
-    exactly the "packed bitset" kernel the cyclic engine needs.
+    exactly the "packed bitset" kernel the engine needs.
     """
 
     __slots__ = ("node_of", "bit_of")
@@ -1132,23 +999,13 @@ class NodeInterner:
     def __len__(self) -> int:
         return len(self.node_of)
 
-    def mask_of(self, nodes: Iterable[int]) -> int:
-        """Pack ``nodes`` (all members of the universe) into one bitmask."""
-        bit_of = self.bit_of
-        mask = 0
-        for v in nodes:
-            mask |= 1 << bit_of[v]
-        return mask
-
 
 class FrozenBitset(_AbstractSet):
     """An immutable set-of-nodes view over a packed bitmask.
 
     Wraps one big-int ``mask`` plus the :class:`NodeInterner` that
-    defines its bit layout.  Because Python ints are immutable, the view
-    is a frozen snapshot by construction: the engine growing a group's
-    live mask rebinds a *new* int and cannot retroactively change a view
-    that was already handed out.
+    defines its bit layout.  Python ints are immutable, so the view is
+    frozen by construction.
 
     Implements :class:`collections.abc.Set`, so it is interchangeable
     with ``frozenset`` everywhere relevance / distance functions take an

@@ -217,7 +217,7 @@ class PatternLabelSignature:
         """Can *any* op in the summarized delta change the relation?
 
         The disjunction of :meth:`affects_op` over the log — simulation,
-        bounds, pair-CSRs, ranking contexts and stored results must be
+        top-k evaluations, ranking contexts and stored results must be
         dropped exactly when this holds.
         """
         for src_label, dst_label in delta.edge_pairs:

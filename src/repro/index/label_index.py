@@ -33,6 +33,10 @@ Tighter bounds fire the termination test earlier.  Four strategies:
 The per-label count arrays are graph-level caches (built lazily, reused
 across queries), so per-query initialisation is the ``O(|Q||G|)``
 aggregation the paper quotes.
+
+No query path builds these indexes: the top-k engine reads its bound off
+its match-pair condensation (:mod:`repro.topk.engine`).  The module stays
+while the benchmark's tracer names ``SimBoundIndex.__init__``.
 """
 
 from __future__ import annotations

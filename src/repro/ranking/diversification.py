@@ -67,8 +67,8 @@ class DiversificationObjective:
         self.distance.prepare(ctx)
 
     # ------------------------------------------------------------------
-    # scoring given explicit relevant sets (works on partial sets too,
-    # which is how TopKDH evaluates its F'' on in-flight lower bounds)
+    # scoring given explicit relevant sets (TopKDH passes the sets its
+    # engine evaluated for the visited matches)
     # ------------------------------------------------------------------
     def score(
         self,

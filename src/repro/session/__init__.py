@@ -16,7 +16,7 @@ Public names:
 """
 
 from repro.session.cache import SessionCache, SessionCacheStats, pattern_structure_key
-from repro.session.config import EXECUTION_BOUND_STRATEGIES, ExecutionConfig
+from repro.session.config import ExecutionConfig
 from repro.session.parallel import WorkerBatchStats, WorkerPool, worker_config
 from repro.session.session import (
     DIVERSIFY_METHODS,
@@ -28,7 +28,6 @@ from repro.session.session import (
 )
 
 __all__ = [
-    "EXECUTION_BOUND_STRATEGIES",
     "DIVERSIFY_METHODS",
     "QUERY_MODES",
     "ExecutionConfig",

@@ -7,16 +7,12 @@ yet pure in ``(pattern structure, graph state, representation arm)``:
   across *every* pattern in the session (two patterns asking for label
   ``"music"`` scan the bucket once);
 * **candidate sets** — ``can(u)`` per pattern search-condition row;
-* **simulation** — the maximal-simulation fixpoint (the dominant cost
-  of engine initialisation), plus the match-narrowed candidate sets
-  the engines rank over;
-* **bound indexes** — the :class:`SimBoundIndex` built from the
-  narrowed relation (shared across output nodes of a multi-output
-  fan-out, and across every query of the same pattern);
-* **pair-CSRs** — the compiled per-component pair graphs of the cyclic
-  engine, keyed on the pattern's component structure (the pid layout
-  is a pure function of the shared narrowed candidates, so one compile
-  serves every run);
+* **simulation** — the maximal-simulation fixpoint, shared by every
+  query kind and every output node of a pattern;
+* **evaluations** (the ``paircsr`` store) — the top-k engine's
+  match-pair condensation with its bounds and its growing relevant-set
+  memo, one per pattern and output node, so every top-k, multi-output
+  and TopKDH query of the pattern shares one build;
 * **ranking contexts** — full-evaluation :class:`RankingContext`
   objects (relevant sets included) serving ``Match`` / ``TopKDiv``
   style queries and :class:`MatchView` ranking.
@@ -36,8 +32,8 @@ drops every artifact (*wholesale*), but a cache switched to
 ``ExecutionConfig(snapshot_patching=True)``) accumulates the mutation
 ops and drops only the artifacts whose label signature intersects the
 delta — a pattern over labels the write stream never touched keeps its
-candidates, simulation, bounds, pair-CSRs and stored results across
-the generation bump (*label-selective invalidation*).
+candidates, simulation, evaluations and stored results across the
+generation bump (*label-selective invalidation*).
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ from repro.incremental.affected import (
     PatternLabelSignature,
     summarize_delta,
 )
-from repro.index.label_index import SimBoundIndex
 from repro.obs import current_metrics, trace
 from repro.patterns.pattern import Pattern
 from repro.ranking.context import RankingContext
@@ -63,8 +58,8 @@ from repro.simulation.candidates import (
 from repro.simulation.match import SimulationResult, maximal_simulation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.graph.csr import CSRSnapshot, ComponentPairCSR
     from repro.graph.delta import DeltaOp
+    from repro.topk.engine import Evaluation
 
 #: Pending-op accumulation cap for selective mode.  A delta longer than
 #: this has almost certainly touched every label anyway; the next
@@ -83,6 +78,8 @@ class SessionCacheStats:
     candidates_builds: int = 0
     sim_hits: int = 0
     sim_builds: int = 0
+    #: Always 0: the engine's bound is part of its evaluation, counted
+    #: under ``paircsr``.
     bounds_hits: int = 0
     bounds_builds: int = 0
     paircsr_hits: int = 0
@@ -108,9 +105,10 @@ class SessionCacheStats:
 def pattern_structure_key(pattern: Pattern) -> tuple[Any, ...]:
     """A structural cache key: labels, edges, predicates, nothing else.
 
-    Output-node designations are deliberately excluded — candidates,
-    simulation, bounds and pair-CSRs are all output-independent, which
-    is exactly what lets a multi-output fan-out share one compilation.
+    Output-node designations are deliberately excluded — candidates and
+    simulation are output-independent, which is exactly what lets a
+    multi-output fan-out share one fixpoint; artifacts that depend on the
+    output node add it to their own key.
     Patterns whose predicates are unhashable (arbitrary user objects
     with list-valued constants) fall back to an identity key: no
     structural sharing, but never an unsound collision.
@@ -156,11 +154,8 @@ class SessionCache:
         self._pending_overflow = False
         self._buckets: dict[tuple, list[int]] = {}
         self._candidates: dict[tuple, CandidateSets] = {}
-        # Full-fixpoint simulation + (for total relations) the narrowed
-        # candidate sets the engines rank over.
-        self._sim: dict[tuple, tuple[SimulationResult, CandidateSets | None]] = {}
-        self._bounds: dict[tuple, SimBoundIndex] = {}
-        self._pair_csr: dict[tuple, "ComponentPairCSR"] = {}
+        self._sim: dict[tuple, SimulationResult] = {}
+        self._pair_csr: dict[tuple, "Evaluation"] = {}
         self._contexts: dict[tuple, RankingContext] = {}
         self._results: dict[tuple, object] = {}
         self._unsubscribe = graph.add_listener(self._on_mutation)
@@ -242,7 +237,6 @@ class SessionCache:
             self._buckets,
             self._candidates,
             self._sim,
-            self._bounds,
             self._pair_csr,
             self._contexts,
             self._results,
@@ -260,7 +254,7 @@ class SessionCache:
         * **candidates** are buckets narrowed by predicates — node and
           attrs ops count, edge ops still cannot
           (:meth:`PatternLabelSignature.affects_candidates`);
-        * **simulation / bounds / pair-CSRs / contexts / results** are
+        * **simulation / evaluations / contexts / results** are
           functions of the match relation and the match-restricted
           structure, both constrained to the pattern's label signature
           (:meth:`PatternLabelSignature.affects_relation` — the same
@@ -315,7 +309,6 @@ class SessionCache:
         self._drop_where(self._buckets, bucket_doomed)
         self._drop_where(self._candidates, candidates_doomed)
         self._drop_where(self._sim, relation_doomed)
-        self._drop_where(self._bounds, relation_doomed)
         self._drop_where(self._pair_csr, relation_doomed)
         self._drop_where(self._contexts, relation_doomed)
         self._drop_where(self._results, result_doomed)
@@ -442,13 +435,9 @@ class SessionCache:
         use_csr: bool,
         sim_shards: int = 0,
         shard_backend: str = "thread",
-    ) -> tuple[SimulationResult, CandidateSets | None, bool]:
-        """The maximal-simulation fixpoint plus match-narrowed candidates.
+    ) -> tuple[SimulationResult, bool]:
+        """The maximal-simulation fixpoint; returns ``(simulation, was_hit)``.
 
-        Returns ``(simulation, narrowed_candidates, was_hit)``;
-        ``narrowed_candidates`` is ``None`` when the match is not total
-        (then ``M(Q, G)`` is empty and there is nothing to rank).
-        Narrowed lists are sorted, exactly as the engines build them.
         ``sim_shards``/``shard_backend`` thread the config's
         shard-parallel kernel settings through (identical fixpoint, so
         they are deliberately *not* part of the cache key).
@@ -458,7 +447,7 @@ class SessionCache:
         if cached is not None:
             self.stats.sim_hits += 1
             self._observe("simulation", "hit")
-            return cached[0], cached[1], True
+            return cached, True
         self.stats.sim_builds += 1
         self._observe("simulation", "build")
         with trace("cache.build", artifact="simulation"):
@@ -467,55 +456,24 @@ class SessionCache:
                 pattern, self.graph, base, optimized=use_csr,
                 sim_shards=sim_shards, shard_backend=shard_backend,
             )
-            narrowed = (
-                CandidateSets(
-                    lists=[sorted(s) for s in result.sim],
-                    sets=[set(s) for s in result.sim],
-                )
-                if result.total
-                else None
-            )
-        self._sim[key] = (result, narrowed)
-        return result, narrowed, False
-
-    def sim_bounds(
-        self,
-        pattern: Pattern,
-        use_csr: bool,
-        sim_sets: list[set[int]],
-        snapshot: "CSRSnapshot | None",
-    ) -> tuple[SimBoundIndex, bool]:
-        """The :class:`SimBoundIndex` over the narrowed relation."""
-        key = ("bounds", pattern_structure_key(pattern), use_csr)
-        cached = self._bounds.get(key)
-        if cached is not None:
-            self.stats.bounds_hits += 1
-            self._observe("bounds", "hit")
-            return cached, True
-        self.stats.bounds_builds += 1
-        self._observe("bounds", "build")
-        with trace("cache.build", artifact="bounds"):
-            built = SimBoundIndex(
-                pattern, self.graph, [set(s) for s in sim_sets], snapshot=snapshot
-            )
-        self._bounds[key] = built
-        return built, False
+        self._sim[key] = result
+        return result, False
 
     def pair_csr(
         self,
         pattern: Pattern,
         use_csr: bool,
-        comp: int,
-        build: Callable[[], "ComponentPairCSR"],
-    ) -> tuple["ComponentPairCSR", bool]:
-        """The compiled pair graph of pattern component ``comp``.
+        output_node: int,
+        build: Callable[[], "Evaluation"],
+    ) -> tuple["Evaluation", bool]:
+        """The top-k evaluation of ``pattern`` at ``output_node``.
 
-        Sound to share because the pid layout is a pure function of the
-        narrowed candidate lists, which the engines of one session
-        share from :meth:`simulation` — callers must only consult this
-        when their candidates came from this cache.
+        Keyed on the pattern structure and the output node, so every
+        top-k, multi-output and TopKDH query of a pattern shares one
+        build and its relevant-set memo.  Callers must only consult this
+        when their simulation came from this cache.
         """
-        key = ("paircsr", pattern_structure_key(pattern), use_csr, comp)
+        key = ("paircsr", pattern_structure_key(pattern), use_csr, output_node)
         cached = self._pair_csr.get(key)
         if cached is not None:
             self.stats.paircsr_hits += 1
@@ -523,7 +481,7 @@ class SessionCache:
             return cached, True
         self.stats.paircsr_builds += 1
         self._observe("pair_csr", "build")
-        with trace("cache.build", artifact="pair_csr", comp=comp):
+        with trace("cache.build", artifact="pair_csr"):
             built = build()
         self._pair_csr[key] = built
         return built, False
@@ -545,7 +503,7 @@ class SessionCache:
         self.stats.context_builds += 1
         self._observe("ranking_context", "build")
         with trace("cache.build", artifact="ranking_context"):
-            result, _, _ = self.simulation(pattern, use_csr)
+            result, _ = self.simulation(pattern, use_csr)
             context = RankingContext(pattern, self.graph, simulation=result)
         self._contexts[key] = context
         return context
@@ -580,6 +538,6 @@ class SessionCache:
         """
         if self._stale:
             self.refresh()
-        result, _, _ = self.simulation(pattern, use_csr)
+        result, _ = self.simulation(pattern, use_csr)
         base, _ = self.candidates(pattern, use_csr)
         return base, result

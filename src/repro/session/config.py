@@ -1,21 +1,15 @@
-"""``ExecutionConfig`` — one validated object for every engine toggle.
+"""``ExecutionConfig`` — one validated object for every execution setting.
 
-Since PR 2 the engine family has grown a sprawl of representation
-toggles (``optimized`` / ``use_csr`` / ``scc_incremental`` /
-``rset_bitset``) plus tuning knobs (``bound_strategy``, ``batch_size``,
-``presimulate``, ``seed``), each threaded as loose keyword arguments
-through every wrapper — and the defaulting chain (``scc_incremental``
-and ``rset_bitset`` follow ``use_csr``, which follows ``optimized``)
-was copied into each of them.  :class:`ExecutionConfig` replaces the
-kwargs sprawl with one frozen, validated dataclass that is threaded
-through every layer, and :meth:`ExecutionConfig.resolved` is now the
-*single* place the toggle-default logic lives.
+:class:`ExecutionConfig` is one frozen, validated dataclass threaded
+through every layer instead of loose keyword arguments, and
+:meth:`ExecutionConfig.resolved` is the single place the defaulting
+chain lives (``use_csr`` follows ``optimized``).
 
-The legacy keyword surface remains accepted everywhere via
-:meth:`ExecutionConfig.adapt` (the deprecation adapter the wrappers
-call): passing the old kwargs builds the equivalent config; passing
-``config=`` wins, and mixing ``config=`` with an explicit legacy toggle
-is rejected as ambiguous.
+The keyword surface of the engine wrappers (``optimized`` /
+``use_csr`` / ``seed``) remains accepted everywhere via
+:meth:`ExecutionConfig.adapt` (the adapter the wrappers call): passing
+the kwargs builds the equivalent config; passing ``config=`` wins, and
+mixing ``config=`` with an explicit kwarg is rejected as ambiguous.
 """
 
 from __future__ import annotations
@@ -24,12 +18,6 @@ from dataclasses import dataclass, replace
 
 from repro.errors import MatchingError
 
-#: Per-candidate bound strategies of :mod:`repro.index.label_index`,
-#: plus ``"sim"`` — the default simulation-aware :class:`SimBoundIndex`
-#: (requires ``presimulate``; falls back to ``"hop"`` without it).
-EXECUTION_BOUND_STRATEGIES = ("sim", "global", "counting", "exact", "hop")
-
-
 @dataclass(frozen=True)
 class ExecutionConfig:
     """How (not *what*) a query executes — every engine-family toggle.
@@ -37,34 +25,18 @@ class ExecutionConfig:
     Attributes
     ----------
     optimized:
-        The paper's opt/nopt split: greedy seed selection (and, via the
-        defaulting chain, every representation fast path) versus random
-        selection with the reference representations.
+        The paper's opt/nopt split: matches visited in descending upper
+        bound (and, via the defaulting chain, the CSR fast path) versus
+        seeded random order over the dict reference path.
     use_csr:
         CSR snapshot fast path.  ``None`` (default) follows
         ``optimized``; forced ``True`` still degrades to the dict path
         when numpy is unavailable.
-    scc_incremental:
-        Incremental SCC group machinery (frontier-driven cycle
-        collapse, counter-gated settlement).  ``None`` follows the
-        resolved ``use_csr``.
-    rset_bitset:
-        Packed relevant sets + batched delta propagation.  ``None``
-        follows the resolved ``use_csr``.
-    bound_strategy:
-        Upper-bound index strategy (see
-        :data:`EXECUTION_BOUND_STRATEGIES`).
-    batch_size:
-        Seeds visited per propagation round (``None``: size-scaled
-        default).
-    presimulate:
-        Run the simulation fixpoint up front (the paper's formula
-        initialisation); required by the ``"sim"`` bound strategy.
     seed:
-        RNG seed for the non-optimized random seed selection.
+        RNG seed for the non-optimized random visiting order.
     trace:
         Install the process-default :class:`repro.obs.Tracer` for this
-        query's run (phase spans, SCC merge/settle events, exported via
+        query's run (phase spans and point events, exported via
         :meth:`Tracer.export_jsonl`).  Default off — and off is a
         strict no-op: instrumentation sites read one contextvar per
         phase boundary and nothing else.
@@ -111,11 +83,6 @@ class ExecutionConfig:
 
     optimized: bool = True
     use_csr: bool | None = None
-    scc_incremental: bool | None = None
-    rset_bitset: bool | None = None
-    bound_strategy: str = "sim"
-    batch_size: int | None = None
-    presimulate: bool = True
     seed: int = 0
     trace: bool = False
     metrics: bool = False
@@ -129,15 +96,6 @@ class ExecutionConfig:
     def __post_init__(self) -> None:
         from repro.parallel import SHARD_BACKENDS
 
-        if self.bound_strategy not in EXECUTION_BOUND_STRATEGIES:
-            raise MatchingError(
-                f"unknown bound strategy {self.bound_strategy!r}; "
-                f"expected one of {EXECUTION_BOUND_STRATEGIES}"
-            )
-        if self.batch_size is not None and self.batch_size < 1:
-            raise MatchingError(
-                f"batch_size must be positive; got {self.batch_size}"
-            )
         if self.slow_query_seconds is not None and self.slow_query_seconds <= 0:
             raise MatchingError(
                 f"slow_query_seconds must be positive; got {self.slow_query_seconds}"
@@ -161,31 +119,20 @@ class ExecutionConfig:
             )
 
     def resolved(self) -> "ExecutionConfig":
-        """The config with every representation toggle made concrete.
+        """The config with ``use_csr`` made concrete.
 
-        This is the single home of the toggle-default chain the engine
-        wrappers used to copy:
-
-        * ``use_csr`` defaults to ``optimized`` and is gated on the
-          array backend actually being available;
-        * ``scc_incremental`` and ``rset_bitset`` default to the
-          resolved ``use_csr``, so the fully-off arm stays the
-          reference oracle and ``optimized=True`` selects every fast
-          path.
-
-        Idempotent: resolving a resolved config returns it unchanged.
+        This is the single home of the defaulting chain: ``use_csr``
+        defaults to ``optimized`` and is gated on the array backend
+        actually being available.  Idempotent: resolving a resolved
+        config returns it unchanged.
         """
         from repro.graph import csr
 
         use = self.optimized if self.use_csr is None else bool(self.use_csr)
         use = use and csr.available()
-        scc = use if self.scc_incremental is None else bool(self.scc_incremental)
-        rset = use if self.rset_bitset is None else bool(self.rset_bitset)
-        if (use, scc, rset) == (self.use_csr, self.scc_incremental, self.rset_bitset):
+        if use == self.use_csr:
             return self
-        return replace(
-            self, use_csr=use, scc_incremental=scc, rset_bitset=rset
-        )
+        return replace(self, use_csr=use)
 
     @classmethod
     def adapt(
@@ -194,22 +141,16 @@ class ExecutionConfig:
         *,
         optimized: bool = True,
         use_csr: bool | None = None,
-        scc_incremental: bool | None = None,
-        rset_bitset: bool | None = None,
-        bound_strategy: str = "sim",
-        batch_size: int | None = None,
-        presimulate: bool = True,
         seed: int = 0,
     ) -> "ExecutionConfig":
-        """The deprecation adapter mapping the legacy kwargs surface.
+        """The adapter mapping the wrappers' keyword surface.
 
-        Every engine wrapper funnels its old keyword arguments through
-        here: with ``config`` given it wins outright — and combining it
-        with *any* legacy kwarg set away from its default (a forced
-        representation toggle, ``optimized=False``, a bound strategy, a
-        batch size, …) is rejected as ambiguous rather than silently
-        dropped.  Without ``config`` the kwargs build the equivalent
-        config, preserving the historical defaulting exactly.
+        Every engine wrapper funnels its keyword arguments through here:
+        with ``config`` given it wins outright — and combining it with
+        *any* kwarg set away from its default (``optimized=False``, a
+        forced ``use_csr``, a seed) is rejected as ambiguous rather than
+        silently dropped.  Without ``config`` the kwargs build the
+        equivalent config.
         """
         if config is not None:
             conflicting = [
@@ -217,28 +158,14 @@ class ExecutionConfig:
                 for name, value, default in (
                     ("optimized", optimized, True),
                     ("use_csr", use_csr, None),
-                    ("scc_incremental", scc_incremental, None),
-                    ("rset_bitset", rset_bitset, None),
-                    ("bound_strategy", bound_strategy, "sim"),
-                    ("batch_size", batch_size, None),
-                    ("presimulate", presimulate, True),
                     ("seed", seed, 0),
                 )
                 if value != default
             ]
             if conflicting:
                 raise MatchingError(
-                    "pass either config= or the legacy engine kwargs, not "
+                    "pass either config= or the engine kwargs, not "
                     f"both (got config plus {', '.join(conflicting)})"
                 )
             return config
-        return cls(
-            optimized=optimized,
-            use_csr=use_csr,
-            scc_incremental=scc_incremental,
-            rset_bitset=rset_bitset,
-            bound_strategy=bound_strategy,
-            batch_size=batch_size,
-            presimulate=presimulate,
-            seed=seed,
-        )
+        return cls(optimized=optimized, use_csr=use_csr, seed=seed)

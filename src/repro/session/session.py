@@ -5,7 +5,7 @@ simulation relation, relevant sets, bound indexes — per query; the CSR
 layer made them snapshot-keyed and reusable.  A :class:`MatchSession`
 pins one graph (and thereby one compiled snapshot generation) and owns
 the cross-query caches of :mod:`repro.session.cache`, so a batch of
-queries pays for candidates, simulation, bounds and pair-CSRs once per
+queries pays for candidates, simulation and top-k evaluations once per
 distinct pattern structure instead of once per query::
 
     from repro.session import ExecutionConfig, MatchSession, QuerySpec
@@ -348,8 +348,8 @@ class MatchSession:
 
         Queries are grouped by pattern structure signature (stable —
         first appearance fixes a group's turn), so each group's label
-        bucket scans, simulation prefix, bound index and pair-CSRs are
-        computed once and reused by the rest of the group.  Results are
+        bucket scans, simulation and top-k evaluations are computed once
+        and reused by the rest of the group.  Results are
         returned in input order, each identical to the corresponding
         one-shot ``api`` call.
 
@@ -544,8 +544,8 @@ class MatchSession:
         """topKP fanned out over every designated output node.
 
         One session run per output node, all sharing the pattern's
-        candidates, simulation, bound index and pair-CSRs — built once,
-        not once per output node.
+        candidates and simulation — built once, not once per output
+        node; each output node has its own top-k evaluation.
         """
         return self.submit(pattern, k, mode="multi", **options).result()
 

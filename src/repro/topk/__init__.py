@@ -6,24 +6,14 @@ from repro.topk.engine import TopKEngine
 from repro.topk.match_all import match_baseline
 from repro.topk.policies import DiversifiedPolicy, RelevancePolicy, SelectionPolicy
 from repro.topk.result import EngineStats, TopKResult
-from repro.topk.selection import (
-    GreedySelection,
-    RandomSelection,
-    SelectionStrategy,
-    default_batch_size,
-)
 
 __all__ = [
     "DiversifiedPolicy",
     "EngineStats",
-    "GreedySelection",
-    "RandomSelection",
     "RelevancePolicy",
     "SelectionPolicy",
-    "SelectionStrategy",
     "TopKEngine",
     "TopKResult",
-    "default_batch_size",
     "match_baseline",
     "top_k",
     "top_k_dag",

@@ -1,11 +1,10 @@
 """``TopK`` — early-terminating top-k matching for general (cyclic)
 patterns (paper Section 4.2, Fig. 3).
 
-Configuration wrapper over :class:`repro.topk.engine.TopKEngine` with the
-nontrivial-SCC machinery active: candidates of pattern-cycle nodes are
-confirmed through the incremental ``SccProcess`` fixpoint, and relevance
-flows around pair-cycles until their shared relevant set stabilises
-(Example 8's trace).
+Configuration wrapper over :class:`repro.topk.engine.TopKEngine`: the
+evaluation condenses the pair-cycles that run through nontrivial pattern
+SCCs, whose members share one relevant set (Example 8), and visits the
+output node's matches in bound order until Proposition 3 holds.
 
 Works on DAG patterns too (every SCC is then trivial), which is how the
 paper describes ``TopK`` extending ``TopKDAG``.
@@ -25,7 +24,6 @@ from repro.simulation.candidates import CandidateSets
 from repro.topk.engine import TopKEngine
 from repro.topk.policies import RelevancePolicy
 from repro.topk.result import TopKResult
-from repro.topk.selection import GreedySelection, RandomSelection
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.session.cache import SessionCache
@@ -37,43 +35,26 @@ def top_k(
     k: int,
     optimized: bool = True,
     seed: int = 0,
-    bound_strategy: str = "sim",
-    batch_size: int | None = None,
     relevance_fn: RelevanceFunction | None = None,
     candidates: CandidateSets | None = None,
-    presimulate: bool = True,
     output_node: int | None = None,
     use_csr: bool | None = None,
-    scc_incremental: bool | None = None,
-    rset_bitset: bool | None = None,
     config: ExecutionConfig | None = None,
     cache: "SessionCache | None" = None,
 ) -> TopKResult:
     """Find top-k matches of the output node of any pattern.
 
-    Execution toggles arrive either as one validated
-    :class:`ExecutionConfig` (``config=``, the session-era surface) or
-    as the legacy kwargs this function has always accepted — the
-    deprecation adapter maps them onto the same config, and
-    :meth:`ExecutionConfig.resolved` owns the defaulting chain
-    (``scc_incremental``/``rset_bitset`` follow ``use_csr``, which
-    follows ``optimized``), so ``optimized=False`` remains the full
-    dict-of-sets reference algorithm with random seed selection
-    (the paper's ``TopKnopt``).  ``cache`` injects a session's shared
-    artifact store (simulation prefix, bound index, pair-CSRs).
+    Execution settings arrive either as one :class:`ExecutionConfig`
+    (``config=``) or as the kwargs ``optimized`` / ``seed`` /
+    ``use_csr``, which the adapter maps onto the same config.
+    ``optimized=False`` is the paper's ``TopKnopt``: matches are visited
+    in seeded random order over the dict-of-sets reference path.
+    ``cache`` injects a session's shared artifact store (simulation and
+    evaluation).
     """
     cfg = ExecutionConfig.adapt(
-        config,
-        optimized=optimized,
-        seed=seed,
-        bound_strategy=bound_strategy,
-        batch_size=batch_size,
-        presimulate=presimulate,
-        use_csr=use_csr,
-        scc_incremental=scc_incremental,
-        rset_bitset=rset_bitset,
+        config, optimized=optimized, seed=seed, use_csr=use_csr
     )
-    strategy = GreedySelection() if cfg.optimized else RandomSelection(cfg.seed)
     name = "TopK" if cfg.optimized else "TopKnopt"
     with instrumentation(cfg):
         started = time.perf_counter()
@@ -82,7 +63,6 @@ def top_k(
             graph,
             k,
             policy=RelevancePolicy(),
-            strategy=strategy,
             candidates=candidates,
             relevance_fn=relevance_fn,
             algorithm_name=name,

@@ -1,14 +1,14 @@
 """``TopKDAG`` — early-terminating top-k matching for DAG patterns
 (paper Section 4.1, Fig. 2).
 
-Thin configuration wrapper over :class:`repro.topk.engine.TopKEngine`:
-with every pattern SCC trivial, the engine's propagation is exactly the
-``AcyclicProp`` of the paper — bottom-up confirmation from rank-0 leaves,
-growing relevant sets, h-refinement on finalisation, Proposition 3 for
-termination.
+Thin configuration wrapper over :class:`repro.topk.engine.TopKEngine`.
+On a DAG pattern the match-pair graph is acyclic, so the evaluation is
+the pair graph itself and no SCC is ever computed; the output node's
+matches are visited in bound order until Proposition 3 holds.
 
-The ``optimized`` flag toggles the seed-selection strategy: greedy cover
-(the published ``TopKDAG``) versus random (``TopKDAGnopt`` of Section 6).
+The ``optimized`` flag picks the visiting order: descending upper bound
+(the published ``TopKDAG``) or seeded random (``TopKDAGnopt`` of
+Section 6).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.simulation.candidates import CandidateSets
 from repro.topk.engine import TopKEngine
 from repro.topk.policies import RelevancePolicy
 from repro.topk.result import TopKResult
-from repro.topk.selection import GreedySelection, RandomSelection
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.session.cache import SessionCache
@@ -38,50 +37,29 @@ def top_k_dag(
     k: int,
     optimized: bool = True,
     seed: int = 0,
-    bound_strategy: str = "sim",
-    batch_size: int | None = None,
     relevance_fn: RelevanceFunction | None = None,
     candidates: CandidateSets | None = None,
-    presimulate: bool = True,
     output_node: int | None = None,
     use_csr: bool | None = None,
-    scc_incremental: bool | None = None,
-    rset_bitset: bool | None = None,
     config: ExecutionConfig | None = None,
     cache: "SessionCache | None" = None,
 ) -> TopKResult:
     """Find top-k matches of the output node of a DAG pattern.
 
-    Execution toggles arrive as one :class:`ExecutionConfig`
-    (``config=``) or as the legacy kwargs, adapted onto the same config
-    — :meth:`ExecutionConfig.resolved` owns the defaulting chain, so
-    ``optimized=False`` is the full dict-of-sets reference algorithm
-    with random seed selection (``TopKDAGnopt``).  ``scc_incremental``
-    is carried for engine-API symmetry with
-    :func:`repro.topk.cyclic.top_k`; with every SCC of a DAG pattern
-    trivial, the machinery it selects never runs.  ``rset_bitset``
-    stays active on DAG patterns (trivial-SCC relevance still flows
-    through the group delta queue).  ``cache`` injects a session's
-    shared artifact store.
+    Execution settings arrive as one :class:`ExecutionConfig`
+    (``config=``) or as the kwargs ``optimized`` / ``seed`` /
+    ``use_csr``, adapted onto the same config; ``optimized=False`` is
+    ``TopKDAGnopt`` over the dict-of-sets reference path.  ``cache``
+    injects a session's shared artifact store.
 
     Raises :class:`MatchingError` when the pattern is cyclic — use
-    :func:`repro.topk.cyclic.top_k` there (it subsumes this algorithm but
-    pays for the SCC machinery).
+    :func:`repro.topk.cyclic.top_k` there.
     """
     if not pattern.is_dag():
         raise MatchingError("TopKDAG requires a DAG pattern; use top_k for cyclic patterns")
     cfg = ExecutionConfig.adapt(
-        config,
-        optimized=optimized,
-        seed=seed,
-        bound_strategy=bound_strategy,
-        batch_size=batch_size,
-        presimulate=presimulate,
-        use_csr=use_csr,
-        scc_incremental=scc_incremental,
-        rset_bitset=rset_bitset,
+        config, optimized=optimized, seed=seed, use_csr=use_csr
     )
-    strategy = GreedySelection() if cfg.optimized else RandomSelection(cfg.seed)
     name = "TopKDAG" if cfg.optimized else "TopKDAGnopt"
     with instrumentation(cfg):
         started = time.perf_counter()
@@ -90,7 +68,6 @@ def top_k_dag(
             graph,
             k,
             policy=RelevancePolicy(),
-            strategy=strategy,
             candidates=candidates,
             relevance_fn=relevance_fn,
             algorithm_name=name,

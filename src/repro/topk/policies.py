@@ -1,19 +1,16 @@
-"""Selection policies: what the engine keeps in its answer heap ``S``.
+"""Selection policies: what the engine keeps in its answer set ``S``.
 
-The engine confirms matches of the output node one batch at a time; a
-policy decides which k of them constitute the current answer set.  Two
+The engine visits matches of the output node one at a time, each with
+its exact relevance; a policy decides which k of them constitute the
+current answer set and when Proposition 3 lets the engine stop.  Two
 policies realise the paper's two problems:
 
-* :class:`RelevancePolicy` — topKP (Section 4): keep the k confirmed
-  matches with the largest lower bounds ``v.l``.
+* :class:`RelevancePolicy` — topKP (Section 4): a heap of the k visited
+  matches with the largest relevance.
 * :class:`DiversifiedPolicy` — topKDP via the ``TopKDH`` heuristic
-  (Section 5.2): greedily swap newly confirmed matches into ``S`` when the
-  swap increases ``F''`` — the diversification function evaluated on the
-  in-flight lower bounds (``v.l / C_uo`` for relevance, Jaccard over the
-  partial relevant sets for distance).
-
-Both share Proposition 3's termination test, which the engine evaluates
-over the policy's current selection.
+  (Section 5.2): greedily swap visited matches into ``S`` when the swap
+  increases ``F`` (``δ'r`` for relevance, Jaccard over the relevant sets
+  for distance).
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class SelectionPolicy(ABC):
-    """Maintains the candidate answer set over confirmed output matches."""
+    """Maintains the answer set over the visited output matches."""
 
     engine: "TopKEngine"
 
@@ -37,8 +34,13 @@ class SelectionPolicy(ABC):
         self.engine = engine
 
     @abstractmethod
-    def on_confirmed(self, v: int, pid: int) -> None:
-        """Called once whenever an output-node match is confirmed."""
+    def on_visit(self, v: int, pid: int, value: float) -> None:
+        """Called once per visited match, with its exact relevance."""
+
+    @abstractmethod
+    def can_stop(self, k: int, bound: float) -> bool:
+        """Proposition 3: no unvisited match, each worth at most
+        ``bound``, can improve the answer set."""
 
     @abstractmethod
     def selection(self, k: int) -> list[tuple[int, int]]:
@@ -54,38 +56,45 @@ class SelectionPolicy(ABC):
 
 
 class RelevancePolicy(SelectionPolicy):
-    """topKP: the k confirmed matches with the greatest lower bounds."""
+    """topKP: the k visited matches with the greatest relevance.
+
+    A min-heap of ``(value, -v, pid)``: its root is the k-th best match,
+    ties broken towards the smaller id, and Proposition 3 holds once the
+    heap is full and its root is worth at least every unvisited bound.
+    """
 
     def __init__(self) -> None:
-        self._confirmed: list[tuple[int, int]] = []
+        self._heap: list[tuple[float, int, int]] = []
 
     def bind(self, engine: "TopKEngine") -> None:
         super().bind(engine)
-        self._confirmed = []
+        self._heap = []
 
-    def on_confirmed(self, v: int, pid: int) -> None:
-        self._confirmed.append((v, pid))
+    def on_visit(self, v: int, pid: int, value: float) -> None:
+        heap = self._heap
+        item = (value, -v, pid)
+        if len(heap) < self.engine.k:
+            heapq.heappush(heap, item)
+        elif item > heap[0]:
+            heapq.heapreplace(heap, item)
+
+    def can_stop(self, k: int, bound: float) -> bool:
+        heap = self._heap
+        return len(heap) >= k and heap[0][0] >= bound
 
     def selection(self, k: int) -> list[tuple[int, int]]:
-        confirmed = self._confirmed
-        lowers = self.engine.lower_values([pid for _, pid in confirmed])
-        best = heapq.nlargest(
-            k,
-            range(len(confirmed)),
-            key=lambda i: (lowers[i], -confirmed[i][0]),
-        )
-        return [confirmed[i] for i in best]
+        best = sorted(self._heap, reverse=True)[:k]
+        return [(-negated, pid) for _, negated, pid in best]
 
 
 class DiversifiedPolicy(SelectionPolicy):
-    """topKDP: the TopKDH greedy-swap heuristic over ``F''``.
+    """topKDP: the TopKDH greedy-swap heuristic over ``F``.
 
-    After each batch the engine asks for the selection; newly confirmed
-    matches accumulated since the previous call are integrated:
+    Visited matches are integrated in batches:
 
     * while ``|S| < k`` the new match joins outright (paper case (a));
     * otherwise the swap ``S \\ {v} ∪ {v'}`` with the largest positive
-      ``F''`` gain is applied (case (b)).
+      ``F`` gain is applied (case (b)).
 
     ``F*`` is a sum of member terms and pair terms (Section 3.4), so the
     gain of swapping member ``s_i`` for a fresh match ``c`` is::
@@ -93,8 +102,12 @@ class DiversifiedPolicy(SelectionPolicy):
         (1-λ)(r_c - r_i) + 2λ/(k-1) (Σ_j d(c, s_j) - d(c, s_i) - D_i)
 
     with ``D_i = Σ_j d(s_i, s_j)``.  Each integration reads the members'
-    partial relevant sets once, keeps their pairwise distances and row
-    sums ``D_i``, and scores a fresh match with k distance evaluations.
+    relevant sets once, keeps their pairwise distances and row sums
+    ``D_i``, and scores a fresh match with k distance evaluations.
+
+    Every ``⌈|Mu|/64⌉`` visits the policy integrates and tests
+    Proposition 3: the smallest relevance in ``S`` against the largest
+    outside it, exact for visited matches and the bound otherwise.
     """
 
     def __init__(self, objective: DiversificationObjective) -> None:
@@ -102,21 +115,39 @@ class DiversifiedPolicy(SelectionPolicy):
         self._selected: list[tuple[int, int]] = []
         self._fresh: list[tuple[int, int]] = []
         self._seen: list[tuple[int, int]] = []
+        self._visits = 0
+        self._period = 1
 
     def bind(self, engine: "TopKEngine") -> None:
         super().bind(engine)
         self._selected = []
         self._fresh = []
         self._seen = []
+        self._visits = 0
+        self._period = max(1, -(-engine.num_matches // 64))
         self.objective.prepare(engine.context)
 
-    def on_confirmed(self, v: int, pid: int) -> None:
+    def on_visit(self, v: int, pid: int, value: float) -> None:
         self._fresh.append((v, pid))
         self._seen.append((v, pid))
 
+    def can_stop(self, k: int, bound: float) -> bool:
+        self._visits += 1
+        if self._visits % self._period:
+            return False
+        selected = self.selection(k)
+        if len(selected) < k:
+            return False
+        value = self.engine.value
+        inside = {pid for _, pid in selected}
+        outside = max(
+            (value(pid) for _, pid in self._seen if pid not in inside), default=bound
+        )
+        return min(value(pid) for pid in inside) >= max(outside, bound)
+
     def _score(self, members: list[tuple[int, int]]) -> float:
         engine = self.engine
-        rsets = {v: engine.partial_relevant(pid) for v, pid in members}
+        rsets = {v: engine.relevant_set(pid) for v, pid in members}
         return self.objective.score(engine.context, [v for v, _ in members], rsets)
 
     def _integrate(self, k: int) -> None:
@@ -135,7 +166,7 @@ class DiversifiedPolicy(SelectionPolicy):
         distance = self.objective.distance
         keep = 1.0 - self.objective.lam
         scale = self.objective.diversity_scale
-        # Per member i of S: partial rset, relevance r_i, the distance row
+        # Per member i of S: relevant set, relevance r_i, the distance row
         # d(s_i, ·) and its sum D_i.  Read once S is full and a swap is
         # tried, then kept current across swaps.
         rsets: list[AbstractSet[int]] | None = None
@@ -150,7 +181,7 @@ class DiversifiedPolicy(SelectionPolicy):
                 selected.append(candidate)
                 continue
             if rsets is None:
-                rsets = [engine.partial_relevant(pid) for _, pid in selected]
+                rsets = [engine.relevant_set(pid) for _, pid in selected]
                 rel = [relevance.value(ctx, v, r) for (v, _), r in zip(selected, rsets)]
                 dist = [[0.0] * len(selected) for _ in selected]
                 if scale:
@@ -160,7 +191,7 @@ class DiversifiedPolicy(SelectionPolicy):
                             dist[i][j] = dist[j][i] = d
                 rows = [sum(row) for row in dist]
             v, pid = candidate
-            rset = engine.partial_relevant(pid)
+            rset = engine.relevant_set(pid)
             r_c = relevance.value(ctx, v, rset)
             if scale:
                 dc = [
@@ -199,23 +230,19 @@ class DiversifiedPolicy(SelectionPolicy):
         return list(self._selected)
 
     def final_selection(self, k: int) -> list[tuple[int, int]]:
-        """Re-run the greedy swap over every inspected match.
+        """Re-run the greedy swap over every visited match.
 
-        When the engine stops, the inspected matches carry their final
-        (often exact) relevant sets; replaying the greedy pass over all of
-        them repairs early decisions made on thin partial bounds.  Extra
-        cost: ``k(k-1)/2`` distance evaluations for the initial ``S`` plus
-        ``k`` per further inspected match, i.e. ``O(k · |inspected|)`` —
-        within the paper's ``O(k|V|²)`` budget for the heuristic's
-        selection step.
+        The swaps made during the run saw the matches in bound order;
+        replaying them from the k most relevant visited matches lets
+        later visits displace early picks.  Extra cost: ``k(k-1)/2``
+        distance evaluations for the initial ``S`` plus ``k`` per further
+        visited match, i.e. ``O(k · |visited|)`` — within the paper's
+        ``O(k|V|²)`` budget for the heuristic's selection step.
         """
         if not self._seen:
             return []
-        engine = self.engine
-        ordered = sorted(
-            set(self._seen),
-            key=lambda item: (-engine.lower_value(item[1]), item[0]),
-        )
+        value = self.engine.value
+        ordered = sorted(set(self._seen), key=lambda item: (-value(item[1]), item[0]))
         self._selected = ordered[:k]
         self._fresh = ordered[k:]
         self._integrate(k)

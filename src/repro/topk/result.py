@@ -19,51 +19,35 @@ class EngineStats:
     Attributes
     ----------
     inspected_matches:
-        ``|M^t_u|`` — matches of the output node the algorithm confirmed
+        ``|M^t_u|`` — matches of the output node the algorithm visited
         (the numerator of the paper's match ratio MR).
     total_matches:
         ``|Mu(Q, G, uo)|`` when known (always known for ``Match``; filled
         in by the harness for early-termination runs).
-    batches:
-        Number of ``Sc`` propagation rounds (early-termination engines).
-    visited_seeds:
-        Rank-0 candidates visited across all batches.
     pairs_created:
-        Candidate pairs materialised by the engine.
+        Match pairs in the top-k engine's evaluation (the pair graph of
+        the query nodes the output node reaches).
     terminated_early:
-        True when Proposition 3 fired before the candidate space was
-        exhausted.
-    deltas_enqueued:
-        Relevance deltas posted between relevant-set groups (one per
-        (source event, target group) posting, before coalescing).
-    deltas_coalesced:
-        Postings merged into an already-pending delta for the same
-        target group root instead of becoming their own drain step
-        (always 0 on the dict reference path, which drains one posting
-        at a time).
-    deltas_applied:
-        Drain steps that actually extended a group's relevant set.
-    delta_flushes:
-        Topologically ordered flush passes of the packed-bitset delta
-        queue that had pending work (always 0 off the bitset path).
-    scc_merges:
-        Pair-cycle collapses — calls of the group-merge body, each
-        folding one set of group roots into a shared relevant set
-        (trivial-SCC-only runs never merge).
-    groups_finalized:
-        Relevant-set groups settled (declared final, triggering the
-        h-refinement of their member pairs).
+        True when Proposition 3 fired before every match was visited.
+    batches / visited_seeds / deltas_enqueued / deltas_coalesced /
+    deltas_applied / delta_flushes / scc_merges / groups_finalized:
+        Always 0.  They counted the propagation rounds, rank-0 seeds,
+        relevance deltas and SCC group merges of the bottom-up bound
+        propagation of Sections 4.1–4.2, which this engine does not run:
+        it evaluates each visited match exactly (see
+        :mod:`repro.topk.engine`).  Kept so that readers of the counter
+        set keep working.
     snapshot_hits / snapshot_builds:
         Compiled CSR snapshot served from the graph-level cache versus
         compiled for this run.
     sim_hits / sim_builds:
-        Pre-simulation fixpoint (plus narrowed candidates) served from
-        a session cache versus computed by this run.
+        Simulation fixpoint served from a session cache versus computed
+        by this run.
     bounds_hits / bounds_builds:
-        ``SimBoundIndex`` served from a session cache versus built.
+        Always 0: the engine's bound is part of its evaluation.
     paircsr_hits / paircsr_builds:
-        Component pair-CSRs served from a session cache versus
-        compiled (one counter tick per component touched).
+        The engine's evaluation (pair graph, condensation, bounds and
+        relevant-set memo) served from a session cache versus built.
     elapsed_seconds:
         Wall-clock runtime of the algorithm body.
     """
@@ -156,9 +140,9 @@ class TopKResult:
         paper returns all of them in that case), and is empty when ``G``
         does not match ``Q``.
     scores:
-        Per-match relevance.  For early-terminating algorithms these are
-        the lower bounds ``v.l`` at the moment Proposition 3 fired — the
-        guarantee is about the *set*, not the exact scores.
+        Per-match relevance, exact for every algorithm: the
+        early-terminating ones evaluate each visited match's relevant
+        set in full.
     algorithm:
         Which algorithm produced the result (``"Match"``, ``"TopK"``, ...).
     objective_value:

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.bench.harness import exact_objective
 from repro.diversify.heuristic import top_k_diversified_heuristic
 from repro.errors import MatchingError
 from repro.ranking.context import RankingContext
 from repro.ranking.diversification import DiversificationObjective
+
+from tests.reference import planted_instance
 
 
 class TestTopKDH:
@@ -59,3 +62,25 @@ class TestTopKDH:
             fig1.pattern, fig1.graph, 2, lam=0.5, optimized=False, seed=3
         )
         assert len(result.matches) == 2
+
+
+class TestReportedObjectiveIsExact:
+    """``objective_value`` is ``F`` of the returned set: relevance
+    normalised by ``C_uo`` over the candidates, as ``exact_objective``
+    and ``TopKDiv`` count it."""
+
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_figure1(self, fig1, k, lam):
+        result = top_k_diversified_heuristic(fig1.pattern, fig1.graph, k, lam=lam)
+        exact = exact_objective(fig1.pattern, fig1.graph, result.matches, k, lam)
+        assert result.objective_value == pytest.approx(exact, abs=1e-9)
+
+    @pytest.mark.parametrize("cyclic", [True, False])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_planted_instances(self, seed, cyclic):
+        graph, pattern = planted_instance(seed + 2000, cyclic=cyclic)
+        for k, lam in ((2, 0.5), (3, 0.9), (4, 0.1)):
+            result = top_k_diversified_heuristic(pattern, graph, k, lam=lam)
+            exact = exact_objective(pattern, graph, result.matches, k, lam)
+            assert result.objective_value == pytest.approx(exact, abs=1e-9)

@@ -88,18 +88,6 @@ class TestKernels:
         ]
         assert snap.out_counts(member).tolist() == expected
 
-    def test_in_max(self):
-        import numpy as np
-
-        g = small_graph()
-        snap = g.snapshot()
-        values = np.array([5.0, 2.0, 7.0, 0.0, 1.0])
-        expected = [
-            max((values[p] for p in g.predecessors(v)), default=0.0)
-            for v in g.nodes()
-        ]
-        assert snap.in_max(values).tolist() == expected
-
     def test_gather_in_slices(self):
         g = small_graph()
         snap = g.snapshot()
@@ -156,6 +144,39 @@ class TestCachingAndInvalidation:
         snap = g.snapshot()
         assert 0 not in snap.live_list()
         assert snap.num_edges == g.num_edges
+
+
+def _view(interner, nodes):
+    return csr.FrozenBitset(sum(1 << interner.bit_of[v] for v in nodes), interner)
+
+
+class TestFrozenBitset:
+    def test_set_algebra_and_frozenset_interop(self):
+        interner = csr.NodeInterner([1, 2, 3, 5])
+        view = _view(interner, [1, 3])
+        assert set(view) == {1, 3}
+        assert 2 not in view and -1 not in view and "x" not in view
+        assert len(view) == 2 and bool(view)
+        # frozenset interop: equality, hash, mixed algebra.
+        assert view == frozenset({1, 3})
+        assert hash(view) == hash(frozenset({1, 3}))
+        assert view | {2} == {1, 2, 3}
+        other = _view(interner, [3, 5])
+        assert view & other == frozenset({3})
+        assert view - other == {1}
+        assert view ^ other == {1, 5}
+        assert view <= _view(interner, [1, 2, 3])
+        assert not view.isdisjoint(other)
+        assert view.isdisjoint(csr.FrozenBitset(0, interner))
+
+    def test_views_are_immutable(self):
+        view = _view(csr.NodeInterner([1, 2, 3, 5]), [1, 3])
+        for method in ("add", "discard", "update", "clear", "remove", "pop"):
+            assert not hasattr(view, method)
+        # Set algebra yields fresh objects, never touching the view.
+        grown = view | {10_000}
+        assert 10_000 not in view and 10_000 in grown
+        assert set(view) == {1, 3}
 
 
 class TestUnavailableBackend:

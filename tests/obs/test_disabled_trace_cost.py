@@ -1,18 +1,18 @@
-"""Regression: the batch loop is trace-free when tracing is disabled.
+"""Regression: the visit loop is trace-free when tracing is disabled.
 
-Before PR 7 the engine called ``trace("engine.batch", ...)`` once per
-propagation round — a contextvar read plus a kwargs dict per batch even
-with tracing off, despite ``self._tracer`` being pre-resolved at init
-for exactly this purpose.  ``run()`` now guards the span on the
-init-resolved tracer, so the number of ``trace()`` calls per run is a
-constant, independent of how many batches the workload takes.
+Each ``trace()`` call costs a contextvar read plus a kwargs dict even
+with tracing off, so the engine opens its spans around phases, never
+per visited match: the number of ``trace()`` calls per run is a
+constant, independent of how many matches the run visits.
 """
 
 from __future__ import annotations
 
 import repro.topk.engine as engine_mod
+from repro.graph.digraph import Graph
 from repro.obs import Tracer, use_tracer
-from repro.topk.cyclic import top_k
+from repro.patterns.pattern import pattern_from_edges
+from repro.topk.dag import top_k_dag
 
 
 def _count_trace_calls(monkeypatch):
@@ -27,27 +27,38 @@ def _count_trace_calls(monkeypatch):
     return calls
 
 
+def _staircase(n: int):
+    """``n`` A nodes, the i-th pointing to the first i + 1 of ``n`` B
+    nodes: every A matches ``A -> B`` with a distinct relevance."""
+    g = Graph()
+    bs = [g.add_node("B") for _ in range(n)]
+    for i in range(n):
+        a = g.add_node("A")
+        for b in bs[: i + 1]:
+            g.add_edge(a, b)
+    return g, pattern_from_edges(["A", "B"], [(0, 1)], 0)
+
+
 class TestDisabledTracingCost:
-    def test_trace_calls_do_not_scale_with_batches(self, fig1, monkeypatch):
+    def test_trace_calls_do_not_scale_with_visits(self, monkeypatch):
         calls = _count_trace_calls(monkeypatch)
+        graph, pattern = _staircase(30)
 
-        many = top_k(fig1.pattern, fig1.graph, 2, batch_size=1)
-        per_batch_run = list(calls)
+        few = top_k_dag(pattern, graph, 1)
+        few_run = list(calls)
         calls.clear()
-        one = top_k(fig1.pattern, fig1.graph, 2, batch_size=10_000)
-        single_batch_run = list(calls)
+        many = top_k_dag(pattern, graph, 30)
+        many_run = list(calls)
 
-        assert many.stats.batches > 1 >= one.stats.batches
-        # Same hooks either way: setup spans only, nothing per batch.
-        assert per_batch_run == single_batch_run
-        assert "engine.batch" not in per_batch_run
+        assert few.stats.inspected_matches < many.stats.inspected_matches == 30
+        # Same hooks either way: phase spans only, nothing per visit.
+        assert few_run == many_run
 
-    def test_enabled_tracing_still_spans_every_batch(self, fig1):
+    def test_enabled_tracing_spans_the_run_once(self):
+        graph, pattern = _staircase(30)
         tracer = Tracer()
         with use_tracer(tracer):
-            result = top_k(fig1.pattern, fig1.graph, 2, batch_size=1)
-        batch_spans = [s for s in tracer.spans if s.name == "engine.batch"]
-        assert len(batch_spans) == result.stats.batches > 1
-        assert [s.attrs["index"] for s in batch_spans] == list(
-            range(result.stats.batches)
-        )
+            result = top_k_dag(pattern, graph, 30)
+        runs = [s for s in tracer.spans if s.name == "engine.run"]
+        assert len(runs) == 1
+        assert runs[0].attrs["inspected_matches"] == result.stats.inspected_matches == 30

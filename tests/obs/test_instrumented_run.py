@@ -28,25 +28,23 @@ def clean_defaults():
 
 
 class TestTracedEngineRun:
-    def test_batch_spans_reconcile_with_engine_stats(self, fig1):
+    def test_run_span_reconciles_with_engine_stats(self, fig1):
         tracer = Tracer()
         with use_tracer(tracer):
             result = top_k(fig1.pattern, fig1.graph, 2)
         totals = tracer.phase_totals()
         assert totals["engine.run"]["count"] == 1
-        assert totals["engine.batch"]["count"] == result.stats.batches
         run_span = next(s for s in tracer.spans if s.name == "engine.run")
-        assert run_span.attrs["batches"] == result.stats.batches
         assert run_span.attrs["inspected_matches"] == result.stats.inspected_matches
+        assert run_span.attrs["terminated_early"] == result.stats.terminated_early
 
-    def test_init_phases_are_children_of_nothing_but_ordered(self, fig1):
+    def test_init_phases_precede_the_run(self, fig1):
         tracer = Tracer()
         with use_tracer(tracer):
             top_k(fig1.pattern, fig1.graph, 2)
         names = [s.name for s in tracer.spans]
-        assert "engine.candidates" in names
-        assert "engine.build_structures" in names
-        assert names.index("engine.candidates") < names.index("engine.run")
+        assert names.index("engine.simulation") < names.index("engine.evaluation")
+        assert names.index("engine.evaluation") < names.index("engine.run")
 
     def test_fixpoint_rounds_attr_matches_rounds_counter(self, fig1):
         tracer = Tracer()
@@ -72,7 +70,7 @@ class TestTracedEngineRun:
         count = tracer.export_jsonl(path)
         spans = load_jsonl(path)
         assert len(spans) == count == len(tracer.spans)
-        assert {s["name"] for s in spans} >= {"engine.run", "engine.batch"}
+        assert {s["name"] for s in spans} >= {"engine.run", "engine.evaluation"}
 
     def test_disabled_run_records_nothing(self, fig1):
         tracer = Tracer()
@@ -88,8 +86,8 @@ class TestPublishedMetrics:
         stats = result.stats
         assert registry.value("repro_engine_runs_total", algorithm="TopK") == 1.0
         assert (
-            registry.value("repro_engine_batches_total", algorithm="TopK")
-            == stats.batches
+            registry.value("repro_engine_pairs_created_total", algorithm="TopK")
+            == stats.pairs_created
         )
         assert (
             registry.value("repro_engine_inspected_matches_total", algorithm="TopK")

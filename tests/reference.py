@@ -1,0 +1,112 @@
+"""A small reference for top-k matching, transcribed from the paper.
+
+No fast paths: the maximal simulation comes from ``naive_simulation``
+(repeated full scans), ``R(uo, v)`` from a breadth-first search over the
+match-pair graph from ``(uo, v)`` through at least one edge (Section
+3.1), and the optimum from sorting.  The library's engines are checked
+against it, never against each other.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import deque
+
+from repro.graph.digraph import Graph
+from repro.patterns.pattern import Pattern
+from repro.simulation.match import naive_simulation
+
+
+def simulation(pattern: Pattern, graph: Graph) -> list[set[int]] | None:
+    """``M(Q, G)`` per query node, or ``None`` when G does not match Q."""
+    sim = naive_simulation(pattern, graph)
+    return sim if all(sim) else None
+
+
+def reachable_query_nodes(pattern: Pattern, u: int) -> set[int]:
+    """Query nodes ``u`` reaches through at least one edge."""
+    seen: set[int] = set()
+    queue = deque(pattern.successors(u))
+    while queue:
+        w = queue.popleft()
+        if w not in seen:
+            seen.add(w)
+            queue.extend(pattern.successors(w))
+    return seen
+
+
+def relevant_set(
+    pattern: Pattern, graph: Graph, sim: list[set[int]], u: int, v: int
+) -> frozenset[int]:
+    """``R(u, v)``: data nodes of the match pairs ``(u, v)`` reaches."""
+    seen: set[tuple[int, int]] = set()
+    queue = deque([(u, v)])
+    while queue:
+        pu, pv = queue.popleft()
+        for child in pattern.successors(pu):
+            for w in graph.successors(pv):
+                if w in sim[child] and (child, w) not in seen:
+                    seen.add((child, w))
+                    queue.append((child, w))
+    return frozenset(w for _, w in seen)
+
+
+def optimum(values: dict[int, float], k: int) -> float:
+    """The largest relevance sum over k matches (Prop. 3's target)."""
+    return sum(sorted(values.values(), reverse=True)[:k])
+
+
+def planted_instance(
+    seed: int, cyclic: bool, pattern_nodes: int = 4, graph_nodes: int = 30,
+    noise_edges: int = 110, labels: str = "ABC",
+) -> tuple[Graph, Pattern]:
+    """A random pattern and a random graph that matches it by construction.
+
+    The pattern is a random tree from node 0 plus two extra edges: forward
+    ones only for DAGs; for cyclic patterns any direction, plus one edge
+    back from the last node to one of its ancestors (sometimes itself).
+    The graph holds an injective image of the pattern — one node per
+    query node with its label, one edge per pattern edge — so the
+    maximal simulation is total; noise nodes and edges come on top.
+    """
+    rng = random.Random(seed)
+    pattern = Pattern()
+    for _ in range(pattern_nodes):
+        pattern.add_node(rng.choice(labels))
+    parent = [-1]
+    for child in range(1, pattern_nodes):
+        parent.append(rng.randrange(child))
+        pattern.add_edge(parent[-1], child)
+    added = tries = 0
+    while added < 2 and tries < 50:
+        tries += 1
+        a, b = rng.randrange(pattern_nodes), rng.randrange(pattern_nodes)
+        if not cyclic:
+            a, b = min(a, b), max(a, b)
+        if a == b or pattern.has_edge(a, b):
+            continue
+        pattern.add_edge(a, b)
+        added += 1
+    if cyclic:
+        last = pattern_nodes - 1
+        ancestors = [last]
+        while parent[ancestors[-1]] >= 0:
+            ancestors.append(parent[ancestors[-1]])
+        target = rng.choice(ancestors)
+        if not pattern.has_edge(last, target):
+            pattern.add_edge(last, target)
+    pattern.set_output(0)
+
+    graph = Graph()
+    image = [graph.add_node(pattern.label(u)) for u in pattern.nodes()]
+    for a, b in pattern.edges():
+        graph.add_edge(image[a], image[b])
+    for _ in range(graph_nodes - pattern_nodes):
+        graph.add_node(rng.choice(labels))
+    added = 0
+    while added < noise_edges:
+        a, b = rng.randrange(graph_nodes), rng.randrange(graph_nodes)
+        if not graph.has_edge(a, b):
+            graph.add_edge(a, b)
+            added += 1
+    return graph, pattern

@@ -1,7 +1,7 @@
 """Property suite: ``MatchSession.run_batch`` ≡ looped one-shot ``api`` calls.
 
 The session changes *where artifacts come from* (shared candidates,
-simulation prefixes, bound indexes, pair-CSRs, ranking contexts), never
+simulations, top-k evaluations, ranking contexts), never
 what is computed — so a mixed batch executed through one session must
 return answers identical to the same queries issued one at a time
 through the one-shot API, across the full execution-toggle grid:
@@ -10,8 +10,8 @@ through the one-shot API, across the full execution-toggle grid:
   (heuristic and 2-approximation), the find-all baseline, and
   multi-output fan-outs — over graphs with attributes and tombstones,
   patterns with wildcards and predicates;
-* every arm of the (optimized × use_csr × scc_incremental ×
-  rset_bitset) grid, pinned per-query through ``QuerySpec.config``;
+* every arm of the (optimized × use_csr) grid, pinned per-query
+  through ``QuerySpec.config``;
 * batches interleaved with graph mutations: the session must detect
   the stale snapshot and refuse (``StaleSessionError``) or refresh
   explicitly — and after the refresh its answers must equal one-shot
@@ -37,18 +37,13 @@ SETTINGS = settings(
     max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
-#: The full toggle grid: the reference arm, every forced single toggle,
-#: and the all-on default — including the off-diagonal combinations the
+#: The full toggle grid: the reference arm, the forced toggles, and the
+#: all-on default — including the off-diagonal combination the
 #: defaulting chain would never pick on its own.
 TOGGLE_GRID = [
     ExecutionConfig(optimized=False),
-    ExecutionConfig(optimized=False, rset_bitset=True),
-    ExecutionConfig(optimized=False, scc_incremental=True),
+    ExecutionConfig(optimized=False, use_csr=True),
     ExecutionConfig(use_csr=False),
-    ExecutionConfig(use_csr=False, rset_bitset=True),
-    ExecutionConfig(use_csr=True, scc_incremental=False, rset_bitset=False),
-    ExecutionConfig(use_csr=True, scc_incremental=True, rset_bitset=False),
-    ExecutionConfig(use_csr=True, scc_incremental=False, rset_bitset=True),
     ExecutionConfig(),
 ]
 

@@ -12,53 +12,27 @@ from repro.session import ExecutionConfig
 class TestDefaulting:
     def test_all_defaults_resolve_to_fast_paths(self):
         cfg = ExecutionConfig().resolved()
-        expected = csr.available()
-        assert cfg.use_csr is expected
-        assert cfg.scc_incremental is expected
-        assert cfg.rset_bitset is expected
+        assert cfg.use_csr is csr.available()
 
     def test_optimized_false_resolves_reference_arm(self):
         cfg = ExecutionConfig(optimized=False).resolved()
         assert cfg.use_csr is False
-        assert cfg.scc_incremental is False
-        assert cfg.rset_bitset is False
-
-    def test_toggles_follow_use_csr_not_optimized(self):
-        cfg = ExecutionConfig(optimized=False, use_csr=True).resolved()
-        expected = csr.available()
-        assert cfg.use_csr is expected
-        assert cfg.scc_incremental is expected
-        assert cfg.rset_bitset is expected
 
     def test_explicit_toggle_overrides_chain(self):
-        cfg = ExecutionConfig(use_csr=False, rset_bitset=True).resolved()
-        assert cfg.use_csr is False
-        assert cfg.scc_incremental is False
-        assert cfg.rset_bitset is True
+        cfg = ExecutionConfig(optimized=False, use_csr=True).resolved()
+        assert cfg.use_csr is csr.available()
 
     def test_resolved_is_idempotent(self):
-        cfg = ExecutionConfig(optimized=False, rset_bitset=True).resolved()
+        cfg = ExecutionConfig(optimized=False, use_csr=True).resolved()
         assert cfg.resolved() is cfg
 
     def test_resolution_preserves_non_toggle_fields(self):
-        cfg = ExecutionConfig(
-            bound_strategy="hop", batch_size=7, presimulate=False, seed=3
-        ).resolved()
-        assert cfg.bound_strategy == "hop"
-        assert cfg.batch_size == 7
-        assert cfg.presimulate is False
+        cfg = ExecutionConfig(seed=3, workers=2).resolved()
         assert cfg.seed == 3
+        assert cfg.workers == 2
 
 
 class TestValidation:
-    def test_unknown_bound_strategy_rejected(self):
-        with pytest.raises(MatchingError):
-            ExecutionConfig(bound_strategy="bogus")
-
-    def test_nonpositive_batch_size_rejected(self):
-        with pytest.raises(MatchingError):
-            ExecutionConfig(batch_size=0)
-
     def test_frozen(self):
         cfg = ExecutionConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -67,23 +41,8 @@ class TestValidation:
 
 class TestAdapter:
     def test_legacy_kwargs_build_equivalent_config(self):
-        cfg = ExecutionConfig.adapt(
-            None,
-            optimized=False,
-            use_csr=True,
-            bound_strategy="exact",
-            batch_size=4,
-            presimulate=False,
-            seed=9,
-        )
-        assert cfg == ExecutionConfig(
-            optimized=False,
-            use_csr=True,
-            bound_strategy="exact",
-            batch_size=4,
-            presimulate=False,
-            seed=9,
-        )
+        cfg = ExecutionConfig.adapt(None, optimized=False, use_csr=True, seed=9)
+        assert cfg == ExecutionConfig(optimized=False, use_csr=True, seed=9)
 
     def test_config_wins(self):
         explicit = ExecutionConfig(optimized=False)
@@ -92,21 +51,11 @@ class TestAdapter:
     def test_mixing_config_and_legacy_toggles_rejected(self):
         with pytest.raises(MatchingError):
             ExecutionConfig.adapt(ExecutionConfig(), use_csr=False)
-        with pytest.raises(MatchingError):
-            ExecutionConfig.adapt(ExecutionConfig(), scc_incremental=True)
-        with pytest.raises(MatchingError):
-            ExecutionConfig.adapt(ExecutionConfig(), rset_bitset=False)
 
     def test_mixing_config_and_other_legacy_kwargs_rejected(self):
         # Non-toggle legacy kwargs must not be silently discarded either.
         with pytest.raises(MatchingError):
             ExecutionConfig.adapt(ExecutionConfig(), optimized=False)
-        with pytest.raises(MatchingError):
-            ExecutionConfig.adapt(ExecutionConfig(), bound_strategy="hop")
-        with pytest.raises(MatchingError):
-            ExecutionConfig.adapt(ExecutionConfig(), batch_size=1)
-        with pytest.raises(MatchingError):
-            ExecutionConfig.adapt(ExecutionConfig(), presimulate=False)
         with pytest.raises(MatchingError):
             ExecutionConfig.adapt(ExecutionConfig(), seed=3)
 

@@ -118,8 +118,7 @@ def test_patched_snapshot_roundtrip_preserves_overlay_reads():
 
 def test_execution_config_roundtrip():
     cfg = ExecutionConfig(
-        use_csr=True, scc_incremental=False, bound_strategy="hop",
-        batch_size=4, seed=9, workers=3, sim_shards=2,
+        use_csr=True, seed=9, workers=3, sim_shards=2,
         shard_backend="process", metrics=True,
     )
     assert roundtrip(cfg) == cfg

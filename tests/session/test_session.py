@@ -149,12 +149,19 @@ class TestCacheSharing:
         with MatchSession(graph) as session:
             first = session.top_k(cyclic_pattern_, 3)
             second = session.top_k(cyclic_pattern_, 2)
+            diversified = session.diversified(cyclic_pattern_, 2)
         assert first.stats.sim_builds == 1 and first.stats.sim_hits == 0
         assert second.stats.sim_hits == 1 and second.stats.sim_builds == 0
-        assert second.stats.bounds_hits == 1
+        # One evaluation per pattern × output node, shared by top-k at
+        # any k and by TopKDH.
+        assert first.stats.paircsr_builds == 1
+        assert second.stats.paircsr_hits == 1
+        assert diversified.stats.paircsr_hits == 1
         stats = session.cache_stats()
         assert stats["sim_builds"] == 1
         assert stats["sim_hits"] >= 1
+        assert stats["paircsr_builds"] == 1
+        assert stats["paircsr_hits"] == 2
 
     def test_structurally_equal_patterns_share(self, graph, dag_pattern):
         twin = copy.deepcopy(dag_pattern)
@@ -163,17 +170,24 @@ class TestCacheSharing:
             # Different k: bypasses the result store, so this run's
             # engine actually consults the shared artifact caches.
             result = session.top_k(twin, 3)
+            stats = session.cache_stats()
         assert result.stats.sim_hits == 1
+        assert result.stats.paircsr_hits == 1
+        assert stats["paircsr_builds"] == 1
 
     def test_multi_output_shares_one_compilation(self, graph):
         pattern = make_random_pattern(7, num_nodes=3, extra_edges=1, cyclic=False)
         pattern.set_output(0, 1)
         with MatchSession(graph) as session:
             results = session.top_k_multi(pattern, 2)
+            again = session.top_k_multi(pattern, 3)
         assert set(results) == {0, 1}
         stats = session.cache_stats()
         assert stats["sim_builds"] == 1  # one fixpoint for both output nodes
-        assert stats["bounds_builds"] == 1
+        # One evaluation per output node, reused by the second fan-out.
+        assert stats["paircsr_builds"] == 2
+        assert stats["paircsr_hits"] == 2
+        assert all(res.stats.paircsr_hits == 1 for res in again.values())
         # Per-node answers equal dedicated single-output runs.
         for node, result in results.items():
             single = copy.deepcopy(pattern)

@@ -1,4 +1,4 @@
-"""Engine-level tests: state vectors, termination, totality, batching."""
+"""Engine-level tests: termination, totality, exact scores."""
 
 import pytest
 
@@ -8,6 +8,7 @@ from repro.patterns.pattern import pattern_from_edges
 from repro.topk.cyclic import top_k
 from repro.topk.dag import top_k_dag
 from repro.topk.engine import TopKEngine
+from repro.topk.match_all import match_baseline
 from repro.topk.policies import RelevancePolicy
 
 
@@ -33,38 +34,17 @@ class TestEngineBasics:
         result = top_k(q, g, 2)
         assert result.matches == []
 
-    def test_debug_state_vector(self, fig1):
-        engine = TopKEngine(fig1.pattern, fig1.graph, 2, policy=RelevancePolicy())
-        engine.run()
-        state = engine.debug_state(0, fig1.node("PM2"))
-        assert state["status"] == "confirmed"
-        assert state["l"] == 8
 
-    def test_confirmed_matches_view(self, fig1):
-        engine = TopKEngine(fig1.pattern, fig1.graph, 2, policy=RelevancePolicy())
-        engine.run()
-        assert engine.confirmed_matches(3) <= set(fig1.graph.nodes())
-
-    def test_batch_size_one(self, fig1):
-        result = top_k(fig1.pattern, fig1.graph, 2, batch_size=1)
-        assert result.total_relevance() == 14.0
-
-    def test_presimulate_off_still_correct(self, fig1):
-        result = top_k(fig1.pattern, fig1.graph, 2, presimulate=False)
-        assert result.total_relevance() == 14.0
-
-    @pytest.mark.parametrize("strategy", ["hop", "exact", "counting", "global"])
-    def test_all_bound_strategies_correct(self, fig1, strategy):
-        result = top_k(
-            fig1.pattern, fig1.graph, 2, presimulate=False, bound_strategy=strategy
-        )
-        assert result.total_relevance() == 14.0
-
-
-class TestScoresAreLowerBounds:
+class TestScoresAreExact:
     def test_exhaustive_run_reports_exact_scores(self, fig1):
         result = top_k(fig1.pattern, fig1.graph, 4)
         assert result.scores[fig1.node("PM2")] == 8.0
+
+    def test_early_stop_reports_exact_scores(self, fig1):
+        result = top_k(fig1.pattern, fig1.graph, 1)
+        assert result.stats.terminated_early
+        oracle = match_baseline(fig1.pattern, fig1.graph, 1)
+        assert result.scores == oracle.scores
 
     def test_fewer_matches_than_k(self, fig1):
         result = top_k(fig1.pattern, fig1.graph, 10)

@@ -16,19 +16,34 @@ from repro.topk.policies import DiversifiedPolicy, RelevancePolicy
 
 
 class TestRelevancePolicy:
-    def test_selection_orders_by_lower_bound(self, fig1):
+    def test_selection_orders_by_exact_value(self, fig1):
         engine = TopKEngine(fig1.pattern, fig1.graph, 2, policy=RelevancePolicy())
         engine.run()
         chosen = engine.policy.selection(2)
-        values = [engine.lower_value(pid) for _, pid in chosen]
+        values = [engine.value(pid) for _, pid in chosen]
         assert values == sorted(values, reverse=True)
 
     def test_selection_capped_at_k(self, fig1):
         engine = TopKEngine(fig1.pattern, fig1.graph, 2, policy=RelevancePolicy())
         engine.run()
         assert len(engine.policy.selection(2)) == 2
-        # Early termination may leave some matches unconfirmed.
-        assert 2 <= len(engine.policy.selection(10)) <= 4
+        assert len(engine.policy.selection(1)) == 1
+
+    def test_heap_keeps_k_best_ties_to_smaller_id(self):
+        policy = RelevancePolicy()
+        policy.bind(SimpleNamespace(k=2))
+        for v, value in [(7, 3.0), (5, 3.0), (9, 1.0), (4, 3.0), (8, 5.0)]:
+            policy.on_visit(v, v, value)
+        assert policy.selection(2) == [(8, 8), (4, 4)]
+
+    def test_can_stop_needs_a_full_heap_dominating_the_bound(self):
+        policy = RelevancePolicy()
+        policy.bind(SimpleNamespace(k=2))
+        policy.on_visit(1, 1, 4.0)
+        assert not policy.can_stop(2, 0.0)  # heap not full
+        policy.on_visit(2, 2, 3.0)
+        assert policy.can_stop(2, 3.0)  # k-th value equals the bound
+        assert not policy.can_stop(2, 3.5)
 
     def test_objective_value_is_none(self, fig1):
         engine = TopKEngine(fig1.pattern, fig1.graph, 2, policy=RelevancePolicy())
@@ -49,6 +64,21 @@ class TestDiversifiedPolicy:
         engine = TopKEngine(fig1.pattern, fig1.graph, 2, policy=policy)
         engine.run()
         assert policy.objective_value(2) > 0
+
+    def test_can_stop_tests_every_period(self):
+        # |Mu| = 128, so Proposition 3 is tested every ceil(128/64) = 2
+        # visits; pid p has relevance p.
+        engine = StubEngine({pid: frozenset(range(pid)) for pid in range(128)}, 200)
+        policy = DiversifiedPolicy(DiversificationObjective(lam=0.0, k=1))
+        policy.bind(engine)
+        policy.on_visit(227, 127, 127.0)
+        assert not policy.can_stop(1, 0.0)  # off period
+        policy.on_visit(100, 0, 0.0)
+        assert policy.can_stop(1, 126.0)  # S = {127} beats pid 0 and the bound
+        policy.on_visit(101, 1, 1.0)
+        assert not policy.can_stop(1, 0.0)  # off period
+        policy.on_visit(102, 2, 2.0)
+        assert not policy.can_stop(1, 128.0)  # an unvisited match may beat S
 
     def test_no_matches_no_objective(self):
         from repro.graph.digraph import Graph
@@ -96,22 +126,23 @@ class ReferenceDiversifiedPolicy(DiversifiedPolicy):
 class StubEngine:
     """The engine accessors a diversified policy reads, over given rsets.
 
-    ``rsets`` maps a pair id to its partial relevant set; tests grow it
-    between calls as propagation would.
+    ``rsets`` maps a pid to its relevant set; tests may replace entries
+    between calls to exercise the kept distances against fresh reads.
     """
 
     def __init__(self, rsets, universe):
         self.rsets = rsets
+        self.num_matches = len(rsets)
         self.context = SimpleNamespace(
             normalisation=universe,
             reachable_query_nodes=frozenset(range(3)),
             graph=SimpleNamespace(num_nodes=universe),
         )
 
-    def partial_relevant(self, pid):
+    def relevant_set(self, pid):
         return self.rsets[pid]
 
-    def lower_value(self, pid):
+    def value(self, pid):
         return float(len(self.rsets[pid]))
 
 
@@ -159,7 +190,7 @@ def swap_scenarios(draw):
 
 def assert_policies_agree(engine, order, rounds, k, lam, functions):
     """Drive the policy and the reference through the same rounds; each
-    round confirms matches, grows rsets, then asks for the selection."""
+    round visits matches, grows rsets, then asks for the selection."""
     relevance, distance = functions
     policies = []
     for cls in (DiversifiedPolicy, ReferenceDiversifiedPolicy):
@@ -173,7 +204,7 @@ def assert_policies_agree(engine, order, rounds, k, lam, functions):
     for count, growth in rounds:
         for pid in order[confirmed : confirmed + count]:
             for policy in policies:
-                policy.on_confirmed(100 + pid, pid)
+                policy.on_visit(100 + pid, pid, 0.0)
         confirmed += count
         for pid, extra in growth:
             engine.rsets[pid] = engine.rsets[pid] | extra
@@ -219,11 +250,11 @@ class TestDiversifiedPolicyCost:
             policy = cls(DiversificationObjective(lam=0.5, k=k, distance=distance))
             policy.bind(StubEngine(rsets, 40))
             for pid in range(k):
-                policy.on_confirmed(100 + pid, pid)
+                policy.on_visit(100 + pid, pid, 0.0)
             policy.selection(k)
             assert distance.calls == 0  # filling S scores nothing
             for pid in range(k, k + m):
-                policy.on_confirmed(100 + pid, pid)
+                policy.on_visit(100 + pid, pid, 0.0)
             policy.selection(k)
             counts.append(distance.calls)
         fast, reference = counts
@@ -240,6 +271,6 @@ class TestDiversifiedPolicyCost:
         policy = DiversifiedPolicy(DiversificationObjective(lam=0.7, k=k, distance=distance))
         policy.bind(StubEngine(rsets, 30))
         for pid in range(n):
-            policy.on_confirmed(100 + pid, pid)
+            policy.on_visit(100 + pid, pid, 0.0)
         policy.final_selection(k)
         assert distance.calls <= k * (k - 1) // 2 + 2 * k * (n - k)

@@ -1,33 +1,37 @@
-"""Tests for seed selection strategies."""
+"""Tests for the engine's visiting order."""
 
 from repro.topk.cyclic import top_k
 from repro.topk.engine import TopKEngine
 from repro.topk.policies import RelevancePolicy
-from repro.topk.selection import (
-    GreedySelection,
-    RandomSelection,
-    default_batch_size,
-)
+from repro.session import ExecutionConfig
 
 
-class TestDefaultBatchSize:
-    def test_small_counts(self):
-        assert default_batch_size(0) == 1
-        assert default_batch_size(1) == 1
-        assert default_batch_size(64) == 1
-
-    def test_caps_rounds_at_64(self):
-        assert default_batch_size(6400) == 100
-        assert default_batch_size(65) == 2
+def _engine(fig1, **config):
+    return TopKEngine(
+        fig1.pattern, fig1.graph, 2, policy=RelevancePolicy(),
+        config=ExecutionConfig(**config),
+    )
 
 
-class TestRandomSelection:
+class TestBoundOrder:
+    def test_descending_bound_ties_to_smaller_id(self, fig1):
+        engine = _engine(fig1)
+        order, bounds = engine.visit_order()
+        matches = engine.evaluation.matches
+        keys = [(-bounds[pid], matches[pid]) for pid in order]
+        assert keys == sorted(keys)
+
+    def test_bounds_dominate_exact_values(self, fig1):
+        engine = _engine(fig1)
+        order, bounds = engine.visit_order()
+        assert all(engine.value(pid) <= bounds[pid] for pid in order)
+
+
+class TestRandomOrder:
     def test_is_permutation(self, fig1):
-        engine = TopKEngine(
-            fig1.pattern, fig1.graph, 2, policy=RelevancePolicy(),
-            strategy=RandomSelection(1),
-        )
-        assert sorted(engine._seeds) == sorted(set(engine._seeds))
+        engine = _engine(fig1, optimized=False, seed=1)
+        order, _ = engine.visit_order()
+        assert sorted(order) == list(range(engine.num_matches))
 
     def test_seeded_determinism(self, fig1):
         runs = [
@@ -35,68 +39,3 @@ class TestRandomSelection:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
-
-
-class TestGreedySelection:
-    def test_orders_high_owner_first(self, fig1):
-        engine = TopKEngine(
-            fig1.pattern, fig1.graph, 2, policy=RelevancePolicy(),
-            strategy=GreedySelection(),
-        )
-        scores = GreedySelection._owner_scores(engine)
-        seeds = engine._seeds
-        assert all(
-            scores[seeds[i]] >= scores[seeds[i + 1]] - 1e-9
-            for i in range(len(seeds) - 1)
-        )
-
-    def test_owner_scores_cover_all_pairs(self, fig1):
-        engine = TopKEngine(fig1.pattern, fig1.graph, 2, policy=RelevancePolicy())
-        scores = GreedySelection._owner_scores(engine)
-        assert len(scores) == engine.stats.pairs_created
-
-    def test_owner_scores_record_zero_bound_pairs(self):
-        # Regression: ``if best:`` treated a legitimate 0.0 as falsy, so
-        # pairs reachable only from zero-bound owners were never stored
-        # by the sweep and the trailing setdefault masked the drop.  An
-        # output candidate whose reachable region has no matches gets
-        # ``v.h = 0``; its score — and its children's — must still be
-        # explicitly recorded, on both the dict and the CSR sweep.
-        from repro.graph.digraph import Graph
-        from repro.patterns.pattern import pattern_from_edges
-
-        g = Graph()
-        a1 = g.add_node("A")
-        a2 = g.add_node("A")
-        b = g.add_node("B")
-        g.add_edge(a1, b)
-        g.add_edge(a2, b)
-        # A leaf output node reaches no other query node, so every output
-        # candidate carries the zero bound ``C_u = 0``.
-        zero_bound = pattern_from_edges(["A"], [], output=0)
-        for use_csr in (False, True):
-            engine = TopKEngine(
-                zero_bound, g, 1, policy=RelevancePolicy(),
-                strategy=GreedySelection(), use_csr=use_csr,
-            )
-            scores = GreedySelection._owner_scores(engine)
-            # Every pair carries an explicit entry, zero-bound included,
-            # and the seed order falls back to the pid tie-break.
-            assert len(scores) == engine.stats.pairs_created
-            assert scores[engine.output_pid(a1)] == 0.0
-            assert scores[engine.output_pid(a2)] == 0.0
-            assert engine._seeds == sorted(engine._seeds)
-            result = engine.run()
-            assert result.matches == [a1]
-
-    def test_dict_and_csr_sweeps_agree(self, fig1):
-        dict_engine = TopKEngine(
-            fig1.pattern, fig1.graph, 2, policy=RelevancePolicy(), use_csr=False
-        )
-        csr_engine = TopKEngine(
-            fig1.pattern, fig1.graph, 2, policy=RelevancePolicy(), use_csr=True
-        )
-        assert GreedySelection._owner_scores(dict_engine) == GreedySelection._owner_scores(
-            csr_engine
-        )
-        assert dict_engine._seeds == csr_engine._seeds
