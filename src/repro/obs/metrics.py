@@ -351,20 +351,12 @@ class use_metrics:
 ENGINE_COUNTER_FIELDS = (
     "inspected_matches",
     "batches",
-    "visited_seeds",
     "pairs_created",
-    "deltas_enqueued",
-    "deltas_coalesced",
     "deltas_applied",
-    "delta_flushes",
-    "scc_merges",
-    "groups_finalized",
     "snapshot_hits",
     "snapshot_builds",
     "sim_hits",
     "sim_builds",
-    "bounds_hits",
-    "bounds_builds",
     "paircsr_hits",
     "paircsr_builds",
 )

@@ -29,22 +29,18 @@ class EngineStats:
         the query nodes the output node reaches).
     terminated_early:
         True when Proposition 3 fired before every match was visited.
-    batches / visited_seeds / deltas_enqueued / deltas_coalesced /
-    deltas_applied / delta_flushes / scc_merges / groups_finalized:
-        Always 0.  They counted the propagation rounds, rank-0 seeds,
-        relevance deltas and SCC group merges of the bottom-up bound
-        propagation of Sections 4.1–4.2, which this engine does not run:
-        it evaluates each visited match exactly (see
-        :mod:`repro.topk.engine`).  Kept so that readers of the counter
-        set keep working.
+    batches / deltas_applied:
+        Always 0.  They counted the propagation rounds and relevance
+        deltas of the bottom-up bound propagation of Sections 4.1–4.2,
+        which this engine does not run: it evaluates each visited match
+        exactly (see :mod:`repro.topk.engine`).  Kept because the
+        serving benchmark's tracer reads them.
     snapshot_hits / snapshot_builds:
         Compiled CSR snapshot served from the graph-level cache versus
         compiled for this run.
     sim_hits / sim_builds:
         Simulation fixpoint served from a session cache versus computed
         by this run.
-    bounds_hits / bounds_builds:
-        Always 0: the engine's bound is part of its evaluation.
     paircsr_hits / paircsr_builds:
         The engine's evaluation (pair graph, condensation, bounds and
         relevant-set memo) served from a session cache versus built.
@@ -55,21 +51,13 @@ class EngineStats:
     inspected_matches: int = 0
     total_matches: int | None = None
     batches: int = 0
-    visited_seeds: int = 0
     pairs_created: int = 0
     terminated_early: bool = False
-    deltas_enqueued: int = 0
-    deltas_coalesced: int = 0
     deltas_applied: int = 0
-    delta_flushes: int = 0
-    scc_merges: int = 0
-    groups_finalized: int = 0
     snapshot_hits: int = 0
     snapshot_builds: int = 0
     sim_hits: int = 0
     sim_builds: int = 0
-    bounds_hits: int = 0
-    bounds_builds: int = 0
     paircsr_hits: int = 0
     paircsr_builds: int = 0
     elapsed_seconds: float = 0.0
@@ -112,8 +100,6 @@ class EngineStats:
             "snapshot_builds": self.snapshot_builds,
             "sim_hits": self.sim_hits,
             "sim_builds": self.sim_builds,
-            "bounds_hits": self.bounds_hits,
-            "bounds_builds": self.bounds_builds,
             "paircsr_hits": self.paircsr_hits,
             "paircsr_builds": self.paircsr_builds,
         }

@@ -25,13 +25,13 @@ class TestAsDict:
 
 class TestMerge:
     def test_integer_counters_add(self):
-        a = EngineStats(batches=2, deltas_applied=5, scc_merges=1)
+        a = EngineStats(batches=2, deltas_applied=5, pairs_created=1)
         b = EngineStats(batches=3, deltas_applied=7, paircsr_hits=4)
         merged = a.merge(b)
         assert merged is a
         assert a.batches == 5
         assert a.deltas_applied == 12
-        assert a.scc_merges == 1
+        assert a.pairs_created == 1
         assert a.paircsr_hits == 4
 
     def test_elapsed_adds_and_terminated_early_ors(self):

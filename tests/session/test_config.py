@@ -19,6 +19,7 @@ class TestDefaulting:
         assert cfg.use_csr is False
 
     def test_explicit_toggle_overrides_chain(self):
+        assert ExecutionConfig(use_csr=False).resolved().use_csr is False
         cfg = ExecutionConfig(optimized=False, use_csr=True).resolved()
         assert cfg.use_csr is csr.available()
 

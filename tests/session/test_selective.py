@@ -136,7 +136,7 @@ def test_untouched_pattern_artifacts_survive_refresh():
         builds_before = (
             stats.candidates_builds,
             stats.sim_builds,
-            stats.bounds_builds,
+            stats.paircsr_builds,
         )
         # Mutate only C/D-labelled structure.
         c_nodes = [v for v in graph.nodes() if graph.label(v) == "C"]
@@ -150,11 +150,11 @@ def test_untouched_pattern_artifacts_survive_refresh():
         assert stats.selective_refreshes == 1
         assert stats.artifacts_survived > 0
         again_ab = session.top_k(p_ab, k=5)
-        # No rebuilds for the AB pattern: candidates, sim and bounds all hit.
+        # No rebuilds for the AB pattern: candidates, sim and evaluation all hit.
         assert (
             stats.candidates_builds,
             stats.sim_builds,
-            stats.bounds_builds,
+            stats.paircsr_builds,
         ) == builds_before
         assert_same(again_ab, first_ab)
         # The CD pattern's artifacts were dropped and rebuild on demand.

@@ -120,7 +120,7 @@ class TestExample7TopKDag:
     def test_early_termination_fires(self, fig1, q1_dag):
         result = top_k_dag(q1_dag, fig1.graph, 1)
         assert result.stats.terminated_early
-        assert result.stats.inspected_matches < 4 or result.stats.visited_seeds < 7
+        assert result.stats.inspected_matches < 4
 
 
 class TestExample8TopKCyclic:
