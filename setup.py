@@ -1,6 +1,6 @@
 """Setup shim for environments without the `wheel` package.
 
-All project metadata lives in pyproject.toml; this file only enables
+All project metadata lives in setup.cfg; this file only enables
 legacy `pip install -e .` where PEP 660 editable builds are unavailable.
 """
 

@@ -1,4 +1,4 @@
-"""The project-invariant rules (R1–R10).
+"""The project-invariant rules (R1–R3, R5–R10).
 
 Each rule encodes one architectural invariant of the optimized/oracle
 design.  They are deliberately *project-specific*: generic linters
@@ -28,32 +28,6 @@ OPTIMIZED = "optimized"
 #: changes no structure, and the label-based structural caches stay
 #: valid (``Graph.set_attrs`` docstring).
 STRUCTURAL_KINDS = frozenset({"ADD_NODE", "ADD_EDGE", "REMOVE_EDGE", "REMOVE_NODE"})
-
-#: Engine-private buffers of the cyclic top-k engine (PRs 3–4).  Their
-#: layout and maintenance discipline (union-find aliasing, pending
-#: masks, version stamps) is an implementation detail of
-#: ``repro/topk/`` — outside it, only ``self``-owned attributes of the
-#: same name are legitimate (e.g. the session cache's own pair-CSR
-#: store).
-ENGINE_PRIVATE_BUFFERS = frozenset(
-    {
-        "_g_bits",
-        "_g_card",
-        "_g_self",
-        "_g_members",
-        "_g_parents",
-        "_g_final",
-        "_g_comp_out",
-        "_g_comp_in",
-        "_g_ext_pending",
-        "_g_unresolved",
-        "_pending_bits",
-        "_pair_csr",
-        "_pair_u",
-        "_pair_v",
-        "_pid_of",
-    }
-)
 
 #: Ambient-collector accessors of :mod:`repro.obs` — return ``None``
 #: when the corresponding instrumentation is disabled.
@@ -575,47 +549,6 @@ class ObsNoOpGuarantee(Rule):
                 "(`tracer = current_tracer()`) and guard the span on "
                 "`tracer is not None`",
                 f"hook-in-loop:{node.func.id}",
-            )
-
-
-class EngineEncapsulation(Rule):
-    """R4 — engine-private buffers referenced only within repro/topk/."""
-
-    id = "R4"
-    title = "engine encapsulation"
-    rationale = (
-        "The cyclic engine's packed buffers (_g_bits, _g_card, "
-        "_pending_bits, _pair_csr, ...) are maintained under union-find "
-        "aliasing, deferred-flush pending masks and per-root version "
-        "stamps; reading them from outside repro/topk/ couples other "
-        "layers to representation details that change per PR and skips "
-        "the alias chase/flush a correct read needs.  Only the engine "
-        "package (and tests) may touch them; other classes may own "
-        "same-named `self.` attributes."
-    )
-    reference = (
-        "CHANGES.md PR 3/PR 4 (the buffers and their maintenance "
-        "discipline); ROADMAP 'shard-parallel kernels' will re-layout "
-        "these buffers, which must not leak."
-    )
-
-    def check(self, module: SourceModule, project: Project) -> Iterable[Finding]:
-        if "repro/topk/" in module.rel_path:
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Attribute):
-                continue
-            if node.attr not in ENGINE_PRIVATE_BUFFERS:
-                continue
-            if isinstance(node.value, ast.Name) and node.value.id in {"self", "cls"}:
-                continue
-            yield self.finding(
-                module,
-                node,
-                f"engine-private buffer `.{node.attr}` referenced outside "
-                "repro/topk/ — go through the engine's public surface "
-                "(rset_of, partial_relevant, EngineStats) instead",
-                f"private-buffer:{node.attr}",
             )
 
 
@@ -1638,7 +1571,6 @@ ALL_RULES: tuple[Rule, ...] = (
     InvalidationSoundness(),
     ConfigDiscipline(),
     ObsNoOpGuarantee(),
-    EngineEncapsulation(),
     FrozenAndDefaults(),
     TypedCore(),
     PickleSpawnSafety(),

@@ -19,7 +19,8 @@ The algorithm:
 
 Because ``Σ_{pairs of S} F' = F(S)``, this simulates the greedy MAXDISP
 2-approximation of Hassin et al., hence ``F(S) ≥ F(S*) / 2``.  Each
-``F'`` is evaluated once per pair of matches.
+``F'`` is evaluated once per pair of matches, over relevances scored
+once per match.
 """
 
 from __future__ import annotations
@@ -97,12 +98,19 @@ def top_k_diversified_approx(
 
         matches = context.matches
         relevant = context.relevant
+        # δ'r once per match; each pair weight is F'(v1, v2) of
+        # DiversificationObjective.pair_objective, term for term.
+        value = {v: obj.relevance.value(context, v, relevant[v]) for v in matches}
+        keep = (1.0 - obj.lam) / (k - 1) if k > 1 else 0.0
+        spread = 2.0 * obj.lam / (k - 1) if k > 1 else 0.0
+        distance = obj.distance.distance
 
         def pair_weight(v1: int, v2: int) -> float:
-            return obj.pair_objective(context, v1, relevant[v1], v2, relevant[v2])
+            d = distance(context, v1, relevant[v1], v2, relevant[v2])
+            return keep * (value[v1] + value[v2]) + spread * d
 
         def single_weight(v: int) -> float:
-            return (1.0 - obj.lam) * obj.relevance.value(context, v, relevant[v])
+            return (1.0 - obj.lam) * value[v]
 
         # The pair weights to S already carry v's relevance term, so the
         # singleton weight counts only when S is empty (k = 1).
@@ -110,7 +118,7 @@ def top_k_diversified_approx(
             matches, k, pair_weight, single_weight if k == 1 else None
         )
 
-        scores = {v: obj.relevance.value(context, v, relevant[v]) for v in selected}
+        scores = {v: value[v] for v in selected}
         objective_value = obj.score_matches(context, selected)
         stats.inspected_matches = len(matches)
         stats.total_matches = len(matches)

@@ -972,9 +972,9 @@ class PatchedCSRSnapshot(CSRSnapshot):
 class NodeInterner:
     """Dense bit-index assignment over a fixed universe of node ids.
 
-    The top-k engine's relevant sets only ever contain matches of the
-    query nodes the output node reaches, so their members can be
-    interned into a contiguous bit space once per evaluation: bit ``i``
+    Relevant sets only ever contain matches of the query nodes the
+    output node reaches, so their members can be interned into a
+    contiguous bit space once per evaluation: bit ``i``
     stands for ``node_of[i]``, and ``bit_of[v]`` maps a node id back to
     its bit (``-1`` for nodes outside the universe).  The layout is
     deterministic (ascending node id).

@@ -201,8 +201,11 @@ class MatchView:
     def ranking_context(self) -> RankingContext:
         """A :class:`RankingContext` over the maintained relation."""
         if self._cached_context is None:
+            # Between rebuilds the relation tracks the live graph, whose
+            # snapshot each mutation drops: walk its adjacency instead of
+            # recompiling the snapshot for every ranking.
             self._cached_context = RankingContext(
-                self.pattern, self.graph, simulation=self.simulation()
+                self.pattern, self.graph, simulation=self.simulation(), optimized=False
             )
         return self._cached_context
 

@@ -5,6 +5,9 @@ ingredients: the pattern, the data graph, the simulation ``M(Q, G)``, the
 candidate sets, the output node ``uo``, and the relevant sets of its
 matches.  :class:`RankingContext` bundles them and computes the derived
 constants (``C_uo``, the match set of descendant query nodes) lazily.
+Its relevant sets are views of the output node's
+:class:`~repro.simulation.relevant.Evaluation`, which a session shares
+with the top-k engine.
 """
 
 from __future__ import annotations
@@ -12,15 +15,21 @@ from __future__ import annotations
 from functools import cached_property
 
 from repro.errors import RankingError
+from repro.graph import csr
 from repro.graph.digraph import Graph
 from repro.patterns.pattern import Pattern
 from repro.simulation.candidates import CandidateSets, compute_candidates
 from repro.simulation.match import SimulationResult, maximal_simulation
-from repro.simulation.relevant import relevant_sets
+from repro.simulation.relevant import Evaluation, build_evaluation, relevant_sets
 
 
 class RankingContext:
-    """Inputs and cached derived data for ranking matches of ``uo``."""
+    """Inputs and cached derived data for ranking matches of ``uo``.
+
+    ``optimized`` selects the CSR arm of the simulation and of the
+    evaluation.  ``evaluation`` supplies the output node's evaluation
+    over ``simulation``; otherwise it is built on first use.
+    """
 
     def __init__(
         self,
@@ -29,15 +38,19 @@ class RankingContext:
         simulation: SimulationResult | None = None,
         query_node: int | None = None,
         optimized: bool = True,
+        evaluation: Evaluation | None = None,
     ) -> None:
         self.pattern = pattern
         self.graph = graph
+        self.optimized = optimized
         self.simulation = (
             simulation
             if simulation is not None
             else maximal_simulation(pattern, graph, optimized=optimized)
         )
         self.query_node = query_node if query_node is not None else pattern.output_node
+        if evaluation is not None:
+            self.evaluation = evaluation
 
     @property
     def candidates(self) -> CandidateSets:
@@ -49,10 +62,17 @@ class RankingContext:
         return sorted(self.simulation.matches_of(self.query_node))
 
     @cached_property
-    def relevant(self) -> dict[int, frozenset[int]]:
+    def evaluation(self) -> Evaluation:
+        """The pair graph, condensation and relevant-set memo of ``uo``."""
+        return build_evaluation(
+            self.pattern, self.graph, self.simulation.sim, self.query_node, self.optimized
+        )
+
+    @cached_property
+    def relevant(self) -> dict[int, csr.FrozenBitset]:
         """``R(uo, v)`` per match ``v``."""
         return relevant_sets(
-            self.pattern, self.graph, self.simulation.sim, self.query_node
+            self.pattern, self.graph, self.simulation.sim, self.query_node, self.evaluation
         )
 
     @cached_property

@@ -19,6 +19,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import AbstractSet
 
+from repro.graph.csr import FrozenBitset
 from repro.ranking.context import RankingContext
 
 
@@ -46,7 +47,21 @@ class DistanceFunction(ABC):
 
 
 def jaccard_distance(rset1: AbstractSet[int], rset2: AbstractSet[int]) -> float:
-    """``1 - |A ∩ B| / |A ∪ B|``; two empty sets are at distance 0."""
+    """``1 - |A ∩ B| / |A ∪ B|``; two empty sets are at distance 0.
+
+    Two :class:`~repro.graph.csr.FrozenBitset` views over one interner
+    take the popcounts of their masks' AND and OR.
+    """
+    if (
+        type(rset1) is FrozenBitset
+        and type(rset2) is FrozenBitset
+        and rset1.interner is rset2.interner
+    ):
+        a, b = rset1.mask, rset2.mask
+        union = (a | b).bit_count()
+        if not union:
+            return 0.0
+        return 1.0 - (a & b).bit_count() / union
     if not rset1 and not rset2:
         return 0.0
     intersection = len(rset1 & rset2)

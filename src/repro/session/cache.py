@@ -9,13 +9,13 @@ yet pure in ``(pattern structure, graph state, representation arm)``:
 * **candidate sets** — ``can(u)`` per pattern search-condition row;
 * **simulation** — the maximal-simulation fixpoint, shared by every
   query kind and every output node of a pattern;
-* **evaluations** (the ``paircsr`` store) — the top-k engine's
-  match-pair condensation with its bounds and its growing relevant-set
-  memo, one per pattern and output node, so every top-k, multi-output
-  and TopKDH query of the pattern shares one build;
-* **ranking contexts** — full-evaluation :class:`RankingContext`
-  objects (relevant sets included) serving ``Match`` / ``TopKDiv``
-  style queries and :class:`MatchView` ranking.
+* **evaluations** (the ``paircsr`` store) — the match-pair
+  condensation with its bounds and its growing relevant-set memo, one
+  per pattern and output node, so every top-k, multi-output, TopKDH,
+  ``Match`` and ``TopKDiv`` query of the pattern shares one build;
+* **ranking contexts** — :class:`RankingContext` objects over the
+  simulation and the evaluation, serving ``Match`` / ``TopKDiv``
+  style queries.
 
 Artifacts are keyed structurally — label row, edge list, predicate
 objects — so two equal patterns share, and separately per
@@ -56,10 +56,10 @@ from repro.simulation.candidates import (
     compute_candidates,
 )
 from repro.simulation.match import SimulationResult, maximal_simulation
+from repro.simulation.relevant import Evaluation, build_evaluation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.delta import DeltaOp
-    from repro.topk.engine import Evaluation
 
 #: Pending-op accumulation cap for selective mode.  A delta longer than
 #: this has almost certainly touched every label anyway; the next
@@ -155,7 +155,7 @@ class SessionCache:
         self._buckets: dict[tuple, list[int]] = {}
         self._candidates: dict[tuple, CandidateSets] = {}
         self._sim: dict[tuple, SimulationResult] = {}
-        self._pair_csr: dict[tuple, "Evaluation"] = {}
+        self._pair_csr: dict[tuple, Evaluation] = {}
         self._contexts: dict[tuple, RankingContext] = {}
         self._results: dict[tuple, object] = {}
         self._unsubscribe = graph.add_listener(self._on_mutation)
@@ -464,14 +464,14 @@ class SessionCache:
         pattern: Pattern,
         use_csr: bool,
         output_node: int,
-        build: Callable[[], "Evaluation"],
-    ) -> tuple["Evaluation", bool]:
-        """The top-k evaluation of ``pattern`` at ``output_node``.
+        simulation: SimulationResult,
+    ) -> tuple[Evaluation, bool]:
+        """The evaluation of ``pattern`` at ``output_node``.
 
         Keyed on the pattern structure and the output node, so every
-        top-k, multi-output and TopKDH query of a pattern shares one
-        build and its relevant-set memo.  Callers must only consult this
-        when their simulation came from this cache.
+        top-k, multi-output, TopKDH, ``Match`` and ``TopKDiv`` query of
+        a pattern shares one build and its relevant-set memo.
+        ``simulation`` must be this cache's simulation of ``pattern``.
         """
         key = ("paircsr", pattern_structure_key(pattern), use_csr, output_node)
         cached = self._pair_csr.get(key)
@@ -482,17 +482,18 @@ class SessionCache:
         self.stats.paircsr_builds += 1
         self._observe("pair_csr", "build")
         with trace("cache.build", artifact="pair_csr"):
-            built = build()
+            built = build_evaluation(
+                pattern, self.graph, simulation.sim, output_node, use_csr
+            )
         self._pair_csr[key] = built
         return built, False
 
     def ranking_context(self, pattern: Pattern, use_csr: bool) -> RankingContext:
-        """A full-evaluation :class:`RankingContext` (relevant sets et al).
+        """A :class:`RankingContext` over the session's evaluation.
 
-        Serves the find-all-then-rank family (``Match``, ``TopKDiv``):
-        the context's lazily-computed relevant sets persist across the
-        batch, so repeated baseline/approx queries over one pattern pay
-        the evaluation once.
+        Serves the find-all-then-rank family (``Match``, ``TopKDiv``).
+        Its relevant sets are views of the :meth:`pair_csr` evaluation
+        the top-k queries of the pattern use, memo included.
         """
         key = ("ctx", pattern_structure_key(pattern), use_csr, pattern.output_node)
         cached = self._contexts.get(key)
@@ -504,7 +505,14 @@ class SessionCache:
         self._observe("ranking_context", "build")
         with trace("cache.build", artifact="ranking_context"):
             result, _ = self.simulation(pattern, use_csr)
-            context = RankingContext(pattern, self.graph, simulation=result)
+            evaluation = None
+            if result.total:
+                evaluation, _ = self.pair_csr(
+                    pattern, use_csr, pattern.output_node, result
+                )
+            context = RankingContext(
+                pattern, self.graph, result, optimized=use_csr, evaluation=evaluation
+            )
         self._contexts[key] = context
         return context
 

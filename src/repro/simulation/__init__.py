@@ -1,4 +1,4 @@
-"""Graph simulation, candidate sets, match-pair graphs and relevant sets."""
+"""Graph simulation, candidate sets and relevant sets."""
 
 from repro.simulation.candidates import (
     WILDCARD_LABEL,
@@ -12,28 +12,22 @@ from repro.simulation.match import (
     maximal_simulation,
     naive_simulation,
 )
-from repro.simulation.pair_graph import PairGraph, build_pair_graph, pair_subgraph_nodes
 from repro.simulation.relevant import (
     induced_result_graph,
     relevance_values,
     relevant_sets,
-    relevant_sets_for_pairs,
 )
 
 __all__ = [
     "CandidateSets",
-    "PairGraph",
     "SimulationResult",
     "WILDCARD_LABEL",
-    "build_pair_graph",
     "candidate_statistics",
     "compute_candidates",
     "induced_result_graph",
     "matches",
     "maximal_simulation",
     "naive_simulation",
-    "pair_subgraph_nodes",
     "relevance_values",
     "relevant_sets",
-    "relevant_sets_for_pairs",
 ]

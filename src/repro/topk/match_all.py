@@ -5,7 +5,7 @@ Given ``Q`` with output node ``uo``, ``G`` and ``k``:
 1. compute the whole of ``M(Q, G)`` with the simulation fixpoint of
    [11, 18];
 2. compute ``δr`` for every match of ``uo`` (via relevant sets on the
-   match-pair graph);
+   match-pair graph, :mod:`repro.simulation.relevant`);
 3. sort and take the k most relevant matches.
 
 ``O((|Q| + |V|)(|V| + |E|))`` time, no early termination — this is the
@@ -29,7 +29,6 @@ from repro.ranking.relevance import (
     top_k_by_relevance,
 )
 from repro.session.config import ExecutionConfig
-from repro.simulation.match import maximal_simulation
 from repro.topk.result import EngineStats, TopKResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,8 +51,9 @@ def match_baseline(
     diversified baseline does this to avoid recomputing ``M(Q, G)``).
     ``optimized=False`` forces the dict-of-sets reference simulation;
     ``config=`` carries the same choice session-style (its resolved
-    ``use_csr`` selects the simulation path), and ``cache`` serves the
-    evaluation from a session's shared :class:`RankingContext` store.
+    ``use_csr`` selects the simulation and pair-graph path), and
+    ``cache`` serves the context from a session, over the evaluation
+    its top-k queries share.
     """
     if k < 1:
         raise MatchingError(f"k must be positive; got {k}")
@@ -68,10 +68,7 @@ def match_baseline(
             if cache is not None:
                 context = cache.ranking_context(pattern, bool(optimized))
             else:
-                simulation = maximal_simulation(
-                    pattern, graph, optimized=optimized
-                )
-                context = RankingContext(pattern, graph, simulation)
+                context = RankingContext(pattern, graph, optimized=optimized)
         stats = EngineStats()
         if not context.simulation.total:
             stats.elapsed_seconds = time.perf_counter() - started

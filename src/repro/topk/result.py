@@ -42,7 +42,7 @@ class EngineStats:
         Simulation fixpoint served from a session cache versus computed
         by this run.
     paircsr_hits / paircsr_builds:
-        The engine's evaluation (pair graph, condensation, bounds and
+        The evaluation (pair graph, condensation, bounds and
         relevant-set memo) served from a session cache versus built.
     elapsed_seconds:
         Wall-clock runtime of the algorithm body.

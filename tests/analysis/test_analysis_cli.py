@@ -47,13 +47,6 @@ SEEDED = {
                     batch.run()
         """,
     ),
-    "R4": (
-        "repro/session/peek.py",
-        """
-        def peek(engine):
-            return engine._pending_bits
-        """,
-    ),
     "R5": ("repro/util.py", MUTABLE_DEFAULT),
     "R7": (
         "repro/graph/csr.py",

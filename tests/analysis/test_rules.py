@@ -433,58 +433,6 @@ class TestR3ObsNoOp:
 
 
 # ----------------------------------------------------------------------
-# R4 — engine-private buffers stay inside repro/topk/
-# ----------------------------------------------------------------------
-
-
-class TestR4Encapsulation:
-    def test_foreign_buffer_access_flagged(self, tmp_path):
-        report = check(
-            tmp_path,
-            {
-                "src/repro/session/peek.py": """
-                    def relevant_count(engine, pid):
-                        return engine._g_card[engine._g_bits[pid]]
-                """
-            },
-            "R4",
-        )
-        details = sorted(f.detail for f in report.new)
-        assert details == ["private-buffer:_g_bits", "private-buffer:_g_card"]
-
-    def test_own_self_attribute_of_same_name_clean(self, tmp_path):
-        # The session cache legitimately owns its *own* _pair_csr store.
-        report = check(
-            tmp_path,
-            {
-                "src/repro/session/cachelike.py": """
-                    class PairStore:
-                        def __init__(self):
-                            self._pair_csr = {}
-
-                        def get(self, key):
-                            return self._pair_csr.get(key)
-                """
-            },
-            "R4",
-        )
-        assert report.new == []
-
-    def test_engine_package_itself_exempt(self, tmp_path):
-        report = check(
-            tmp_path,
-            {
-                "src/repro/topk/selection.py": """
-                    def peek(engine, pid):
-                        return engine._pending_bits[pid]
-                """
-            },
-            "R4",
-        )
-        assert report.new == []
-
-
-# ----------------------------------------------------------------------
 # R5 — mutable defaults and frozen-dataclass mutation
 # ----------------------------------------------------------------------
 

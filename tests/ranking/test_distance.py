@@ -1,5 +1,9 @@
 """Tests for the Jaccard distance and pairwise helpers."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.graph.csr import FrozenBitset, NodeInterner
 from repro.ranking.context import RankingContext
 from repro.ranking.distance import (
     JaccardDistance,
@@ -24,6 +28,24 @@ class TestJaccard:
 
     def test_partial_overlap(self):
         assert abs(jaccard_distance({1, 2, 3}, {3, 4}) - 0.75) < 1e-12
+
+    @given(
+        universe=st.sets(st.integers(0, 200), max_size=60),
+        picks=st.lists(st.booleans(), min_size=120, max_size=120),
+    )
+    def test_bitsets_give_the_frozenset_float(self, universe, picks):
+        # Same-interner views take the mask popcounts; the float must be
+        # the one the frozenset path computes, bit for bit.
+        interner = NodeInterner(universe)
+        nodes = interner.node_of
+        a = frozenset(v for v, pick in zip(nodes, picks) if pick)
+        b = frozenset(v for v, pick in zip(nodes, picks[60:]) if pick)
+
+        def view(members):
+            return FrozenBitset(sum(1 << interner.bit_of[v] for v in members), interner)
+
+        assert view(a) == a and view(b) == b
+        assert jaccard_distance(view(a), view(b)) == jaccard_distance(a, b)
 
 
 class TestPairwise:

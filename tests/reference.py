@@ -3,14 +3,16 @@
 No fast paths: the maximal simulation comes from ``naive_simulation``
 (repeated full scans), ``R(uo, v)`` from a breadth-first search over the
 match-pair graph from ``(uo, v)`` through at least one edge (Section
-3.1), and the optimum from sorting.  The library's engines are checked
-against it, never against each other.
+3.1), the optimum from sorting, and the diversified optimum from
+enumerating every k-set (Section 3.3).  The library's engines are
+checked against it, never against each other.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import combinations
 
 from repro.graph.digraph import Graph
 from repro.patterns.pattern import Pattern
@@ -54,6 +56,43 @@ def relevant_set(
 def optimum(values: dict[int, float], k: int) -> float:
     """The largest relevance sum over k matches (Prop. 3's target)."""
     return sum(sorted(values.values(), reverse=True)[:k])
+
+
+def normalisation(pattern: Pattern, graph: Graph, u: int) -> int:
+    """``C_u``: the candidates, by label, of the query nodes ``u`` reaches.
+
+    Planted instances carry no predicates, so ``can(u')`` is the set of
+    data nodes labelled like ``u'``.
+    """
+    return sum(
+        sum(1 for v in graph.nodes() if graph.label(v) == pattern.label(w))
+        for w in reachable_query_nodes(pattern, u)
+    )
+
+
+def objective(
+    rsets: dict[int, frozenset[int]], members: tuple[int, ...], k: int, lam: float, c: int
+) -> float:
+    """``F(S)`` (Section 3.3): ``δ'r = |R| / C_uo`` and Jaccard ``δd``."""
+    relevance = sum(len(rsets[v]) / c for v in members) if c else 0.0
+    diversity = 0.0
+    for a, b in combinations(members, 2):
+        union = rsets[a] | rsets[b]
+        if union:
+            diversity += 1.0 - len(rsets[a] & rsets[b]) / len(union)
+    scale = 2.0 * lam / (k - 1) if k > 1 else 0.0
+    return (1.0 - lam) * relevance + scale * diversity
+
+
+def diversified_optimum(
+    rsets: dict[int, frozenset[int]], k: int, lam: float, c: int
+) -> float:
+    """``F(S*)``: the best ``F`` over every ``min(k, |Mu|)``-set of matches."""
+    size = min(k, len(rsets))
+    return max(
+        objective(rsets, members, k, lam, c)
+        for members in combinations(sorted(rsets), size)
+    )
 
 
 def planted_instance(

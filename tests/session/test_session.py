@@ -163,6 +163,22 @@ class TestCacheSharing:
         assert stats["paircsr_builds"] == 1
         assert stats["paircsr_hits"] == 2
 
+    def test_match_topkdiv_and_topk_share_one_evaluation(self, graph, cyclic_pattern_):
+        specs = [
+            QuerySpec(cyclic_pattern_, k=3, mode="baseline"),
+            QuerySpec(cyclic_pattern_, k=3, mode="diversified", method="approx"),
+            QuerySpec(cyclic_pattern_, k=3),
+        ]
+        with MatchSession(graph) as session:
+            baseline, approx, topk = session.run_batch(specs)
+            stats = session.cache_stats()
+        assert stats["paircsr_builds"] == 1
+        assert stats["paircsr_hits"] >= 1
+        assert topk.scores == baseline.scores
+        assert approx.matches == api.diversified_matches(
+            cyclic_pattern_, graph, 3, method="approx"
+        ).matches
+
     def test_structurally_equal_patterns_share(self, graph, dag_pattern):
         twin = copy.deepcopy(dag_pattern)
         with MatchSession(graph) as session:

@@ -1,45 +1,62 @@
-"""Tests for the match-pair graph."""
+"""Tests for the match-pair graph behind an :class:`Evaluation`."""
 
+from repro.graph import csr
+from repro.graph.algorithms import descendants
 from repro.simulation.match import maximal_simulation
-from repro.simulation.pair_graph import build_pair_graph, pair_subgraph_nodes
+from repro.simulation.relevant import build_evaluation
+
+
+def evaluations(fig1, uo):
+    """The evaluation of ``uo`` on both adjacency arms."""
+    result = maximal_simulation(fig1.pattern, fig1.graph)
+    return result, [
+        build_evaluation(fig1.pattern, fig1.graph, result.sim, uo, use_csr)
+        for use_csr in (True, False)
+    ]
+
+
+def relevant(evaluation, v):
+    pid = evaluation.matches.index(v)
+    mask = evaluation.relevant(evaluation.out_comp[pid])
+    return csr.FrozenBitset(mask, evaluation.interner)
 
 
 class TestPairGraph:
     def test_nodes_are_match_pairs(self, fig1):
-        result = maximal_simulation(fig1.pattern, fig1.graph)
-        pg = build_pair_graph(fig1.pattern, fig1.graph, result.sim)
-        assert pg.num_pairs == 15
+        # PM reaches every query node: one pair per match pair.
+        _, both = evaluations(fig1, 0)
+        assert [evaluation.num_pairs for evaluation in both] == [15, 15]
 
     def test_edges_follow_both_graphs(self, fig1):
-        result = maximal_simulation(fig1.pattern, fig1.graph)
-        pg = build_pair_graph(fig1.pattern, fig1.graph, result.sim)
-        for pair_node in range(pg.num_pairs):
-            u, v = pg.pair_of(pair_node)
-            for child in pg.successors(pair_node):
-                u2, v2 = pg.pair_of(child)
-                assert fig1.pattern.has_edge(u, u2)
-                assert fig1.graph.has_edge(v, v2)
+        # R(PM, v) holds matches of the query nodes PM reaches that v
+        # reaches in G, and both arms agree on it.
+        result, (flat, walked) = evaluations(fig1, 0)
+        reachable = set()
+        for u in fig1.pattern.analysis.reachable_from(0):
+            reachable |= result.sim[u]
+        for v in flat.matches:
+            rset = relevant(flat, v)
+            assert set(rset) <= reachable & descendants(fig1.graph, v)
+            assert set(relevant(walked, v)) == set(rset)
 
     def test_restriction_to_query_nodes(self, fig1):
-        result = maximal_simulation(fig1.pattern, fig1.graph)
         st = fig1.query_nodes["ST"]
-        pg = build_pair_graph(fig1.pattern, fig1.graph, result.sim, [st])
-        assert pg.num_pairs == 4
-        assert all(pg.pair_of(i)[0] == st for i in range(pg.num_pairs))
+        result, both = evaluations(fig1, st)
+        for evaluation in both:
+            assert evaluation.num_pairs == 4
+            assert evaluation.matches == sorted(result.sim[st])
+            assert all(not relevant(evaluation, v) for v in evaluation.matches)
 
     def test_id_lookup(self, fig1):
-        result = maximal_simulation(fig1.pattern, fig1.graph)
-        pg = build_pair_graph(fig1.pattern, fig1.graph, result.sim)
+        result, (evaluation, _) = evaluations(fig1, 0)
+        assert evaluation.matches == sorted(result.sim[0])
         pm2 = fig1.node("PM2")
-        pid = pg.id_of(0, pm2)
-        assert pg.pair_of(pid) == (0, pm2)
-        assert pg.data_node(pid) == pm2
-        assert pg.id_of(0, fig1.node("ST1")) is None
+        pid = evaluation.matches.index(pm2)
+        assert evaluation.out_bound[pid] >= len(relevant(evaluation, pm2))
+        assert fig1.node("ST1") not in evaluation.matches
 
     def test_reachable_pair_nodes(self, fig1):
-        result = maximal_simulation(fig1.pattern, fig1.graph)
-        pg = build_pair_graph(fig1.pattern, fig1.graph, result.sim)
-        root = pg.id_of(0, fig1.node("PM1"))
-        reachable = pair_subgraph_nodes(pg, [root])
-        names = {fig1.names([pg.data_node(p)]).pop() for p in reachable}
+        _, (evaluation, _) = evaluations(fig1, 0)
+        pm1 = fig1.node("PM1")
+        names = set(fig1.names({pm1} | set(relevant(evaluation, pm1))))
         assert names == {"PM1", "DB1", "PRG1", "ST1", "ST2"}

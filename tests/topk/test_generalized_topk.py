@@ -13,7 +13,7 @@ from repro.simulation.match import maximal_simulation
 from repro.topk.cyclic import top_k
 from repro.topk.match_all import match_baseline
 
-from tests.conftest import make_random_graph, make_random_pattern
+from tests.reference import planted_instance
 
 FUNCTIONS = [PreferentialAttachment, CommonNeighbours, JaccardCoefficient]
 
@@ -45,11 +45,11 @@ class TestGeneralizedOnRandomGraphs:
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("make_fn", FUNCTIONS)
     def test_engine_matches_oracle(self, seed, make_fn):
-        g = make_random_graph(seed, num_nodes=16, num_edges=34)
-        q = make_random_pattern(seed + 41, num_nodes=3, extra_edges=1, cyclic=seed % 2 == 0)
+        g, q = planted_instance(
+            seed + 41, cyclic=seed % 2 == 0, pattern_nodes=3, graph_nodes=16, noise_edges=30
+        )
         result = maximal_simulation(q, g)
-        if not result.total:
-            pytest.skip("instance has no match")
+        assert result.total
         ctx = RankingContext(q, g, result)
         fn = make_fn()
         oracle = match_baseline(q, g, 2, relevance_fn=make_fn())

@@ -1,11 +1,13 @@
-"""Oracle tests: every top-k engine variant meets Proposition 3.
+"""Oracle tests: every reader of the evaluation meets the definitions.
 
 Instances match by construction (``tests.reference.planted_instance``),
-so no case is vacuous.  On each, every variant must return
-``min(k, |Mu|)`` matches whose reference relevance sums to the optimum,
-and report each match's exact reference relevance as its score.  The
-reference has no fast paths: naive simulation, BFS relevant sets,
-sorting.
+so no case is vacuous.  On each, every top-k variant and ``Match`` must
+return ``min(k, |Mu|)`` matches whose reference relevance sums to the
+optimum (Proposition 3), and report each match's exact reference
+relevance as its score; ``relevant_sets`` must equal the reference
+sets; ``TopKDiv`` must reach half the diversified optimum (Theorem 5).
+The reference has no fast paths: naive simulation, BFS relevant sets,
+sorting, enumeration.
 """
 
 import copy
@@ -13,29 +15,38 @@ import copy
 import pytest
 
 from repro import api
+from repro.diversify.approx import top_k_diversified_approx
 from repro.ranking.generalized import PreferentialAttachment
 from repro.ranking.relevance import CardinalityRelevance
+from repro.session import MatchSession
+from repro.simulation.match import maximal_simulation
+from repro.simulation.relevant import build_evaluation, relevant_sets
 from repro.topk.cyclic import top_k
 from repro.topk.dag import top_k_dag
+from repro.topk.match_all import match_baseline
 
 from tests import reference
 
 SEEDS = range(25)
 KS = ["1", "3", "all"]
 FUNCTIONS = [CardinalityRelevance, PreferentialAttachment]
+#: The 50 planted instances: ``(seed, cyclic)``.
+INSTANCES = [(seed, True) for seed in SEEDS] + [(seed + 1000, False) for seed in SEEDS]
+
+
+def reference_sets(pattern, graph, node=0):
+    """Reference ``R(node, v)`` of every match ``v`` of ``node``."""
+    sim = reference.simulation(pattern, graph)
+    assert sim is not None, "planted instances always match"
+    return {v: reference.relevant_set(pattern, graph, sim, node, v) for v in sim[node]}
 
 
 def reference_values(pattern, graph, node, fn):
     """Reference relevance of every match of ``node`` under ``fn``."""
-    sim = reference.simulation(pattern, graph)
-    assert sim is not None, "planted instances always match"
     weight = 1
     if fn is PreferentialAttachment:
         weight = len(reference.reachable_query_nodes(pattern, node))
-    return {
-        v: float(weight * len(reference.relevant_set(pattern, graph, sim, node, v)))
-        for v in sim[node]
-    }
+    return {v: float(weight * len(r)) for v, r in reference_sets(pattern, graph, node).items()}
 
 
 def resolve_k(kind, values):
@@ -100,3 +111,51 @@ class TestDagPatterns:
 def test_cyclic_instances_exercise_pattern_cycles():
     cyclic = [not reference.planted_instance(seed, cyclic=True)[1].is_dag() for seed in SEEDS]
     assert all(cyclic)
+
+
+def instance_id(instance):
+    seed, cyclic = instance
+    return f"{'cyclic' if cyclic else 'dag'}-{seed}"
+
+
+@pytest.mark.parametrize("instance", INSTANCES, ids=instance_id)
+class TestEvaluationReaders:
+    def test_relevant_sets(self, instance):
+        graph, pattern = reference.planted_instance(*instance)
+        simulation = maximal_simulation(pattern, graph)
+        for node in pattern.nodes():
+            expected = reference_sets(pattern, graph, node)
+            walked = build_evaluation(pattern, graph, simulation.sim, node, use_csr=False)
+            assert relevant_sets(pattern, graph, simulation.sim, node) == expected
+            assert relevant_sets(pattern, graph, simulation.sim, node, walked) == expected
+
+    def test_match_baseline(self, instance):
+        graph, pattern = reference.planted_instance(*instance)
+        for fn in FUNCTIONS:
+            values = reference_values(pattern, graph, 0, fn)
+            for kind in KS:
+                k = resolve_k(kind, values)
+                check(match_baseline(pattern, graph, k, relevance_fn=fn()), values, k)
+                check(
+                    match_baseline(pattern, graph, k, relevance_fn=fn(), optimized=False),
+                    values, k,
+                )
+                with MatchSession(graph) as session:
+                    check(session.baseline(pattern, k, relevance_fn=fn()), values, k)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_topkdiv_is_a_2_approximation(self, instance, k):
+        graph, pattern = reference.planted_instance(*instance)
+        rsets = reference_sets(pattern, graph)
+        c = reference.normalisation(pattern, graph, 0)
+        for lam in (0.0, 0.5, 1.0):
+            best = reference.diversified_optimum(rsets, k, lam, c)
+            one_shot = top_k_diversified_approx(pattern, graph, k, lam=lam)
+            with MatchSession(graph) as session:
+                served = session.diversified(pattern, k, lam=lam, method="approx")
+            assert served.matches == one_shot.matches
+            members = tuple(one_shot.matches)
+            assert len(members) == len(set(members)) == min(k, len(rsets))
+            value = reference.objective(rsets, members, k, lam, c)
+            assert one_shot.objective_value == pytest.approx(value, abs=1e-12)
+            assert value >= best / 2 - 1e-12
