@@ -50,7 +50,6 @@ from pathlib import Path
 
 from repro.bench.harness import run_algorithm
 from repro.bench.workloads import BENCH_SCALE, bench_graph, bench_pattern
-from repro.graph import csr
 from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
 
 #: Fig 5(d): the cyclic engine-time figure the ISSUE's acceptance
@@ -204,10 +203,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", metavar="PATH",
                         help="also write the result dict as JSON to PATH")
     args = parser.parse_args(argv)
-
-    if not csr.available():
-        print("numpy unavailable: CSR fast path cannot run")
-        return 1
 
     scale_factor = args.scale_factor
     rounds = args.rounds

@@ -55,7 +55,6 @@ import time
 from pathlib import Path
 
 from repro.bench.workloads import BENCH_SCALE, bench_graph, bench_pattern
-from repro.graph import csr
 from repro.parallel import available_cpus
 from repro.session import ExecutionConfig, MatchSession, QuerySpec
 
@@ -214,10 +213,6 @@ def main(argv=None):
     parser.add_argument("--json", metavar="PATH",
                         help="also write the result dict as JSON to PATH")
     args = parser.parse_args(argv)
-
-    if not csr.available():
-        print("numpy unavailable: CSR fast path cannot run")
-        return 1
 
     scale_factor = args.scale_factor
     rounds = args.rounds

@@ -50,7 +50,6 @@ from pathlib import Path
 
 from repro.bench.harness import peak_memory_bytes
 from repro.bench.workloads import BENCH_SCALE, bench_graph
-from repro.graph import csr
 from repro.session import ExecutionConfig, MatchSession
 
 from bench_session import WORKLOADS, build_batch
@@ -220,10 +219,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", metavar="PATH",
                         help="also write the result dict as JSON to PATH")
     args = parser.parse_args(argv)
-
-    if not csr.available():
-        print("numpy unavailable: CSR fast path cannot run")
-        return 1
 
     scale_factor = args.scale_factor
     rounds = args.rounds

@@ -24,8 +24,7 @@ the descendant indexes (:mod:`repro.index.invalidation`): any structural
 ``DeltaOp`` invalidates the snapshot, while attribute-only updates leave
 it warm (snapshots carry no attribute state).
 
-NumPy is the only backing considered; when it is unavailable the callers
-fall back to the dict-of-sets reference path (see ``available()``).
+NumPy backs every array; it is a declared dependency.
 """
 
 from __future__ import annotations
@@ -35,13 +34,10 @@ import threading
 from collections.abc import Set as _AbstractSet
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.graph.delta import ADD_NODE, REMOVE_EDGE, REMOVE_NODE, SET_ATTRS, DeltaOp
 from repro.obs import current_metrics
-
-try:  # pragma: no cover - numpy is part of the supported environment
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None  # type: ignore[assignment]
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.digraph import Graph
@@ -71,11 +67,6 @@ PATCHER_EXTENSION_KEY = "csr:snapshot-patcher"
 _token_counter = itertools.count(1)
 
 
-def available() -> bool:
-    """True when the array backend (numpy) is importable."""
-    return np is not None
-
-
 class CSRSnapshot:
     """A frozen, array-backed view of one graph state.
 
@@ -100,10 +91,7 @@ class CSRSnapshot:
         "label_offsets",
         "label_nodes",
         "token",
-        "_out_lists",
         "_in_lists",
-        "_out_adjacency",
-        "_in_adjacency",
         "_cum_scratch",
         "_shard_cache",
         "_shard_lock",
@@ -121,10 +109,7 @@ class CSRSnapshot:
     #: — is unpicklable by construction and rebuilt per process.)
     _TRANSIENT_SLOTS = (
         "token",
-        "_out_lists",
         "_in_lists",
-        "_out_adjacency",
-        "_in_adjacency",
         "_cum_scratch",
         "_shard_cache",
         "_shard_lock",
@@ -134,10 +119,7 @@ class CSRSnapshot:
     def __init__(self) -> None:
         # Populated by build(); kept assignable for __slots__.
         self.token: int = next(_token_counter)
-        self._out_lists: tuple[list[int], list[int]] | None = None
         self._in_lists: tuple[list[int], list[int]] | None = None
-        self._out_adjacency: list[list[int]] | None = None
-        self._in_adjacency: list[list[int]] | None = None
         self._cum_scratch = None
         self._shard_cache: dict = {}
         self._shard_lock = threading.Lock()
@@ -174,8 +156,6 @@ class CSRSnapshot:
     @classmethod
     def build(cls, graph: "Graph") -> "CSRSnapshot":
         """Compile ``graph``'s current state into a snapshot."""
-        if np is None:  # pragma: no cover - guarded by available()
-            raise RuntimeError("CSR snapshots require numpy")
         snap = cls()
         n = graph.num_nodes
         out_adj = graph._out
@@ -237,6 +217,15 @@ class CSRSnapshot:
     def predecessors(self, node: int):
         """The in-neighbours of ``node`` as an ``int32`` array view."""
         return self.in_sources[self.in_offsets[node] : self.in_offsets[node + 1]]
+
+    def out_csr(self) -> tuple["np.ndarray", "np.ndarray"]:
+        """``(offsets, targets)``: the out-adjacency as one flat CSR.
+
+        ``targets[offsets[v]:offsets[v + 1]]`` equals ``successors(v)``
+        for every node, so one index expansion gathers the runs of many
+        nodes at once.  A flat snapshot returns its own arrays.
+        """
+        return self.out_offsets, self.out_targets
 
     def nodes_with_label_id(self, label_id: int):
         """Live nodes carrying ``label_id``, ascending, as an array view."""
@@ -340,15 +329,15 @@ class CSRSnapshot:
         length ``num_nodes + 1`` and ``targets`` keeps adjacency order.
         Restriction-based consumers (the bound index's match-restricted
         reachability) must build through here rather than slicing
-        ``out_targets`` directly: the overlay form overrides this so the
-        result excludes tombstoned base slots and includes appended
-        segments.
+        ``out_targets`` directly: it reads :meth:`out_csr`, which on the
+        overlay form excludes tombstoned base slots and includes
+        appended segments.
         """
-        r_targets = self.out_targets[allowed[self.out_targets].astype(bool)]
-        kept = self.out_counts(allowed)
-        r_offsets = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(kept, out=r_offsets[1:])
-        return r_offsets, r_targets
+        offsets, targets = self.out_csr()
+        keep = allowed[targets] != 0
+        cum = np.zeros(targets.size + 1, dtype=np.int64)
+        np.cumsum(keep, out=cum[1:])
+        return cum[offsets], targets[keep]
 
     # ------------------------------------------------------------------
     # node-range sharding
@@ -448,46 +437,18 @@ class CSRSnapshot:
         return slices
 
     # ------------------------------------------------------------------
-    # scalar-loop mirrors
+    # scalar-loop mirror
     # ------------------------------------------------------------------
-    def out_csr_lists(self) -> tuple[list[int], list[int]]:
-        """``(offsets, targets)`` as plain Python int lists (cached).
-
-        Scalar propagation loops iterate ``targets[offsets[v]:offsets[v+1]]``;
-        list slices of Python ints iterate several times faster than
-        numpy views in the interpreter.
-        """
-        if self._out_lists is None:
-            self._out_lists = (self.out_offsets.tolist(), self.out_targets.tolist())
-        return self._out_lists
-
     def in_csr_lists(self) -> tuple[list[int], list[int]]:
-        """``(offsets, sources)`` as plain Python int lists (cached)."""
+        """``(offsets, sources)`` as plain Python int lists (cached).
+
+        Scalar loops iterate ``sources[offsets[v]:offsets[v+1]]``; list
+        slices of Python ints iterate several times faster than numpy
+        views in the interpreter.
+        """
         if self._in_lists is None:
             self._in_lists = (self.in_offsets.tolist(), self.in_sources.tolist())
         return self._in_lists
-
-    def out_adjacency_lists(self) -> list[list[int]]:
-        """Per-node successor slices as plain int lists (cached).
-
-        Shared by every engine run on this snapshot — materialised once,
-        not per query.
-        """
-        if self._out_adjacency is None:
-            offsets, targets = self.out_csr_lists()
-            self._out_adjacency = [
-                targets[offsets[v] : offsets[v + 1]] for v in range(self.num_nodes)
-            ]
-        return self._out_adjacency
-
-    def in_adjacency_lists(self) -> list[list[int]]:
-        """Per-node predecessor slices as plain int lists (cached)."""
-        if self._in_adjacency is None:
-            offsets, sources = self.in_csr_lists()
-            self._in_adjacency = [
-                sources[offsets[v] : offsets[v + 1]] for v in range(self.num_nodes)
-            ]
-        return self._in_adjacency
 
     def __repr__(self) -> str:
         return (
@@ -521,8 +482,8 @@ class PatchedCSRSnapshot(CSRSnapshot):
       so bucket-keyed caches survive the patch.
 
     Every public accessor and bulk kernel reads through the overlay, so
-    downstream consumers (CSR-kernel scans, shard bounds, the top-k
-    engine's pair graph, the bound index's restricted CSR) are unchanged.
+    downstream consumers (CSR-kernel scans, shard bounds, the
+    evaluation's pair graph, the bound index's restricted CSR) are unchanged.
     """
 
     __slots__ = (
@@ -539,9 +500,14 @@ class PatchedCSRSnapshot(CSRSnapshot):
         "_node_ops",
         "_bucket_tokens",
         "num_ops",
+        "_out_csr",
     )
 
-    _TRANSIENT_SLOTS = CSRSnapshot._TRANSIENT_SLOTS
+    _TRANSIENT_SLOTS = CSRSnapshot._TRANSIENT_SLOTS + ("_out_csr",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._out_csr: tuple | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -559,8 +525,6 @@ class PatchedCSRSnapshot(CSRSnapshot):
         proportional to the delta plus one ``O(n)`` splice when node or
         label state changed — never ``O(m)``.
         """
-        if np is None:  # pragma: no cover - guarded by available()
-            raise RuntimeError("CSR snapshots require numpy")
         if isinstance(base, PatchedCSRSnapshot):
             raise ValueError(
                 "patch() requires a flat base snapshot; overlays do not stack "
@@ -892,73 +856,56 @@ class PatchedCSRSnapshot(CSRSnapshot):
             return base.in_sources[0:0]
         return np.concatenate(parts)
 
-    def restricted_out_csr(self, allowed) -> tuple:
-        base = self._base
-        base_n = base.num_nodes
-        kept = self.out_counts(allowed)
-        r_offsets = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(kept, out=r_offsets[1:])
+    # ------------------------------------------------------------------
+    # compacted forms
+    # ------------------------------------------------------------------
+    def _compacted(self, base_offsets, base_targets, dead, segments) -> tuple:
+        """One direction of the overlay as a flat ``(offsets, targets)`` CSR.
 
-        keep = allowed[base.out_targets].astype(bool)
-        if self._dead_src.size:
-            keep &= self._out_dead == 0
-        base_kept = base.out_targets[keep]
+        Each node's run is its surviving base run followed by its
+        segment, the order :meth:`successors` / :meth:`predecessors`
+        return.
+        """
+        base_n = self._base.num_nodes
+        keep = dead == 0
         cum = np.zeros(self._base_m + 1, dtype=np.int64)
         np.cumsum(keep, out=cum[1:])
-        bk_off = cum[base.out_offsets]
+        ends = cum[base_offsets]
+        kept = base_targets[keep]
+        counts = np.zeros(self.num_nodes, dtype=np.int64)
+        counts[:base_n] = np.diff(ends)
+        for v, seg in segments.items():
+            counts[v] += seg.size
+        offsets = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        if not segments:
+            return offsets, kept
+        parts = []
+        prev = 0
+        for v in sorted(segments):
+            end = int(ends[min(v + 1, base_n)])
+            parts.append(kept[prev:end])
+            parts.append(segments[v])
+            prev = end
+        parts.append(kept[prev:])
+        return offsets, np.concatenate(parts)
 
-        if not self._seg_out:
-            r_targets = base_kept
-        else:
-            parts = []
-            prev = 0
-            for v in sorted(self._seg_out):
-                end = int(bk_off[v + 1]) if v < base_n else int(bk_off[base_n])
-                parts.append(base_kept[prev:end])
-                prev = end
-                seg = self._seg_out[v]
-                parts.append(seg[allowed[seg] != 0])
-            parts.append(base_kept[prev:])
-            r_targets = np.concatenate(parts)
-        return r_offsets, r_targets
-
-    # ------------------------------------------------------------------
-    # overlay-aware scalar mirrors
-    # ------------------------------------------------------------------
-    def out_adjacency_lists(self) -> list[list[int]]:
-        if self._out_adjacency is None:
-            adj = list(self._base.out_adjacency_lists())
-            adj.extend([] for _ in range(self.num_nodes - self._base.num_nodes))
-            for v in np.nonzero(self._out_touched)[0].tolist():
-                adj[v] = self.successors(v).tolist()
-            self._out_adjacency = adj
-        return self._out_adjacency
-
-    def in_adjacency_lists(self) -> list[list[int]]:
-        if self._in_adjacency is None:
-            adj = list(self._base.in_adjacency_lists())
-            adj.extend([] for _ in range(self.num_nodes - self._base.num_nodes))
-            for v in np.nonzero(self._in_touched)[0].tolist():
-                adj[v] = self.predecessors(v).tolist()
-            self._in_adjacency = adj
-        return self._in_adjacency
-
-    def out_csr_lists(self) -> tuple[list[int], list[int]]:
-        if self._out_lists is None:
-            adj = self.out_adjacency_lists()
-            offsets = [0] * (self.num_nodes + 1)
-            for v, run in enumerate(adj):
-                offsets[v + 1] = offsets[v] + len(run)
-            self._out_lists = (offsets, [t for run in adj for t in run])
-        return self._out_lists
+    def out_csr(self) -> tuple["np.ndarray", "np.ndarray"]:
+        """The overlay's out-adjacency, compacted once and cached."""
+        if self._out_csr is None:
+            base = self._base
+            self._out_csr = self._compacted(
+                base.out_offsets, base.out_targets, self._out_dead, self._seg_out
+            )
+        return self._out_csr
 
     def in_csr_lists(self) -> tuple[list[int], list[int]]:
         if self._in_lists is None:
-            adj = self.in_adjacency_lists()
-            offsets = [0] * (self.num_nodes + 1)
-            for v, run in enumerate(adj):
-                offsets[v + 1] = offsets[v] + len(run)
-            self._in_lists = (offsets, [s for run in adj for s in run])
+            base = self._base
+            offsets, sources = self._compacted(
+                base.in_offsets, base.in_sources, self._in_dead, self._seg_in
+            )
+            self._in_lists = (offsets.tolist(), sources.tolist())
         return self._in_lists
 
     def __repr__(self) -> str:

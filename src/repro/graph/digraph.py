@@ -440,14 +440,10 @@ class Graph:
         paths scan instead of the mutable dict-of-lists adjacency.  The
         snapshot is cached in :attr:`derived` and dropped by the same
         invalidation that guards every other structural cache, so it is
-        always consistent with the graph.  Raises :class:`GraphError`
-        when the array backend (numpy) is unavailable; call
-        :func:`repro.graph.csr.available` to probe first.
+        always consistent with the graph.
         """
         from repro.graph import csr
 
-        if not csr.available():
-            raise GraphError("CSR snapshots require numpy; install it or use the dict path")
         return csr.snapshot_of(self)
 
     # ------------------------------------------------------------------

@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.graph import csr
 from repro.graph.digraph import Graph
 from repro.incremental.affected import (
     PatternLabelSignature,
@@ -371,7 +370,7 @@ class SessionCache:
         keys on ``None``, disjoint from every token.
         """
         graph = self.graph
-        snapshot = graph.snapshot() if use_csr and csr.available() else None
+        snapshot = graph.snapshot() if use_csr else None
 
         def base(label: str) -> list[int]:
             if snapshot is None:

@@ -30,8 +30,7 @@ class ExecutionConfig:
         seeded random order over the dict reference path.
     use_csr:
         CSR snapshot fast path.  ``None`` (default) follows
-        ``optimized``; forced ``True`` still degrades to the dict path
-        when numpy is unavailable.
+        ``optimized``.
     seed:
         RNG seed for the non-optimized random visiting order.
     trace:
@@ -122,14 +121,10 @@ class ExecutionConfig:
         """The config with ``use_csr`` made concrete.
 
         This is the single home of the defaulting chain: ``use_csr``
-        defaults to ``optimized`` and is gated on the array backend
-        actually being available.  Idempotent: resolving a resolved
+        defaults to ``optimized``.  Idempotent: resolving a resolved
         config returns it unchanged.
         """
-        from repro.graph import csr
-
         use = self.optimized if self.use_csr is None else bool(self.use_csr)
-        use = use and csr.available()
         if use == self.use_csr:
             return self
         return replace(self, use_csr=use)

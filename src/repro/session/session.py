@@ -197,13 +197,8 @@ class MatchSession:
         if resolved.snapshot_patching:
             # Delta-aware serving: small deltas patch the cached CSR
             # snapshot instead of recompiling it, and the cache drops
-            # only delta-affected artifacts on refresh.  Label-selective
-            # invalidation is representation-independent, so it stays on
-            # even when the array backend (and thus patching) is absent.
-            if csr.available():
-                csr.attach_snapshot_patching(
-                    graph, compact_ratio=resolved.compact_ratio
-                )
+            # only delta-affected artifacts on refresh.
+            csr.attach_snapshot_patching(graph, compact_ratio=resolved.compact_ratio)
             self.cache.selective = True
 
     # ------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.graph import csr
 from repro.graph.digraph import Graph
 from repro.patterns.pattern import Pattern
 
@@ -66,7 +65,7 @@ def compute_candidates(
     returned lists may be shared and must not be mutated.
     """
     if base_source is None:
-        snapshot = graph.snapshot() if optimized and csr.available() else None
+        snapshot = graph.snapshot() if optimized else None
     lists: list[list[int]] = []
     sets: list[set[int]] = []
     for u in pattern.nodes():

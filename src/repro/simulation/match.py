@@ -24,7 +24,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.graph import csr
 from repro.graph.digraph import Graph
 from repro.obs import current_metrics, trace
 from repro.patterns.pattern import Pattern
@@ -113,7 +112,7 @@ def maximal_simulation(
     if candidates is None:
         candidates = compute_candidates(pattern, graph, optimized=optimized)
 
-    if optimized and csr.available():
+    if optimized:
         from repro.simulation.csr_kernel import simulation_fixpoint_csr
 
         sim = simulation_fixpoint_csr(

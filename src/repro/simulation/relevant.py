@@ -16,17 +16,24 @@ The evaluation
 --------------
 Every reader of relevant sets (``Match``, ``TopK``/``TopKDAG``, TopKDH,
 TopKDiv and :class:`~repro.ranking.context.RankingContext`) goes through
-one :class:`Evaluation` per pattern and output node ``uo``.  It holds:
+one :class:`Evaluation` per pattern and output node ``uo``.  It is built
+by array passes over the match pairs of the query nodes ``uo`` reaches,
+``uo`` included (relevant sets never leave that region):
 
-* the match-pair graph over the simulation relation of the query nodes
-  ``uo`` reaches, ``uo`` included (relevant sets never leave that
-  region);
+* the pair graph: per query node, one gather of the out-slices of its
+  sorted matches, mapped to pair ids through one table per child query
+  node.  The CSR arm reads the snapshot's flat out-CSR
+  (:meth:`~repro.graph.csr.CSRSnapshot.out_csr`); the dict arm reads
+  ``graph.successors`` into the same arrays;
 * its condensation.  Pair-cycles only run inside nontrivial pattern
-  SCCs, so Tarjan runs over those pairs alone and every other pair is
-  its own component; DAG patterns never run it;
+  SCCs.  There, pairs without an in-edge or an out-edge are trimmed
+  until none is left, and Tarjan runs on the core that remains; every
+  other pair is its own component, so DAG patterns never run it.  One
+  sort drops the condensed self-edges and duplicate edges;
 * per component, its data nodes ``data(c)`` over a
   :class:`~repro.graph.csr.NodeInterner` of the reachable matches;
-* an upper bound per component, from one children-first pass::
+* an upper bound per component, computed level by level from the sinks
+  of the condensation, one pass over the edges per level::
 
       ub(c) = [c cyclic]·|data(c)| + Σ_{child d} (ub(d) + |data(d)|)
 
@@ -34,6 +41,7 @@ one :class:`Evaluation` per pattern and output node ``uo``.  It holds:
   ``R(c)`` is the union of each child's ``R(d) ∪ data(d)``, plus
   ``data(c)`` when ``c`` is cyclic.
 
+The condensation's children are one flat CSR of ``array('q')``.
 Relevant sets are packed into ints and computed on demand, by a
 memoised children-first walk.  A session shares one evaluation, memo
 included, across every query of the same pattern and output node.
@@ -41,7 +49,11 @@ included, across every query of the same pattern and output node.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from array import array
+from itertools import chain
+from typing import Sequence
+
+import numpy as np
 
 from repro.graph import csr
 from repro.graph.algorithms import strongly_connected_components
@@ -54,7 +66,8 @@ class Evaluation:
 
     ``matches`` lists ``Mu`` in ascending order; a match's *pid* is its
     index there.  ``out_comp[pid]`` is its component and ``out_bound[pid]``
-    the bound ``ub`` of that component.
+    the bound ``ub`` of that component.  ``snapshot`` is the graph's CSR
+    snapshot, or ``None`` to read adjacency from ``graph.successors``.
     """
 
     __slots__ = (
@@ -63,8 +76,8 @@ class Evaluation:
         "out_bound",
         "interner",
         "num_pairs",
+        "_child_offsets",
         "_children",
-        "_cyclic",
         "_bit",
         "_merged",
         "_contribution",
@@ -77,7 +90,7 @@ class Evaluation:
         graph: Graph,
         sim: Sequence[set[int]],
         uo: int,
-        successors: Callable[[int], Sequence[int]],
+        snapshot: csr.CSRSnapshot | None,
     ) -> None:
         analysis = pattern.analysis
         reach = analysis.reachable_from(uo)
@@ -94,157 +107,224 @@ class Evaluation:
             universe |= sim[u]
         self.interner = csr.NodeInterner(universe, graph.num_nodes)
 
-        # Pair ids: contiguous per query node, query nodes children first,
-        # so every pair-graph edge leads to a smaller id.
-        rows: dict[int, list[int]] = {}
-        pid_of: dict[int, list[int]] = {}
+        # Pair ids: contiguous per query node, query nodes children first.
+        rows: dict[int, np.ndarray] = {}
         first: dict[int, int] = {}
-        pair_v: list[int] = []
-        for _, members in blocks:
+        spans: list[tuple[int, int, int]] = []
+        num_pairs = 0
+        for index, members in blocks:
+            lo = num_pairs
             for u in members:
-                row = sorted(sim[u])
-                table = [-1] * graph.num_nodes
-                for pid, v in enumerate(row, len(pair_v)):
-                    table[v] = pid
-                rows[u], pid_of[u], first[u] = row, table, len(pair_v)
-                pair_v.extend(row)
-        self.num_pairs = len(pair_v)
-        kids: list[list[int]] = []
-        for _, members in blocks:
-            for u in members:
-                tables = [pid_of[child] for child in pattern.successors(u)]
-                for v in rows[u]:
-                    out = successors(v)
-                    kid: list[int] = []
-                    for table in tables:
-                        kid += [q for w in out if (q := table[w]) >= 0]
-                    kids.append(kid)
+                row = np.fromiter(sim[u], np.int64, len(sim[u]))
+                row.sort()
+                rows[u], first[u] = row, num_pairs
+                num_pairs += row.size
+            spans.append((index, lo, num_pairs))
+        self.num_pairs = num_pairs
+        src, children = _pair_edges(pattern, graph, snapshot, rows, first)
+        offsets = np.zeros(num_pairs + 1, np.int64)
+        np.cumsum(np.bincount(src, minlength=num_pairs), out=offsets[1:])
 
-        bit_of = self.interner.bit_of
-        self._bit = [bit_of[v] for v in pair_v]
-        self._cyclic = [False] * self.num_pairs
-        self._merged: dict[int, int] = {}
-        self._children = kids
-        comp_of: list[int] = list(range(self.num_pairs))
+        # Pair-cycles run only inside nontrivial pattern blocks.
+        cycles: list[list[int]] = []
         nontrivial = set(analysis.nontrivial_components())
-        if nontrivial.intersection(index for index, _ in blocks):
-            comp_of = self._condense(blocks, nontrivial, rows, pair_v)
+        for index, lo, hi in spans:
+            if index in nontrivial:
+                block = slice(offsets[lo], offsets[hi])
+                inside = (children[block] >= lo) & (children[block] < hi)
+                cycles += _pair_cycles(src[block][inside], children[block][inside], lo, hi)
 
-        # One children-first bound pass.
-        cap = len(self.interner)
-        size = [
-            1 if b >= 0 else self._merged[c].bit_count() if c in self._merged else 0
-            for c, b in enumerate(self._bit)
-        ]
-        ub = [0] * len(size)
-        for c, kid in enumerate(self._children):
-            total = size[c] if self._cyclic[c] else 0
-            for d in kid:
-                total += ub[d] + size[d]
-            ub[c] = total if total < cap else cap
+        # Data per component: one bit, or the mask of a cyclic component.
+        bit_of = np.full(graph.num_nodes, -1, np.int64)
+        bit_of[np.asarray(self.interner.node_of, np.int64)] = np.arange(len(self.interner))
+        bit = bit_of[np.concatenate(list(rows.values()))]
+        merged: dict[int, int] = {}
+        comp_of = np.arange(num_pairs)
+        if cycles:
+            comp_of, leads, offsets, children = _merge_cycles(cycles, src, children, num_pairs)
+            pair_bit = bit.tolist()
+            for cycle in cycles:
+                bits = {pair_bit[p] for p in cycle}
+                merged[int(comp_of[cycle[0]])] = sum(map((1).__lshift__, bits))
+            bit = bit[leads]
+            bit[list(merged)] = -1
+        own = np.zeros(bit.size, np.int64)
+        own[list(merged)] = [mask.bit_count() for mask in merged.values()]
+        ub = _bounds(offsets, children, (bit >= 0) + own, own, len(self.interner))
 
         start = first[uo]
-        self.matches = rows[uo]
-        self.out_comp = comp_of[start:start + len(self.matches)]
-        self.out_bound = [ub[c] for c in self.out_comp]
-        self._contribution: list[int | None] = [None] * len(size)
+        self.matches = rows[uo].tolist()
+        out = comp_of[start:start + len(self.matches)]
+        self.out_comp = out.tolist()
+        self.out_bound = ub[out].tolist()
+        self._child_offsets = array("q", offsets.tobytes())
+        self._children = array("q", children.astype(np.int64).tobytes())
+        self._bit = array("q", bit.tobytes())
+        self._merged = merged
+        self._contribution: list[int | None] = [None] * bit.size
         self._relevant: dict[int, int] = {}
-
-    def _condense(
-        self,
-        blocks: list[tuple[int, list[int]]],
-        nontrivial: set[int],
-        rows: dict[int, list[int]],
-        pair_v: list[int],
-    ) -> list[int]:
-        """Collapse pair-cycles into components; returns ``comp_of``.
-
-        Replaces the one-component-per-pair layout.  Component ids stay
-        children first: blocks in order, Tarjan order inside a block.
-        ``_bit`` is -1 for a merged component, whose data mask lives in
-        ``_merged``.
-        """
-        bit_of = self.interner.bit_of
-        kids = self._children
-        comp_of: list[int] = []
-        bit: list[int] = []
-        cyclic: list[bool] = []
-        lo = 0
-        for index, members in blocks:
-            hi = lo + sum(len(rows[u]) for u in members)
-            if index not in nontrivial:
-                comp_of.extend(range(len(bit), len(bit) + hi - lo))
-                bit.extend(bit_of[v] for v in pair_v[lo:hi])
-                cyclic.extend([False] * (hi - lo))
-                lo = hi
-                continue
-            local = [[q - lo for q in kids[p] if lo <= q < hi] for p in range(lo, hi)]
-            comp_of.extend([0] * (hi - lo))
-            for scc in strongly_connected_components(hi - lo, local.__getitem__):
-                c = len(bit)
-                for i in scc:
-                    comp_of[lo + i] = c
-                if len(scc) == 1 and scc[0] not in local[scc[0]]:
-                    bit.append(bit_of[pair_v[lo + scc[0]]])
-                    cyclic.append(False)
-                    continue
-                mask = 0
-                for i in scc:
-                    mask |= 1 << bit_of[pair_v[lo + i]]
-                self._merged[c] = mask
-                bit.append(-1)
-                cyclic.append(True)
-            lo = hi
-        children: list[list[int]] = [[] for _ in bit]
-        comp_of_pair = comp_of.__getitem__
-        for p, kid in enumerate(kids):
-            if kid:
-                children[comp_of[p]] += map(comp_of_pair, kid)
-        for c, kid in enumerate(children):
-            if len(kid) > 1 or kid and kid[0] == c:
-                distinct = set(kid)
-                distinct.discard(c)
-                children[c] = list(distinct)
-        self._children, self._bit, self._cyclic = children, bit, cyclic
-        return comp_of
-
-    def _own(self, comp: int) -> int:
-        """``data(comp)`` as a mask."""
-        b = self._bit[comp]
-        if b >= 0:
-            return 1 << b
-        return self._merged.get(comp, 0)
 
     def relevant(self, comp: int) -> int:
         """``R(comp)`` as a mask over :attr:`interner`."""
         mask = self._relevant.get(comp)
         if mask is not None:
             return mask
-        children, memo = self._children, self._contribution
-        # Children-first walk filling ``R(d) ∪ data(d)`` for every
-        # component below ``comp``.
-        stack = [d for d in children[comp] if memo[d] is None]
+        offsets, children = self._child_offsets, self._children
+        memo, merged, bit = self._contribution, self._merged, self._bit
+        # Depth first, filling ``R(c) ∪ data(c)`` children first for
+        # every component below ``comp``.  The condensation is acyclic,
+        # so a component on the stack is never met again below itself.
+        kids = children[offsets[comp]:offsets[comp + 1]]
+        stack = [(comp, kids, iter(kids))]
         while stack:
-            c = stack[-1]
-            if memo[c] is not None:
+            c, kids, pending = stack[-1]
+            for d in pending:
+                if memo[d] is None:
+                    lo, hi = offsets[d], offsets[d + 1]
+                    if lo < hi:
+                        below = children[lo:hi]
+                        stack.append((d, below, iter(below)))
+                        break
+                    # A sink contributes its own data alone.
+                    b = bit[d]
+                    memo[d] = 1 << b if b >= 0 else merged.get(d, 0)
+            else:
                 stack.pop()
-                continue
-            missing = [d for d in children[c] if memo[d] is None]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
-            memo[c] = self._union(c) | self._own(c)
-        mask = self._union(comp)
+                mask = merged.get(c, 0)
+                for d in kids:
+                    mask |= memo[d]  # type: ignore[operator]
+                b = bit[c]
+                memo[c] = mask | (1 << b) if b >= 0 else mask
         self._relevant[comp] = mask
         return mask
 
-    def _union(self, comp: int) -> int:
-        memo = self._contribution
-        mask = self._own(comp) if self._cyclic[comp] else 0
-        for d in self._children[comp]:
-            mask |= memo[d]  # type: ignore[operator]
-        return mask
+
+def _pair_edges(
+    pattern: Pattern,
+    graph: Graph,
+    snapshot: csr.CSRSnapshot | None,
+    rows: dict[int, np.ndarray],
+    first: dict[int, int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The match-pair graph's edges ``(src, dst)`` as pid arrays, by ``src``.
+
+    Per query node, one index expansion gathers the out-slices of its
+    row, and each child query node maps the targets through its pid
+    table.  Rows come in pid order, so the edges come sorted by source.
+    """
+    if snapshot is not None:
+        out_offsets, out_targets = snapshot.out_csr()
+    tables: dict[int, np.ndarray] = {}
+    for child in {child for u in rows for child in pattern.successors(u)}:
+        table = tables[child] = np.full(graph.num_nodes, -1, np.int64)
+        table[rows[child]] = np.arange(first[child], first[child] + rows[child].size)
+    srcs, dsts = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for u, row in rows.items():
+        kids = pattern.successors(u)
+        if not kids or not row.size:
+            continue
+        if snapshot is not None:
+            starts = out_offsets[row]
+            lengths = out_offsets[row + 1] - starts
+            ends = np.cumsum(lengths)
+            targets = out_targets[np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)]
+        else:
+            runs = [graph.successors(v) for v in row.tolist()]
+            lengths = np.fromiter(map(len, runs), np.int64, len(runs))
+            targets = np.fromiter(chain.from_iterable(runs), np.int64, int(lengths.sum()))
+        # One column per child query node: row-major order keeps ``src`` sorted.
+        hits = np.stack([tables[child][targets] for child in kids], axis=1).ravel()
+        pids = np.repeat(np.arange(first[u], first[u] + row.size), lengths * len(kids))
+        keep = hits >= 0
+        srcs.append(pids[keep])
+        dsts.append(hits[keep])
+    return np.concatenate(srcs), np.concatenate(dsts)
+
+
+def _pair_cycles(src: np.ndarray, dst: np.ndarray, lo: int, hi: int) -> list[list[int]]:
+    """The cyclic components of the pair graph on the pids ``[lo, hi)``.
+
+    ``src``/``dst`` are the edges inside that range, sorted by ``src``.
+    Pairs without an in-edge or an out-edge lie on no cycle: they are
+    trimmed until every remaining pair has both, and Tarjan runs on that
+    core alone.  A component is cyclic when it has two pairs or more, or
+    one pair with a self-edge.
+    """
+    size = hi - lo
+    src, dst = src - lo, dst - lo
+    while src.size:
+        live = np.zeros(size, bool)
+        live[dst] = True
+        has_out = np.zeros(size, bool)
+        has_out[src] = True
+        live &= has_out
+        keep = live[src] & live[dst]
+        if keep.all():
+            break
+        src, dst = src[keep], dst[keep]
+    if not src.size:
+        return []
+    core = np.flatnonzero(live)
+    local = np.full(size, -1, np.int64)
+    local[core] = np.arange(core.size)
+    src, dst = local[src], local[dst]
+    offsets = np.zeros(core.size + 1, np.int64)
+    np.cumsum(np.bincount(src, minlength=core.size), out=offsets[1:])
+    bounds, targets = offsets.tolist(), dst.tolist()
+    runs = [targets[a:b] for a, b in zip(bounds, bounds[1:])]
+    loops = set(src[src == dst].tolist())
+    pids = (core + lo).tolist()
+    return [
+        [pids[i] for i in scc]
+        for scc in strongly_connected_components(core.size, runs.__getitem__)
+        if len(scc) > 1 or scc[0] in loops
+    ]
+
+
+def _merge_cycles(
+    cycles: list[list[int]], src: np.ndarray, dst: np.ndarray, num_pairs: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Collapse each cycle into one component, led by its first pair.
+
+    Returns ``comp_of`` per pair, the mask of the pairs that lead a
+    component (components are numbered in their order), and the
+    condensation's children as a CSR ``(offsets, children)``.  One sort
+    drops the condensed self-edges and duplicate edges.
+    """
+    rep = np.arange(num_pairs)
+    rep[np.fromiter(chain.from_iterable(cycles), np.int64)] = np.repeat(
+        [cycle[0] for cycle in cycles], [len(cycle) for cycle in cycles]
+    )
+    leads = rep == np.arange(num_pairs)
+    comp_of = (np.cumsum(leads) - 1)[rep]
+    num_comps = int(leads.sum())
+    src, dst = comp_of[src], comp_of[dst]
+    keys = np.sort((src * num_comps + dst)[src != dst])
+    parents, children = np.divmod(keys[np.diff(keys, prepend=-1) != 0], num_comps)
+    offsets = np.zeros(num_comps + 1, np.int64)
+    np.cumsum(np.bincount(parents, minlength=num_comps), out=offsets[1:])
+    return comp_of, leads, offsets, children
+
+
+def _bounds(
+    offsets: np.ndarray, children: np.ndarray, size: np.ndarray, own: np.ndarray, cap: int
+) -> np.ndarray:
+    """``ub`` per component, level by level from the condensation's sinks.
+
+    ``own`` is ``|data(c)|`` for a cyclic component and 0 otherwise.
+    Sinks start final; each round recomputes every component from its
+    children, so round ``t`` settles the components ``t`` steps above
+    the sinks, and a round that changes nothing ends the pass.
+    """
+    gain = size[children]
+    ub = np.minimum(own, cap)
+    total = np.zeros(children.size + 1, np.int64)
+    while True:
+        np.cumsum(ub[children] + gain, out=total[1:])
+        settled = np.minimum(own + (total[offsets[1:]] - total[offsets[:-1]]), cap)
+        if np.array_equal(settled, ub):
+            return ub
+        ub = settled
 
 
 def build_evaluation(
@@ -252,14 +332,10 @@ def build_evaluation(
 ) -> Evaluation:
     """The :class:`Evaluation` of ``pattern`` at output node ``uo``.
 
-    ``use_csr`` reads adjacency from the graph's CSR snapshot (when numpy
-    is available); otherwise the pair graph walks ``graph.successors``.
+    ``use_csr`` reads adjacency from the graph's CSR snapshot; otherwise
+    the pair graph walks ``graph.successors``.
     """
-    if use_csr and csr.available():
-        successors = graph.snapshot().out_adjacency_lists().__getitem__
-    else:
-        successors = graph.successors
-    return Evaluation(pattern, graph, sim, uo, successors)
+    return Evaluation(pattern, graph, sim, uo, graph.snapshot() if use_csr else None)
 
 
 def relevant_sets(

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.graph import csr
 from repro.graph.digraph import Graph
 from repro.index.descendants import hop_counts, unbounded_counts
 from repro.index.invalidation import (
@@ -87,7 +86,6 @@ class TestTargetedInvalidation:
         g.add_edge(a, new)
         assert hop_counts(g, label_b, depth=1)[a] == 1
 
-    @pytest.mark.skipif(not csr.available(), reason="numpy unavailable")
     def test_hook_covers_csr_snapshots(self):
         g, (a, b, c) = chain_graph()
         detach = attach_index_invalidation(g)
@@ -102,7 +100,6 @@ class TestTargetedInvalidation:
         assert fresh.num_edges == g.num_edges
         detach()
 
-    @pytest.mark.skipif(not csr.available(), reason="numpy unavailable")
     def test_targeted_csr_drop_on_demand(self):
         g, _ = chain_graph()
         g.snapshot()

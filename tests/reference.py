@@ -5,7 +5,9 @@ No fast paths: the maximal simulation comes from ``naive_simulation``
 match-pair graph from ``(uo, v)`` through at least one edge (Section
 3.1), the optimum from sorting, and the diversified optimum from
 enumerating every k-set (Section 3.3).  The library's engines are
-checked against it, never against each other.
+checked against it, never against each other.  ``upper_bounds``
+transcribes the bound that orders the visits: the children-first sum
+over the mutual-reachability condensation of the BFS match-pair graph.
 """
 
 from __future__ import annotations
@@ -37,20 +39,69 @@ def reachable_query_nodes(pattern: Pattern, u: int) -> set[int]:
     return seen
 
 
+def pair_children(
+    pattern: Pattern, graph: Graph, sim: list[set[int]], pair: tuple[int, int]
+) -> set[tuple[int, int]]:
+    """The match pairs one edge of the match-pair graph leads to."""
+    u, v = pair
+    return {
+        (child, w)
+        for child in pattern.successors(u)
+        for w in graph.successors(v)
+        if w in sim[child]
+    }
+
+
+def reachable_pairs(
+    pattern: Pattern, graph: Graph, sim: list[set[int]], pair: tuple[int, int]
+) -> set[tuple[int, int]]:
+    """The match pairs ``pair`` reaches through at least one edge (BFS)."""
+    seen: set[tuple[int, int]] = set()
+    queue = deque(pair_children(pattern, graph, sim, pair))
+    while queue:
+        step = queue.popleft()
+        if step not in seen:
+            seen.add(step)
+            queue.extend(pair_children(pattern, graph, sim, step))
+    return seen
+
+
 def relevant_set(
     pattern: Pattern, graph: Graph, sim: list[set[int]], u: int, v: int
 ) -> frozenset[int]:
     """``R(u, v)``: data nodes of the match pairs ``(u, v)`` reaches."""
-    seen: set[tuple[int, int]] = set()
-    queue = deque([(u, v)])
-    while queue:
-        pu, pv = queue.popleft()
-        for child in pattern.successors(pu):
-            for w in graph.successors(pv):
-                if w in sim[child] and (child, w) not in seen:
-                    seen.add((child, w))
-                    queue.append((child, w))
-    return frozenset(w for _, w in seen)
+    return frozenset(w for _, w in reachable_pairs(pattern, graph, sim, (u, v)))
+
+
+def upper_bounds(
+    pattern: Pattern, graph: Graph, sim: list[set[int]], u: int
+) -> dict[int, int]:
+    """``ub`` of every match of ``u``: the bound the visit order reads.
+
+    The match pairs of ``u``'s region are condensed by mutual
+    reachability; a component is cyclic when its pairs reach themselves.
+    Children first, ``ub(c) = [c cyclic]·|data(c)| + Σ_{child d}
+    (ub(d) + |data(d)|)``, capped at ``|⋃ sim(u')|`` over the query
+    nodes ``u`` reaches.
+    """
+    reached = reachable_query_nodes(pattern, u)
+    pairs = [(w, v) for w in reached | {u} for v in sim[w]]
+    reach = {pair: reachable_pairs(pattern, graph, sim, pair) for pair in pairs}
+    comp = {p: frozenset({p} | {q for q in reach[p] if p in reach[q]}) for p in pairs}
+    cap = len(set().union(*(sim[w] for w in reached)))
+    bound: dict[frozenset, int] = {}
+
+    def ub(c: frozenset) -> int:
+        if c not in bound:
+            children = {comp[q] for p in c for q in pair_children(pattern, graph, sim, p)}
+            children.discard(c)
+            cyclic = any(p in reach[p] for p in c)
+            total = len({v for _, v in c}) if cyclic else 0
+            total += sum(ub(d) + len({v for _, v in d}) for d in children)
+            bound[c] = min(total, cap)
+        return bound[c]
+
+    return {v: ub(comp[(u, v)]) for v in sim[u]}
 
 
 def optimum(values: dict[int, float], k: int) -> float:

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro import api
 from repro.errors import StaleSessionError
-from repro.graph import csr
 from repro.session import ExecutionConfig, MatchSession, QuerySpec
 
 from tests.conftest import make_random_graph, make_random_pattern
@@ -105,8 +104,6 @@ def test_batch_equals_looped_one_shot_across_toggle_grid(seed):
     graph = rich_random_graph(seed)
     specs = mixed_batch(seed)
     for config in TOGGLE_GRID:
-        if config.resolved().use_csr and not csr.available():
-            continue
         pinned = [
             QuerySpec(
                 pattern=s.pattern, k=s.k, mode=s.mode, lam=s.lam,

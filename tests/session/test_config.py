@@ -5,14 +5,13 @@ import dataclasses
 import pytest
 
 from repro.errors import MatchingError
-from repro.graph import csr
 from repro.session import ExecutionConfig
 
 
 class TestDefaulting:
     def test_all_defaults_resolve_to_fast_paths(self):
         cfg = ExecutionConfig().resolved()
-        assert cfg.use_csr is csr.available()
+        assert cfg.use_csr is True
 
     def test_optimized_false_resolves_reference_arm(self):
         cfg = ExecutionConfig(optimized=False).resolved()
@@ -21,7 +20,7 @@ class TestDefaulting:
     def test_explicit_toggle_overrides_chain(self):
         assert ExecutionConfig(use_csr=False).resolved().use_csr is False
         cfg = ExecutionConfig(optimized=False, use_csr=True).resolved()
-        assert cfg.use_csr is csr.available()
+        assert cfg.use_csr is True
 
     def test_resolved_is_idempotent(self):
         cfg = ExecutionConfig(optimized=False, use_csr=True).resolved()

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.graph import csr
 from repro.obs import MetricsRegistry, use_metrics
 from repro.ranking.relevance import CardinalityRelevance
 from repro.session import (
@@ -37,7 +36,6 @@ from tests.session.test_batch_equivalence import (
 )
 from tests.test_csr_equivalence import rich_random_graph
 
-pytestmark = pytest.mark.skipif(not csr.available(), reason="requires numpy")
 
 SETTINGS = settings(
     max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow]

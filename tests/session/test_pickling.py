@@ -9,8 +9,6 @@ scalar-mirror/shard caches) is deliberately dropped and rebuilt lazily.
 
 import pickle
 
-import pytest
-
 from repro.graph import csr
 from repro.session import ExecutionConfig, QuerySpec
 from repro.session.parallel import spec_is_poolable
@@ -26,7 +24,7 @@ def test_graph_roundtrip_preserves_topology_and_drops_wiring():
     graph = make_random_graph(3, num_nodes=12, num_edges=22)
     graph.set_attrs(0, weight=7)
     graph.remove_node(5)
-    graph.snapshot() if csr.available() else None  # populate derived
+    graph.snapshot()  # populate derived
     graph.add_listener(lambda op: None)
     copy = roundtrip(graph)
     assert copy.num_nodes == graph.num_nodes
@@ -40,13 +38,12 @@ def test_graph_roundtrip_preserves_topology_and_drops_wiring():
     assert copy.derived == {} and copy.extensions == {}
 
 
-@pytest.mark.skipif(not csr.available(), reason="requires numpy")
 def test_csr_snapshot_roundtrip_preserves_arrays_and_drops_caches():
     import numpy as np
 
     graph = make_random_graph(7, num_nodes=15, num_edges=30)
     snap = graph.snapshot()
-    snap.out_csr_lists()  # populate a scalar-mirror cache
+    snap.in_csr_lists()  # populate the scalar-mirror cache
     snap.shard_bounds(3)  # populate the shard cache
     copy = roundtrip(snap)
     for name in (
@@ -56,7 +53,7 @@ def test_csr_snapshot_roundtrip_preserves_arrays_and_drops_caches():
         np.testing.assert_array_equal(getattr(copy, name), getattr(snap, name))
     assert copy.num_nodes == snap.num_nodes
     assert copy.num_edges == snap.num_edges
-    assert copy._shard_cache == {} and copy._out_lists is None
+    assert copy._shard_cache == {} and copy._in_lists is None
     # And the copy computes identical counting scans.
     membership = np.zeros(snap.num_nodes, dtype=np.uint8)
     membership[:: 2] = 1
@@ -65,7 +62,6 @@ def test_csr_snapshot_roundtrip_preserves_arrays_and_drops_caches():
     )
 
 
-@pytest.mark.skipif(not csr.available(), reason="requires numpy")
 def test_patched_snapshot_roundtrip_preserves_overlay_reads():
     """An overlay-form snapshot pickles like a flat one: every read the
     copy serves matches the patched original, and process-local caches
@@ -83,7 +79,8 @@ def test_patched_snapshot_roundtrip_preserves_overlay_reads():
     graph.remove_node(edges[1][0])
     unsubscribe()
     patched = csr.PatchedCSRSnapshot.patch(base, ops, graph)
-    patched.out_csr_lists()
+    patched.in_csr_lists()
+    patched.out_csr()
     patched.shard_bounds(3)
     copy = roundtrip(patched)
     assert isinstance(copy, csr.PatchedCSRSnapshot)
@@ -91,7 +88,8 @@ def test_patched_snapshot_roundtrip_preserves_overlay_reads():
     assert copy.num_edges == patched.num_edges
     assert copy.num_live == patched.num_live
     np.testing.assert_array_equal(copy.live_mask, patched.live_mask)
-    assert copy._shard_cache == {} and copy._out_lists is None
+    assert copy._shard_cache == {} and copy._in_lists is None
+    assert copy._out_csr is None
     for node in range(patched.num_nodes):
         np.testing.assert_array_equal(
             copy.successors(node), patched.successors(node)

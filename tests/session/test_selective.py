@@ -17,7 +17,6 @@ pre-patch bucket).
 import pickle
 import random
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -208,7 +207,6 @@ def test_selective_cache_off_by_default():
     assert csr.patcher_of(graph) is None
 
 
-@pytest.mark.skipif(not csr.available(), reason="requires numpy")
 def test_patched_snapshot_cannot_serve_stale_buckets():
     """Bucket-token regression: after a patch touches label A, the A
     bucket must be rebuilt from the patched snapshot, not served from

@@ -12,9 +12,6 @@ from __future__ import annotations
 
 import threading
 
-import pytest
-
-from repro.graph import csr
 from repro.session import ExecutionConfig, MatchSession
 
 from tests.conftest import make_random_graph
@@ -46,7 +43,6 @@ def _hammer(worker) -> list:
     return results
 
 
-@pytest.mark.skipif(not csr.available(), reason="requires numpy")
 def test_concurrent_shard_runner_lookup_builds_one_runner(monkeypatch):
     import repro.parallel.shards as shards
 

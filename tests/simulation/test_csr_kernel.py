@@ -3,7 +3,6 @@
 import pytest
 
 from repro.datasets.examples import figure1
-from repro.graph import csr
 from repro.graph.digraph import Graph
 from repro.patterns.pattern import Pattern, pattern_from_edges
 from repro.patterns.predicates import AttrCompare
@@ -13,7 +12,6 @@ from repro.simulation.match import maximal_simulation, naive_simulation
 
 from tests.conftest import make_random_graph, make_random_pattern
 
-pytestmark = pytest.mark.skipif(not csr.available(), reason="numpy unavailable")
 
 
 def assert_paths_agree(pattern: Pattern, graph: Graph) -> None:

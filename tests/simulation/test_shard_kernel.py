@@ -11,12 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.graph import csr
 from repro.simulation.match import maximal_simulation
 
 from tests.conftest import make_random_graph, make_random_pattern
 
-pytestmark = pytest.mark.skipif(not csr.available(), reason="requires numpy")
 
 SETTINGS = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]

@@ -23,7 +23,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro.graph import csr
 from repro.graph.digraph import Graph
 from repro.incremental.manager import MatchViewManager
 from repro.patterns.pattern import Pattern
@@ -35,7 +34,6 @@ from repro.simulation.match import maximal_simulation
 from tests.conftest import make_random_graph
 from tests.incremental.test_property_equivalence import random_op
 
-pytestmark = pytest.mark.skipif(not csr.available(), reason="numpy unavailable")
 
 SETTINGS = settings(
     max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]

@@ -16,6 +16,9 @@ import pytest
 
 from repro import api
 from repro.diversify.approx import top_k_diversified_approx
+from repro.graph import csr
+from repro.graph.digraph import Graph
+from repro.patterns.pattern import pattern_from_edges
 from repro.ranking.generalized import PreferentialAttachment
 from repro.ranking.relevance import CardinalityRelevance
 from repro.session import MatchSession
@@ -116,6 +119,69 @@ def test_cyclic_instances_exercise_pattern_cycles():
 def instance_id(instance):
     seed, cyclic = instance
     return f"{'cyclic' if cyclic else 'dag'}-{seed}"
+
+
+def self_loop_instance():
+    """A pattern self-loop meets graph self-loops: one-pair cyclic components."""
+    pattern = pattern_from_edges(["A", "B"], [(0, 1), (1, 1)], output=0)
+    graph = Graph()
+    a0, b0, a1, b1, b2, a2, b3 = (graph.add_node(label) for label in "ABABBAB")
+    graph.add_edges([(a0, b0), (b0, b0), (a1, b1), (b1, b2), (b2, b1), (b2, b0), (a2, b3)])
+    return graph, pattern
+
+
+def outside_reach_instance():
+    """``uo`` reaches a pattern cycle but not itself; some of its matches lie
+    outside the interned universe of the query nodes it reaches."""
+    pattern = pattern_from_edges(["A", "B", "A", "C"], [(0, 1), (1, 2), (2, 1), (2, 3)], output=0)
+    graph = Graph()
+    a1, b1, a2, c1, a3, a4 = (graph.add_node(label) for label in "ABACAA")
+    graph.add_edges([(a1, b1), (b1, a2), (a2, b1), (a2, c1), (a3, b1), (a4, c1)])
+    return graph, pattern
+
+
+#: Every instance the evaluation is checked on, for every query node as uo.
+EVALUATION_INSTANCES = [
+    pytest.param(lambda seed=seed, cyclic=cyclic: reference.planted_instance(seed, cyclic),
+                 id=instance_id((seed, cyclic)))
+    for seed, cyclic in INSTANCES
+] + [
+    pytest.param(self_loop_instance, id="self-loops"),
+    pytest.param(outside_reach_instance, id="outside-reach"),
+]
+
+
+@pytest.mark.parametrize("make", EVALUATION_INSTANCES)
+def test_evaluation_equals_reference(make):
+    """Matches, bounds and relevant sets, on both adjacency arms."""
+    graph, pattern = make()
+    sim = reference.simulation(pattern, graph)
+    assert sim is not None
+    simulation = maximal_simulation(pattern, graph)
+    for node in pattern.nodes():
+        bounds = reference.upper_bounds(pattern, graph, sim, node)
+        expected = reference_sets(pattern, graph, node)
+        for use_csr in (True, False):
+            evaluation = build_evaluation(pattern, graph, simulation.sim, node, use_csr)
+            assert evaluation.matches == sorted(sim[node])
+            assert evaluation.out_bound == [bounds[v] for v in evaluation.matches]
+            got = {
+                v: csr.FrozenBitset(evaluation.relevant(comp), evaluation.interner)
+                for v, comp in zip(evaluation.matches, evaluation.out_comp)
+            }
+            assert got == expected
+
+
+def test_special_instances_reach_their_cases():
+    graph, pattern = self_loop_instance()
+    sim = reference.simulation(pattern, graph)
+    b0 = 1  # alone on its graph self-loop: (1, b0) reaches only itself
+    assert reference.relevant_set(pattern, graph, sim, 1, b0) == {b0}
+    graph, pattern = outside_reach_instance()
+    sim = reference.simulation(pattern, graph)
+    universe = set().union(*(sim[u] for u in reference.reachable_query_nodes(pattern, 0)))
+    assert 0 not in reference.reachable_query_nodes(pattern, 0)
+    assert sim[0] - universe and sim[0] & universe
 
 
 @pytest.mark.parametrize("instance", INSTANCES, ids=instance_id)
