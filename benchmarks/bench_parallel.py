@@ -32,15 +32,15 @@ across rounds, matching how a long-lived serving process pays it.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_parallel.py
-    PYTHONPATH=src python benchmarks/bench_parallel.py --json BENCH_parallel.json
+    PYTHONPATH=src python benchmarks/bench_parallel.py --json parallel.json
     PYTHONPATH=src python benchmarks/bench_parallel.py --smoke
 
 ``--smoke`` runs a reduced-scale pass and exits non-zero when any
 pooled answer diverges from its serial twin, or — **only when the box
 actually has ≥2 CPUs** — when the 2-worker arm is slower than serial
 on the fig5g workload.  Process pools cannot beat serial on a
-single-core container, so the throughput gate is conditional on
-``repro.parallel.available_cpus()``; the JSON records ``cpu_count``
+single-core container, so the throughput gate is conditional on the
+CPUs in this process's scheduling affinity; the JSON records ``cpu_count``
 and a ``cpu_limited`` flag so a reader knows which regime produced
 the numbers.
 """
@@ -50,12 +50,12 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from repro.bench.workloads import BENCH_SCALE, bench_graph, bench_pattern
-from repro.parallel import available_cpus
 from repro.session import ExecutionConfig, MatchSession, QuerySpec
 
 #: Figure 5 scale-figure workloads on the synthetic generators.
@@ -179,10 +179,10 @@ def _run_case(figure, spec, factor, rounds):
 
 
 def run(rounds=3, scale_factor=None):
-    """Run every workload; returns the result dict (see BENCH_parallel.json)."""
+    """Run every workload; returns the result dict (the ``--json`` payload)."""
     if scale_factor is None:
         scale_factor = 1.0 / BENCH_SCALE
-    cpu_count = available_cpus()
+    cpu_count = len(os.sched_getaffinity(0))
     workloads = {
         figure: _run_case(figure, spec, scale_factor, rounds)
         for figure, spec in WORKLOADS.items()

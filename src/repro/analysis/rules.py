@@ -39,7 +39,6 @@ HOT_PATH_PACKAGES = (
     "repro/topk/",
     "repro/simulation/",
     "repro/session/",
-    "repro/parallel/",
 )
 
 #: The gradually-typed core (R6 scope): fully annotated, mypy-strict.
@@ -50,16 +49,14 @@ TYPED_CORE = (
     "repro/graph/delta.py",
     "repro/api.py",
     "repro/analysis/",
-    "repro/parallel/",
     "repro/incremental/affected.py",
 )
 
 #: Packages whose registries/pools are mutated from threaded paths
-#: (R8 scope): the metrics registry, the shard-runner cache and the
-#: session's worker-pool lifecycle all run under concurrent callers.
+#: (R8 scope): the metrics registry and the session's worker-pool
+#: lifecycle both run under concurrent callers.
 CONCURRENCY_PACKAGES = (
     "repro/obs/",
-    "repro/parallel/",
     "repro/session/",
 )
 
@@ -89,7 +86,7 @@ TOKEN_SOURCE_ATTRS = frozenset({"token", "generation"})
 
 #: Non-bool ExecutionConfig fields that still select an optimized arm
 #: (R10): fan-out counts where 0/1 means "serial path".
-TOGGLE_ARM_EXTRAS = ("sim_shards", "workers")
+TOGGLE_ARM_EXTRAS = ("workers",)
 #: Config fields that are *observability* switches rather than
 #: optimized-arm selectors never need an equivalence oracle — but the
 #: live ones all have one anyway, so nothing is exempt today.
@@ -324,9 +321,8 @@ class ConfigDiscipline(Rule):
     )
     reference = (
         "CHANGES.md PR 5: 'the three copies of toggle defaulting deleted "
-        "from the wrappers'; ROADMAP items (shard-parallel kernels, "
-        "anytime streaming) each add toggles that must join "
-        "ExecutionConfig, not the kwargs surface."
+        "from the wrappers'; a new toggle (the roadmap's anytime "
+        "deadline) must join ExecutionConfig, not the kwargs surface."
     )
 
     def check(self, module: SourceModule, project: Project) -> Iterable[Finding]:
@@ -835,11 +831,11 @@ class PickleSpawnSafety(Rule):
     id = "R7"
     title = "pickle/spawn safety"
     rationale = (
-        "The spawn-based serving tier ships graphs and CSR snapshots to "
-        "worker processes by value (WorkerPool init payloads, the shard "
-        "runner's process backend).  A __getstate__-bearing class must "
-        "list every process-local slot — locks, weakrefs, listener/"
-        "invalidator lists, derived caches, executors — in its "
+        "The spawn-based serving tier ships graphs to worker processes "
+        "by value (WorkerPool init payloads), and CSR snapshots keep a "
+        "pickle form for the same boundary.  A __getstate__-bearing "
+        "class must list every process-local slot — locks, weakrefs, "
+        "listener/invalidator lists, derived caches, executors — in its "
         "_TRANSIENT_SLOTS (or pop the attribute in __getstate__): a "
         "pickled lock raises at dispatch time, and a pickled cache or "
         "listener list silently detaches from its process of origin.  "
@@ -1103,10 +1099,9 @@ class LockDiscipline(Rule):
     title = "lock discipline"
     rationale = (
         "Registries and pools in the concurrency packages (repro/obs/, "
-        "repro/parallel/, repro/session/) are mutated from threaded "
-        "paths: metric series under scrapes, the shard-runner cache "
-        "under concurrent fixpoints, the session's worker-pool triple "
-        "under refresh-vs-dispatch.  The discipline is lockset-lite: if "
+        "repro/session/) are mutated from threaded paths: metric "
+        "series under scrapes, the session's worker-pool triple under "
+        "refresh-vs-dispatch.  The discipline is lockset-lite: if "
         "any mutation of an attribute (or module-level registry) in a "
         "module holds the lock, *every* mutation outside __init__ must "
         "— an unguarded check-then-set next to a guarded one is exactly "
@@ -1115,9 +1110,9 @@ class LockDiscipline(Rule):
     )
     reference = (
         "CHANGES.md PR 8: 'MetricsRegistry mutators became thread-safe "
-        "for the merge path' — the shard-runner cache and worker-pool "
-        "lookup shipped with the same unlocked get-or-create shape and "
-        "were fixed under this rule."
+        "for the merge path' — the worker-pool lookup shipped with the "
+        "same unlocked get-or-create shape and was fixed under this "
+        "rule."
     )
 
     def check(self, module: SourceModule, project: Project) -> Iterable[Finding]:
@@ -1446,9 +1441,8 @@ class ToggleOracleParity(Rule):
     )
     reference = (
         "ROADMAP 'hypothesis equivalence suites pinning every "
-        "optimized arm against its reference oracle'; CHANGES.md PR 8/"
-        "PR 9 each added a toggle (sim_shards/workers, "
-        "snapshot_patching) together with its equivalence suite."
+        "optimized arm against its reference oracle'; workers and "
+        "snapshot_patching each landed with an equivalence suite."
     )
 
     def check(self, module: SourceModule, project: Project) -> Iterable[Finding]:
@@ -1520,8 +1514,8 @@ class ToggleOracleParity(Rule):
         fields: list[tuple[str, ast.AnnAssign]],
     ) -> tuple[set[str], dict[str, set[str]]]:
         """Identifiers branched on in src (outside config.py), plus the
-        one-hop renames of each toggle (``shards=cfg.sim_shards`` makes
-        ``shards`` an alias of ``sim_shards``)."""
+        one-hop renames of each toggle (``pool_size=cfg.workers`` makes
+        ``pool_size`` an alias of ``workers``)."""
         from repro.analysis.incremental import (
             _boolean_context_exprs,
             _identifiers_in,

@@ -210,7 +210,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         use_csr=False if args.no_csr else None,
         slow_query_seconds=args.slow_query,
         workers=args.workers,
-        sim_shards=args.sim_shards,
     )
     specs = [
         QuerySpec(
@@ -428,9 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--workers", type=int, default=0, metavar="N",
                        help="serve the batch through N worker processes "
                             "(0/1: serial in-process; answers identical)")
-    batch.add_argument("--sim-shards", type=int, default=0, metavar="N",
-                       help="run the simulation kernel's counting scans over "
-                            "N node-range shards (0/1: serial kernel)")
     batch.add_argument("--slow-query", type=float, default=None, metavar="SECONDS",
                        help="WARN on the repro.slowquery logger when a query "
                             "exceeds this many seconds")

@@ -30,7 +30,6 @@ NumPy backs every array; it is a declared dependency.
 from __future__ import annotations
 
 import itertools
-import threading
 from collections.abc import Set as _AbstractSet
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -67,6 +66,20 @@ PATCHER_EXTENSION_KEY = "csr:snapshot-patcher"
 _token_counter = itertools.count(1)
 
 
+def _run_sums(flags: "np.ndarray", offsets: "np.ndarray") -> "np.ndarray":
+    """Per run ``[offsets[i], offsets[i + 1])``: the sum of ``flags`` over it.
+
+    The counting scans' prefix sum.  Its buffer is allocated per call:
+    every session and one-shot call on a graph shares the graph's
+    cached snapshot, so a buffer kept on the snapshot would let
+    concurrent scans overwrite each other's sums.
+    """
+    cum = np.empty(flags.size + 1, dtype=np.int64)
+    cum[0] = 0
+    np.cumsum(flags, dtype=np.int64, out=cum[1:])
+    return cum[offsets[1:]] - cum[offsets[:-1]]
+
+
 class CSRSnapshot:
     """A frozen, array-backed view of one graph state.
 
@@ -92,37 +105,22 @@ class CSRSnapshot:
         "label_nodes",
         "token",
         "_in_lists",
-        "_cum_scratch",
-        "_shard_cache",
-        "_shard_lock",
-        "__weakref__",
     )
 
     #: Slots that are derived, process-local conveniences — rebuilt on
     #: demand, and deliberately excluded from pickling so a snapshot
     #: shipped to a worker process carries only the core arrays.
-    #: (``__weakref__`` rides along: shard runners register a finalizer
-    #: on their snapshot, and the weakref machinery itself must never
-    #: be pickled.  ``token`` is an identity, not state: an unpickled
-    #: snapshot gets a fresh one from the receiving process's counter,
-    #: and ``_shard_lock`` — which guards the shard-cache get-or-create
-    #: — is unpicklable by construction and rebuilt per process.)
+    #: (``token`` is an identity, not state: an unpickled snapshot gets
+    #: a fresh one from the receiving process's counter.)
     _TRANSIENT_SLOTS = (
         "token",
         "_in_lists",
-        "_cum_scratch",
-        "_shard_cache",
-        "_shard_lock",
-        "__weakref__",
     )
 
     def __init__(self) -> None:
         # Populated by build(); kept assignable for __slots__.
         self.token: int = next(_token_counter)
         self._in_lists: tuple[list[int], list[int]] | None = None
-        self._cum_scratch = None
-        self._shard_cache: dict = {}
-        self._shard_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # pickling (worker processes receive snapshots by value)
@@ -142,7 +140,7 @@ class CSRSnapshot:
         return names
 
     def __getstate__(self) -> dict:
-        """Core arrays only — scalar-mirror and shard caches are local."""
+        """Core arrays only — the scalar-mirror cache is local."""
         return {name: getattr(self, name) for name in self._pickled_slots()}
 
     def __setstate__(self, state: dict) -> None:
@@ -272,30 +270,11 @@ class CSRSnapshot:
         the vectorised form of the simulation fixpoint's counter
         initialisation.
         """
-        if self.num_edges == 0:
-            return np.zeros(self.num_nodes, dtype=np.int64)
-        cum = self._cumsum_scratch()
-        np.cumsum(membership[self.out_targets], dtype=np.int64, out=cum[1:])
-        return cum[self.out_offsets[1:]] - cum[self.out_offsets[:-1]]
+        return _run_sums(membership[self.out_targets], self.out_offsets)
 
     def in_counts(self, membership) -> "np.ndarray":
         """Per node: how many predecessors have a nonzero ``membership`` flag."""
-        if self.num_edges == 0:
-            return np.zeros(self.num_nodes, dtype=np.int64)
-        cum = self._cumsum_scratch()
-        np.cumsum(membership[self.in_sources], dtype=np.int64, out=cum[1:])
-        return cum[self.in_offsets[1:]] - cum[self.in_offsets[:-1]]
-
-    def _cumsum_scratch(self) -> "np.ndarray":
-        """Reusable prefix-sum buffer (counting scans are hot-path calls).
-
-        Only the scratch is shared; every public kernel returns freshly
-        allocated arrays, so callers may keep references.
-        """
-        if self._cum_scratch is None:
-            self._cum_scratch = np.empty(self.num_edges + 1, dtype=np.int64)
-            self._cum_scratch[0] = 0
-        return self._cum_scratch
+        return _run_sums(membership[self.in_sources], self.in_offsets)
 
     def gather_in_slices(self, nodes) -> "np.ndarray":
         """Concatenated predecessor slices of ``nodes`` (with multiplicity).
@@ -338,103 +317,6 @@ class CSRSnapshot:
         cum = np.zeros(targets.size + 1, dtype=np.int64)
         np.cumsum(keep, out=cum[1:])
         return cum[offsets], targets[keep]
-
-    # ------------------------------------------------------------------
-    # node-range sharding
-    # ------------------------------------------------------------------
-    def shard_bounds(self, num_shards: int) -> list[int]:
-        """Node-range shard boundaries balanced by out-edge weight.
-
-        Returns ``num_shards + 1`` ascending node ids ``b`` with
-        ``b[0] == 0`` and ``b[-1] == num_nodes``; shard ``i`` owns the
-        node range ``[b[i], b[i+1])``.  Boundaries are placed at (near-)
-        equal fractions of the edge array, so each shard's counting
-        scan (:meth:`out_counts_range`) touches a comparable number of
-        edges regardless of degree skew.  Plain ints (picklable), and
-        cached per shard count.
-        """
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be positive; got {num_shards}")
-        cached = self._shard_cache.get(("bounds", num_shards))
-        if cached is not None:
-            return cached
-        n = self.num_nodes
-        k = min(num_shards, n) if n else 1
-        if k <= 1 or self.num_edges == 0:
-            bounds = [0] * k + [n]
-        else:
-            targets = (self.num_edges * np.arange(1, k, dtype=np.int64)) // k
-            cuts = np.searchsorted(self.out_offsets, targets, side="left")
-            bounds = [0]
-            for cut in cuts.tolist():
-                bounds.append(min(max(cut, bounds[-1]), n))
-            bounds.append(n)
-        self._shard_cache[("bounds", num_shards)] = bounds
-        return bounds
-
-    def out_counts_range(self, membership, lo: int, hi: int, out=None):
-        """:meth:`out_counts` restricted to the node range ``[lo, hi)``.
-
-        Uses no shared scratch (unlike :meth:`out_counts`), so disjoint
-        ranges may run concurrently — this is the per-shard form of the
-        counting scan.  With ``out`` given, writes the ``hi - lo``
-        counts into ``out[lo:hi]`` and returns ``out``; otherwise
-        returns a fresh length-``hi - lo`` array.
-        """
-        e0 = int(self.out_offsets[lo])
-        e1 = int(self.out_offsets[hi])
-        if e1 == e0:
-            counts = np.zeros(hi - lo, dtype=np.int64)
-        else:
-            cum = np.empty(e1 - e0 + 1, dtype=np.int64)
-            cum[0] = 0
-            np.cumsum(
-                membership[self.out_targets[e0:e1]], dtype=np.int64, out=cum[1:]
-            )
-            offsets = self.out_offsets[lo : hi + 1] - e0
-            counts = cum[offsets[1:]] - cum[offsets[:-1]]
-        if out is None:
-            return counts
-        out[lo:hi] = counts
-        return out
-
-    def label_bucket_range(self, label_id: int, lo: int, hi: int):
-        """Live nodes with ``label_id`` inside node range ``[lo, hi)``.
-
-        The per-shard slice of a label bucket: buckets store ascending
-        node ids, so a shard's share is one ``searchsorted`` window —
-        an array view, no copy.
-        """
-        bucket = self.nodes_with_label_id(label_id)
-        if not bucket.size:
-            return bucket
-        start, stop = np.searchsorted(bucket, [lo, hi], side="left")
-        return bucket[start:stop]
-
-    def shard_label_slices(self, num_shards: int) -> list[list[tuple[int, int]]]:
-        """Per-shard ``(start, stop)`` windows into ``label_nodes``.
-
-        ``result[shard][label_id]`` delimits the shard's slice of each
-        label bucket under :meth:`shard_bounds`; shipping these with a
-        pickled snapshot lets a worker scan only its shard's members of
-        any label.  Cached per shard count.
-        """
-        cached = self._shard_cache.get(("label_slices", num_shards))
-        if cached is not None:
-            return cached
-        bounds = self.shard_bounds(num_shards)
-        slices: list[list[tuple[int, int]]] = []
-        for i in range(len(bounds) - 1):
-            lo, hi = bounds[i], bounds[i + 1]
-            row: list[tuple[int, int]] = []
-            for label_id in range(self.num_labels):
-                base = int(self.label_offsets[label_id])
-                bucket = self.nodes_with_label_id(label_id)
-                start, stop = np.searchsorted(bucket, [lo, hi], side="left")
-                row.append((base + int(start), base + int(stop)))
-            slices.append(row)
-        self._shard_cache[("label_slices", num_shards)] = slices
-        return slices
 
     # ------------------------------------------------------------------
     # scalar-loop mirror
@@ -482,8 +364,8 @@ class PatchedCSRSnapshot(CSRSnapshot):
       so bucket-keyed caches survive the patch.
 
     Every public accessor and bulk kernel reads through the overlay, so
-    downstream consumers (CSR-kernel scans, shard bounds, the
-    evaluation's pair graph, the bound index's restricted CSR) are unchanged.
+    downstream consumers (CSR-kernel scans, the evaluation's pair graph,
+    the bound index's restricted CSR) are unchanged.
     """
 
     __slots__ = (
@@ -769,23 +651,14 @@ class PatchedCSRSnapshot(CSRSnapshot):
     # ------------------------------------------------------------------
     # overlay-aware bulk kernels
     # ------------------------------------------------------------------
-    def _cumsum_scratch(self) -> "np.ndarray":
-        # The base *array* length, not the live edge count: the overlay
-        # scans run over the full base edge arrays, dead slots included.
-        if self._cum_scratch is None:
-            self._cum_scratch = np.empty(self._base_m + 1, dtype=np.int64)
-            self._cum_scratch[0] = 0
-        return self._cum_scratch
-
     def out_counts(self, membership) -> "np.ndarray":
+        # The scan covers the full base edge arrays, dead slots included;
+        # the tombstone pass below takes the dead slots back out.
         base = self._base
         result = np.zeros(self.num_nodes, dtype=np.int64)
-        if self._base_m:
-            cum = self._cumsum_scratch()
-            np.cumsum(membership[base.out_targets], dtype=np.int64, out=cum[1:])
-            result[: base.num_nodes] = (
-                cum[base.out_offsets[1:]] - cum[base.out_offsets[:-1]]
-            )
+        result[: base.num_nodes] = _run_sums(
+            membership[base.out_targets], base.out_offsets
+        )
         if self._dead_src.size:
             np.subtract.at(
                 result, self._dead_src, membership[self._dead_dst].astype(np.int64)
@@ -797,12 +670,9 @@ class PatchedCSRSnapshot(CSRSnapshot):
     def in_counts(self, membership) -> "np.ndarray":
         base = self._base
         result = np.zeros(self.num_nodes, dtype=np.int64)
-        if self._base_m:
-            cum = self._cumsum_scratch()
-            np.cumsum(membership[base.in_sources], dtype=np.int64, out=cum[1:])
-            result[: base.num_nodes] = (
-                cum[base.in_offsets[1:]] - cum[base.in_offsets[:-1]]
-            )
+        result[: base.num_nodes] = _run_sums(
+            membership[base.in_sources], base.in_offsets
+        )
         if self._dead_src.size:
             np.subtract.at(
                 result, self._dead_dst, membership[self._dead_src].astype(np.int64)
@@ -810,38 +680,6 @@ class PatchedCSRSnapshot(CSRSnapshot):
         for v, seg in self._seg_in.items():
             result[v] += int(membership[seg].sum(dtype=np.int64))
         return result
-
-    def out_counts_range(self, membership, lo: int, hi: int, out=None):
-        base = self._base
-        base_n = base.num_nodes
-        blo, bhi = min(lo, base_n), min(hi, base_n)
-        counts = np.zeros(hi - lo, dtype=np.int64)
-        if bhi > blo:
-            e0 = int(base.out_offsets[blo])
-            e1 = int(base.out_offsets[bhi])
-            if e1 > e0:
-                cum = np.empty(e1 - e0 + 1, dtype=np.int64)
-                cum[0] = 0
-                np.cumsum(
-                    membership[base.out_targets[e0:e1]], dtype=np.int64, out=cum[1:]
-                )
-                offsets = base.out_offsets[blo : bhi + 1] - e0
-                counts[: bhi - blo] = cum[offsets[1:]] - cum[offsets[:-1]]
-        if self._dead_src.size:
-            in_range = (self._dead_src >= lo) & (self._dead_src < hi)
-            if in_range.any():
-                np.subtract.at(
-                    counts,
-                    self._dead_src[in_range] - lo,
-                    membership[self._dead_dst[in_range]].astype(np.int64),
-                )
-        for v, seg in self._seg_out.items():
-            if lo <= v < hi:
-                counts[v - lo] += int(membership[seg].sum(dtype=np.int64))
-        if out is None:
-            return counts
-        out[lo:hi] = counts
-        return out
 
     def gather_in_slices(self, nodes) -> "np.ndarray":
         nodes = np.asarray(nodes, dtype=np.int64)

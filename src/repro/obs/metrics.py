@@ -65,8 +65,8 @@ class _Metric:
     """Base: one named metric owning a series per label set.
 
     Updates are thread-safe: every mutator takes the metric's lock —
-    the serving pool's result-merge path and kernel shard threads may
-    increment one registry concurrently, and the read-modify-write
+    the serving pool's result-merge path and sessions on other threads
+    may increment one registry concurrently, and the read-modify-write
     cycles below would otherwise lose updates.
     """
 
@@ -252,7 +252,8 @@ class MetricsRegistry:
     for the same name must get the *same* metric object — one of two
     racing instances would otherwise collect into the void) and every
     series update locks its metric, so one registry may be shared by
-    the serving pool's merge path, kernel shard threads and the tracer.
+    the serving pool's merge path, sessions on other threads and the
+    tracer.
     """
 
     def __init__(self) -> None:

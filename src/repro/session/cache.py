@@ -432,15 +432,8 @@ class SessionCache:
         self,
         pattern: Pattern,
         use_csr: bool,
-        sim_shards: int = 0,
-        shard_backend: str = "thread",
     ) -> tuple[SimulationResult, bool]:
-        """The maximal-simulation fixpoint; returns ``(simulation, was_hit)``.
-
-        ``sim_shards``/``shard_backend`` thread the config's
-        shard-parallel kernel settings through (identical fixpoint, so
-        they are deliberately *not* part of the cache key).
-        """
+        """The maximal-simulation fixpoint; returns ``(simulation, was_hit)``."""
         key = ("sim", pattern_structure_key(pattern), use_csr)
         cached = self._sim.get(key)
         if cached is not None:
@@ -452,8 +445,7 @@ class SessionCache:
         with trace("cache.build", artifact="simulation"):
             base, _ = self.candidates(pattern, use_csr)
             result = maximal_simulation(
-                pattern, self.graph, base, optimized=use_csr,
-                sim_shards=sim_shards, shard_backend=shard_backend,
+                pattern, self.graph, base, optimized=use_csr
             )
         self._sim[key] = result
         return result, False

@@ -54,15 +54,6 @@ class ExecutionConfig:
         :class:`repro.session.parallel.WorkerPool` and answers come
         back in input order, identical to serial.  ``0`` (default) and
         ``1`` run serial in-process.
-    sim_shards:
-        Node-range shards for the CSR simulation kernel's counting
-        scans (:mod:`repro.parallel`).  ``0``/``1`` (default) keeps the
-        serial kernel verbatim; ``>= 2`` fans the scans over the shard
-        pool — identical fixpoint either way.
-    shard_backend:
-        Pool backing the kernel shards: ``"thread"`` (default; the
-        scans are numpy passes that release the GIL) or ``"process"``
-        (spawned workers holding a pickled snapshot).
     snapshot_patching:
         Delta-aware serving under write streams.  When on, the session
         attaches a :class:`repro.graph.csr.SnapshotPatcher` to its
@@ -73,11 +64,6 @@ class ExecutionConfig:
         delta (label-selective invalidation) instead of everything.
         Default off: the wholesale drop + full rebuild stays the
         oracle, answers are identical either way.
-    compact_ratio:
-        Overlay-size budget for snapshot patching, as a fraction of the
-        flat base's size (``|V| + |E|``).  Once the accumulated op log
-        exceeds it, the next snapshot request compacts back to a flat
-        rebuild.  Only meaningful with ``snapshot_patching``.
     """
 
     optimized: bool = True
@@ -87,14 +73,9 @@ class ExecutionConfig:
     metrics: bool = False
     slow_query_seconds: float | None = None
     workers: int = 0
-    sim_shards: int = 0
-    shard_backend: str = "thread"
     snapshot_patching: bool = False
-    compact_ratio: float = 0.25
 
     def __post_init__(self) -> None:
-        from repro.parallel import SHARD_BACKENDS
-
         if self.slow_query_seconds is not None and self.slow_query_seconds <= 0:
             raise MatchingError(
                 f"slow_query_seconds must be positive; got {self.slow_query_seconds}"
@@ -102,19 +83,6 @@ class ExecutionConfig:
         if self.workers < 0:
             raise MatchingError(
                 f"workers must be non-negative; got {self.workers}"
-            )
-        if self.sim_shards < 0:
-            raise MatchingError(
-                f"sim_shards must be non-negative; got {self.sim_shards}"
-            )
-        if self.shard_backend not in SHARD_BACKENDS:
-            raise MatchingError(
-                f"unknown shard backend {self.shard_backend!r}; "
-                f"expected one of {SHARD_BACKENDS}"
-            )
-        if not (0.0 <= self.compact_ratio <= 1.0):
-            raise MatchingError(
-                f"compact_ratio must be within [0, 1]; got {self.compact_ratio}"
             )
 
     def resolved(self) -> "ExecutionConfig":

@@ -193,12 +193,11 @@ class MatchSession:
         #: thread racing a pooled batch on another must never observe a
         #: half-swapped (pool, key, ops) state or build two pools.
         self._pool_lock = threading.Lock()
-        resolved = self.config.resolved()
-        if resolved.snapshot_patching:
+        if self.config.snapshot_patching:
             # Delta-aware serving: small deltas patch the cached CSR
             # snapshot instead of recompiling it, and the cache drops
             # only delta-affected artifacts on refresh.
-            csr.attach_snapshot_patching(graph, compact_ratio=resolved.compact_ratio)
+            csr.attach_snapshot_patching(graph)
             self.cache.selective = True
 
     # ------------------------------------------------------------------

@@ -20,15 +20,6 @@ compiled onto the :class:`repro.graph.csr.CSRSnapshot` layout:
   one vectorised counting scan (heavy rounds, where the batch amortises
   the full-edge gather).
 
-With ``shards >= 2`` the two full-width counting scans — the per-child
-counter initialisation and the heavy-round recount — run shard-parallel
-over node-range shards on a :class:`repro.parallel.ShardRunner` pool
-(threads by default; the scans are numpy passes that release the GIL).
-The cascade is level-synchronous, so shards scan independently and the
-dead-node frontiers merge at the existing round barrier; the serial
-path is kept verbatim as the oracle and both arms produce the identical
-greatest fixpoint.
-
 The result is the identical greatest fixpoint — the property suite
 cross-checks it against the dict path and the naive oracle.
 """
@@ -62,24 +53,16 @@ def simulation_fixpoint_csr(
     graph: "Graph",
     candidates: "CandidateSets",
     snapshot: "CSRSnapshot | None" = None,
-    *,
-    shards: int = 0,
-    shard_backend: str = "thread",
 ) -> list[set[int]]:
     """The greatest simulation as ``list[set[int]]`` (one set per query node).
 
     Exactly :func:`repro.simulation.match.maximal_simulation`'s fixpoint,
     computed over ``snapshot`` (defaults to ``graph.snapshot()``).
-    ``shards >= 2`` runs the counting scans shard-parallel (identical
-    fixpoint; see the module docstring) — thread the setting from
-    ``ExecutionConfig.sim_shards`` / ``ExecutionConfig.shard_backend``.
     """
     with trace("simulation.fixpoint", path="csr") as span:
-        result, rounds = _fixpoint_cascade(
-            pattern, graph, candidates, snapshot, shards, shard_backend
-        )
+        result, rounds = _fixpoint_cascade(pattern, graph, candidates, snapshot)
         if span is not None:
-            span.set_attr(rounds=rounds, shards=shards)
+            span.set_attr(rounds=rounds)
     registry = current_metrics()
     if registry is not None:
         registry.counter(
@@ -99,18 +82,11 @@ def _fixpoint_cascade(
     graph: "Graph",
     candidates: "CandidateSets",
     snapshot: "CSRSnapshot | None",
-    shards: int = 0,
-    shard_backend: str = "thread",
 ) -> tuple[list[set[int]], int]:
     """The cascade body: the fixpoint plus the number of rounds it ran."""
     snap = snapshot if snapshot is not None else graph.snapshot()
     n = snap.num_nodes
     num_q = pattern.num_nodes
-    runner = None
-    if shards > 1:
-        from repro.parallel.shards import shard_runner
-
-        runner = shard_runner(snap, shards, shard_backend)
 
     # Membership per query node: one byte per node, with a zero-copy
     # numpy view over the same buffer so the scalar cascade and the
@@ -137,16 +113,9 @@ def _fixpoint_cascade(
         uc: list(pattern.predecessors(uc)) for uc in children
     }
     out_edges: list[list[int]] = [list(pattern.successors(u)) for u in range(num_q)]
-    if runner is None:
-        counters: dict[int, np.ndarray] = {
-            uc: snap.out_counts(sim_views[uc]) for uc in children
-        }
-    else:
-        # Shard-parallel init: every (child, shard) scan is independent
-        # and writes a disjoint node range of its child's count array.
-        counters = runner.out_counts_multi(
-            [(uc, sim_views[uc]) for uc in children]
-        )
+    counters: dict[int, np.ndarray] = {
+        uc: snap.out_counts(sim_views[uc]) for uc in children
+    }
 
     def cull(alive_arrs: list[np.ndarray], pending: list[list[int]]) -> None:
         """Drop every member with a zero-support pattern edge."""
@@ -197,17 +166,8 @@ def _fixpoint_cascade(
             # Heavy round: recount every child's support from current
             # membership in one vectorised sweep; the members that die
             # now feed the next round exactly like the initial cull.
-            # Shards recount independently (the membership views are
-            # frozen for the round) and merge at this barrier.
-            if runner is None:
-                for u_child in children:
-                    counters[u_child] = snap.out_counts(sim_views[u_child])
-            else:
-                counters.update(
-                    runner.out_counts_multi(
-                        [(uc, sim_views[uc]) for uc in children]
-                    )
-                )
+            for u_child in children:
+                counters[u_child] = snap.out_counts(sim_views[u_child])
             alive_arrs = [np.nonzero(view)[0] for view in sim_views]
             cull(alive_arrs, pending)
             continue

@@ -93,9 +93,6 @@ def maximal_simulation(
     graph: Graph,
     candidates: CandidateSets | None = None,
     optimized: bool = True,
-    *,
-    sim_shards: int = 0,
-    shard_backend: str = "thread",
 ) -> SimulationResult:
     """Compute the maximum simulation of ``pattern`` in ``graph``.
 
@@ -103,11 +100,8 @@ def maximal_simulation(
     :class:`CandidateSets` (the top-k engines do this).  With
     ``optimized`` (the default) the fixpoint runs over the graph's
     compiled CSR snapshot (:mod:`repro.simulation.csr_kernel`);
-    ``optimized=False`` forces the dict-of-sets reference path.
-    ``sim_shards >= 2`` (CSR path only; thread the values from
-    ``ExecutionConfig.sim_shards`` / ``shard_backend``) runs the
-    kernel's counting scans shard-parallel.  Every arm computes the
-    identical greatest fixpoint.
+    ``optimized=False`` forces the dict-of-sets reference path.  Both
+    paths compute the identical greatest fixpoint.
     """
     if candidates is None:
         candidates = compute_candidates(pattern, graph, optimized=optimized)
@@ -115,10 +109,7 @@ def maximal_simulation(
     if optimized:
         from repro.simulation.csr_kernel import simulation_fixpoint_csr
 
-        sim = simulation_fixpoint_csr(
-            pattern, graph, candidates,
-            shards=sim_shards, shard_backend=shard_backend,
-        )
+        sim = simulation_fixpoint_csr(pattern, graph, candidates)
         total = all(sim[u] for u in pattern.nodes()) and pattern.num_nodes > 0
         return SimulationResult(pattern, graph, sim, total, candidates)
 

@@ -94,18 +94,14 @@ class TopKEngine:
                 self.stats.snapshot_builds += 1
         with trace("engine.simulation", algorithm=algorithm_name):
             if cache is not None:
-                simulation, hit = cache.simulation(
-                    pattern, cfg.use_csr,
-                    sim_shards=cfg.sim_shards, shard_backend=cfg.shard_backend,
-                )
+                simulation, hit = cache.simulation(pattern, cfg.use_csr)
                 if hit:
                     self.stats.sim_hits += 1
                 else:
                     self.stats.sim_builds += 1
             else:
                 simulation = maximal_simulation(
-                    pattern, graph, candidates, optimized=cfg.use_csr,
-                    sim_shards=cfg.sim_shards, shard_backend=cfg.shard_backend,
+                    pattern, graph, candidates, optimized=cfg.use_csr
                 )
                 self.stats.sim_builds += 1
         self.evaluation: Evaluation | None = None

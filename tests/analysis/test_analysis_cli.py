@@ -60,7 +60,7 @@ SEEDED = {
         """,
     ),
     "R8": (
-        "repro/parallel/pools.py",
+        "repro/session/pools.py",
         """
         import threading
 

@@ -803,7 +803,7 @@ class TestR7PoolPayloads:
         report = check(
             tmp_path,
             {
-                "src/repro/parallel/tasks.py": """
+                "src/repro/session/tasks.py": """
                     def dispatch(pool, items):
                         return pool.submit(lambda: len(items))
                 """
@@ -817,7 +817,7 @@ class TestR7PoolPayloads:
         report = check(
             tmp_path,
             {
-                "src/repro/parallel/tasks.py": """
+                "src/repro/session/tasks.py": """
                     def dispatch(executor, items):
                         def work(item):
                             return item * 2
@@ -834,7 +834,7 @@ class TestR7PoolPayloads:
         report = check(
             tmp_path,
             {
-                "src/repro/parallel/tasks.py": """
+                "src/repro/session/tasks.py": """
                     def work(item):
                         return item * 2
 
@@ -851,7 +851,7 @@ class TestR7PoolPayloads:
         report = check(
             tmp_path,
             {
-                "src/repro/parallel/tasks.py": """
+                "src/repro/session/tasks.py": """
                     from concurrent.futures import ProcessPoolExecutor
 
                     def start(payload):
@@ -877,7 +877,7 @@ class TestR8LockDiscipline:
         report = check(
             tmp_path,
             {
-                "src/repro/parallel/pools.py": """
+                "src/repro/session/pools.py": """
                     import threading
 
                     _POOLS = {}
@@ -904,7 +904,7 @@ class TestR8LockDiscipline:
         report = check(
             tmp_path,
             {
-                "src/repro/parallel/pools.py": """
+                "src/repro/session/pools.py": """
                     import threading
 
                     _POOLS = {}
@@ -1216,39 +1216,45 @@ class TestR10ToggleParity:
         assert report.new == []
 
     def test_kwarg_alias_hop_counts_as_branch(self, tmp_path):
-        # sim_shards never appears by name in a boolean context: it is
-        # renamed through `shards=config.sim_shards` into the kernel's
-        # `if shards > 1` guard.  The one-hop alias must satisfy (a).
-        report = check(
-            tmp_path,
-            {
-                "src/repro/session/config.py": """
-                    from dataclasses import dataclass
+        # workers never appears by name in a boolean context: it is
+        # renamed through `pool_size=config.workers` into the runner's
+        # `if pool_size > 1` guard.  The one-hop alias must satisfy (a).
+        files = {
+            "src/repro/session/config.py": """
+                from dataclasses import dataclass
 
 
-                    @dataclass(frozen=True)
-                    class ExecutionConfig:
-                        sim_shards: int = 0
-                """,
-                "src/repro/session/match.py": """
-                    def dispatch(graph, config):
-                        return kernel(graph, shards=config.sim_shards)
-                """,
-                "src/repro/simulation/kernel.py": """
-                    def kernel(graph, shards=0):
-                        if shards > 1:
-                            return sharded(graph, shards)
-                        return serial(graph)
-                """,
-                "tests/test_kernel.py": """
-                    def test_sim_shards_matches_serial():
-                        cfg = ExecutionConfig(sim_shards=2)
-                        assert dispatch(g, cfg) == kernel(g)
-                """,
-            },
-            "R10",
-        )
-        assert report.new == []
+                @dataclass(frozen=True)
+                class ExecutionConfig:
+                    workers: int = 0
+            """,
+            "src/repro/session/session.py": """
+                def dispatch(batch, config):
+                    return run(batch, pool_size=config.workers)
+            """,
+            "src/repro/session/runner.py": """
+                def run(batch, pool_size=0):
+                    if pool_size > 1:
+                        return pooled(batch, pool_size)
+                    return serial(batch)
+            """,
+            "tests/test_runner.py": """
+                def test_workers_match_serial():
+                    cfg = ExecutionConfig(workers=2)
+                    assert dispatch(b, cfg) == run(b)
+            """,
+        }
+        assert check(tmp_path / "aliased", files, "R10").new == []
+        # Without the guard the toggle is flagged, so the hop is what
+        # satisfies (a) above.
+        files["src/repro/session/runner.py"] = """
+            def run(batch, pool_size=0):
+                return serial(batch)
+        """
+        report = check(tmp_path / "unguarded", files, "R10")
+        assert [finding.detail for finding in report.new] == [
+            "toggle-without-branch:workers"
+        ]
 
     def test_defaulting_branch_in_config_does_not_count(self, tmp_path):
         # resolved()'s own defaulting logic branches on every field; it

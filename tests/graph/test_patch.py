@@ -111,11 +111,6 @@ def assert_snapshots_equivalent(patched, fresh) -> None:
     np.testing.assert_array_equal(
         patched.in_counts(membership), fresh.in_counts(membership)
     )
-    if fresh.num_nodes > 4:
-        np.testing.assert_array_equal(
-            patched.out_counts_range(membership, 2, fresh.num_nodes - 2),
-            fresh.out_counts_range(membership, 2, fresh.num_nodes - 2),
-        )
     live = [int(v) for v in fresh.live_nodes]
     if live:
         np.testing.assert_array_equal(

@@ -69,21 +69,6 @@ def test_pooled_equals_serial_equals_one_shot_across_toggle_grid(seed):
                 assert_same(got, one_shot(spec, graph, config))
 
 
-@given(seed=st.integers(0, 10_000))
-@SETTINGS
-def test_pooled_with_sim_shards_equals_serial(seed):
-    """Both parallel levels on at once: workers=2 + sharded kernel."""
-    graph = rich_random_graph(seed + 3)
-    specs = mixed_batch(seed + 3)
-    cfg = ExecutionConfig(workers=2, sim_shards=3)
-    with MatchSession(graph, config=cfg) as pooled:
-        pooled_results = pooled.run_batch(specs)
-    with MatchSession(graph) as serial:
-        serial_results = serial.run_batch(specs)
-    for got, want in zip(pooled_results, serial_results):
-        assert_same(got, want)
-
-
 def test_no_double_counting_in_published_stats():
     """The pooled registry sees exactly the serial registry's runs."""
     graph = make_random_graph(5, num_nodes=16, num_edges=30)
@@ -212,14 +197,13 @@ def test_workers_zero_and_one_stay_serial():
 def test_worker_config_strips_serving_knobs():
     cfg = ExecutionConfig(
         workers=4, trace=True, metrics=True, slow_query_seconds=0.5,
-        sim_shards=2, use_csr=True,
+        use_csr=True,
     )
     stripped = worker_config(cfg)
     assert stripped.workers == 0
     assert not stripped.trace and not stripped.metrics
     assert stripped.slow_query_seconds == float("inf")
     # Engine toggles survive — answers must not change.
-    assert stripped.sim_shards == 2
     assert stripped.use_csr is True
 
 
@@ -237,7 +221,3 @@ def test_worker_pool_validation_and_close():
 def test_execution_config_validates_parallel_fields():
     with pytest.raises(MatchingError):
         ExecutionConfig(workers=-1)
-    with pytest.raises(MatchingError):
-        ExecutionConfig(sim_shards=-2)
-    with pytest.raises(MatchingError):
-        ExecutionConfig(shard_backend="gpu")

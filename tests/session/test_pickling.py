@@ -1,10 +1,11 @@
 """Pickle round-trips for everything the serving pool ships.
 
 Workers receive ``(Graph, ExecutionConfig)`` once at initialisation and
-``QuerySpec`` lists per dispatch; the kernel's process backend ships
-``CSRSnapshot``.  Each must survive a round-trip with its semantic
-payload intact while process-local wiring (listeners, derived caches,
-scalar-mirror/shard caches) is deliberately dropped and rebuilt lazily.
+``QuerySpec`` lists per dispatch; ``CSRSnapshot`` keeps a pickle form
+for the same boundary.  Each must survive a round-trip with its
+semantic payload intact while process-local wiring (listeners, derived
+caches, scalar-mirror caches) is deliberately dropped and rebuilt
+lazily.
 """
 
 import pickle
@@ -44,7 +45,6 @@ def test_csr_snapshot_roundtrip_preserves_arrays_and_drops_caches():
     graph = make_random_graph(7, num_nodes=15, num_edges=30)
     snap = graph.snapshot()
     snap.in_csr_lists()  # populate the scalar-mirror cache
-    snap.shard_bounds(3)  # populate the shard cache
     copy = roundtrip(snap)
     for name in (
         "out_offsets", "out_targets", "in_offsets", "in_sources",
@@ -53,7 +53,7 @@ def test_csr_snapshot_roundtrip_preserves_arrays_and_drops_caches():
         np.testing.assert_array_equal(getattr(copy, name), getattr(snap, name))
     assert copy.num_nodes == snap.num_nodes
     assert copy.num_edges == snap.num_edges
-    assert copy._shard_cache == {} and copy._in_lists is None
+    assert copy._in_lists is None
     # And the copy computes identical counting scans.
     membership = np.zeros(snap.num_nodes, dtype=np.uint8)
     membership[:: 2] = 1
@@ -65,7 +65,7 @@ def test_csr_snapshot_roundtrip_preserves_arrays_and_drops_caches():
 def test_patched_snapshot_roundtrip_preserves_overlay_reads():
     """An overlay-form snapshot pickles like a flat one: every read the
     copy serves matches the patched original, and process-local caches
-    (shard cache, list mirrors, token) are rebuilt fresh."""
+    (list mirrors, token) are rebuilt fresh."""
     import numpy as np
 
     graph = make_random_graph(11, num_nodes=15, num_edges=30)
@@ -81,14 +81,13 @@ def test_patched_snapshot_roundtrip_preserves_overlay_reads():
     patched = csr.PatchedCSRSnapshot.patch(base, ops, graph)
     patched.in_csr_lists()
     patched.out_csr()
-    patched.shard_bounds(3)
     copy = roundtrip(patched)
     assert isinstance(copy, csr.PatchedCSRSnapshot)
     assert copy.num_nodes == patched.num_nodes
     assert copy.num_edges == patched.num_edges
     assert copy.num_live == patched.num_live
     np.testing.assert_array_equal(copy.live_mask, patched.live_mask)
-    assert copy._shard_cache == {} and copy._in_lists is None
+    assert copy._in_lists is None
     assert copy._out_csr is None
     for node in range(patched.num_nodes):
         np.testing.assert_array_equal(
@@ -116,8 +115,8 @@ def test_patched_snapshot_roundtrip_preserves_overlay_reads():
 
 def test_execution_config_roundtrip():
     cfg = ExecutionConfig(
-        use_csr=True, seed=9, workers=3, sim_shards=2,
-        shard_backend="process", metrics=True,
+        use_csr=True, seed=9, workers=3, snapshot_patching=True,
+        slow_query_seconds=0.5, metrics=True,
     )
     assert roundtrip(cfg) == cfg
     assert roundtrip(cfg.resolved()) == cfg.resolved()
