@@ -1,14 +1,12 @@
 """Project-invariant static analysis (``python -m repro.analysis``).
 
-The optimized arms of this repository (CSR kernel, incremental SCC,
-bitset relevant sets, session caches) are only trustworthy because a
-set of cross-cutting invariants holds everywhere:
+The serving paths of this repository (CSR snapshots, session caches,
+worker pools) are only trustworthy because a set of cross-cutting
+invariants holds everywhere:
 
 * structural mutations invalidate derived caches, and every writer of
   ``graph.derived`` registers its key prefix with the invalidation
   hooks (the PR-2 stale-snapshot bug class);
-* execution toggles flow through :class:`repro.session.config.ExecutionConfig`
-  instead of re-growing the legacy kwargs sprawl;
 * observability hooks are strict no-ops when disabled — no ambient
   lookups or span allocation inside hot loops;
 * engine-private buffers stay inside :mod:`repro.topk`;

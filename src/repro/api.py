@@ -25,8 +25,8 @@ open the session yourself:
 ...     results = session.run_batch([QuerySpec(q1, k=10), QuerySpec(q2, k=5)])
 
 Execution settings are one :class:`repro.session.ExecutionConfig`
-(``config=``); the kwargs ``optimized`` / ``use_csr`` / ``seed`` remain
-accepted through an adapter that maps them onto the same config.
+(``config=``); the paper's TopK/TopKnopt kwargs ``optimized`` / ``seed``
+remain accepted through an adapter that maps them onto the same config.
 
 For update streams, register the pattern once and mutate the graph —
 the materialized view follows along without per-query recomputation:
@@ -78,7 +78,7 @@ from repro.topk.result import TopKResult
 #: Engine kwargs the adapter can express as an :class:`ExecutionConfig`.
 #: Anything else (``candidates=...``) bypasses the implicit session and
 #: goes straight to the engine wrapper.
-_CONFIG_KEYS = frozenset(("use_csr", "seed"))
+_CONFIG_KEYS = frozenset(("seed",))
 
 
 def _adapt_options(
@@ -112,23 +112,19 @@ def execution_session(
     return MatchSession(graph, config=config, on_mutation=on_mutation)
 
 
-def find_matches(
-    pattern: Pattern, graph: Graph, optimized: bool = True
-) -> SimulationResult:
+def find_matches(pattern: Pattern, graph: Graph) -> SimulationResult:
     """Compute the full match relation ``M(Q, G)`` by graph simulation.
 
-    ``optimized`` (the default) runs the fixpoint over the graph's
-    compiled CSR snapshot; ``False`` forces the dict-of-sets reference
-    path.  Both return the identical relation.
+    The fixpoint runs over the graph's compiled CSR snapshot.
     """
     pattern.validate(require_output=False)
-    return maximal_simulation(pattern, graph, optimized=optimized)
+    return maximal_simulation(pattern, graph)
 
 
-def output_matches(pattern: Pattern, graph: Graph, optimized: bool = True) -> set[int]:
+def output_matches(pattern: Pattern, graph: Graph) -> set[int]:
     """``Mu(Q, G, uo)`` — all matches of the designated output node."""
     pattern.validate()
-    return find_matches(pattern, graph, optimized=optimized).output_matches()
+    return find_matches(pattern, graph).output_matches()
 
 
 def top_k_matches(
@@ -144,10 +140,9 @@ def top_k_matches(
 
     A thin shim over an implicit per-call :class:`MatchSession`.  Pass
     ``config=`` (an :class:`ExecutionConfig`) for the session-era
-    surface; the ``engine_options`` kwargs ``use_csr`` (defaulting to
-    follow ``optimized``) and ``seed`` are accepted via the adapter.
-    Options a config cannot express (``candidates=...``) fall through
-    to the engine wrapper directly.
+    surface; the ``engine_options`` kwarg ``seed`` is accepted via the
+    adapter.  Options a config cannot express (``candidates=...``) fall
+    through to the engine wrapper directly.
     """
     cfg = _adapt_options(optimized, config, engine_options)
     if cfg is None:
@@ -165,12 +160,10 @@ def baseline_matches(
     graph: Graph,
     k: int,
     relevance_fn: RelevanceFunction | None = None,
-    optimized: bool = True,
     config: ExecutionConfig | None = None,
 ) -> TopKResult:
     """The ``Match`` baseline: compute everything, then rank."""
-    cfg = ExecutionConfig.adapt(config, optimized=optimized)
-    with MatchSession(graph, config=cfg) as session:
+    with MatchSession(graph, config=config) as session:
         return session.baseline(pattern, k, relevance_fn=relevance_fn)
 
 
@@ -189,22 +182,23 @@ def diversified_matches(
 
     ``method="heuristic"`` runs the early-terminating ``TopKDH`` /
     ``TopKDAGDH``; ``method="approx"`` runs the 2-approximation
-    ``TopKDiv``.  ``optimized=False`` selects the full dict-of-sets
-    reference path (and, for the heuristic, the random visiting order).
-    A thin shim over an implicit per-call :class:`MatchSession`;
-    execution settings pass through ``config=`` or the ``options``
-    kwargs, and both methods accept the same option set regardless of
-    ``method``.
+    ``TopKDiv``.  ``optimized=False`` selects the heuristic's seeded
+    random visiting order (``TopKDiv`` scores every match, so it
+    ignores the visiting order).  A thin shim over an implicit per-call
+    :class:`MatchSession`; execution settings pass through ``config=``
+    or the ``options`` kwargs, and both methods accept the same option
+    set regardless of ``method``.
     """
     if method not in ("heuristic", "approx"):
         raise MatchingError(f"unknown diversification method {method!r}")
     cfg = _adapt_options(optimized, config, options)
     if cfg is None:
-        runner = (
-            top_k_diversified_heuristic if method == "heuristic"
-            else top_k_diversified_approx
-        )
-        return runner(
+        if method == "approx":
+            return top_k_diversified_approx(
+                pattern, graph, k, lam=lam, objective=objective,
+                config=config, **options,
+            )
+        return top_k_diversified_heuristic(
             pattern, graph, k, lam=lam, objective=objective,
             optimized=optimized, config=config, **options,
         )
@@ -234,7 +228,7 @@ def register_view(
     delta simulation instead of per-query recomputation.  ``graph`` must
     be mutable — call :meth:`Graph.thaw` on frozen dataset graphs first.
     Options forward to :class:`MatchView` (``lam``, ``relevance_fn``,
-    ``recompute_threshold``, ``optimized``, ``cache``).  To share
+    ``recompute_threshold``, ``cache``).  To share
     rebuild work with a serving session, register through
     :meth:`MatchSession.register_view` instead.
     """
@@ -252,12 +246,10 @@ def update_graph(graph: Graph, ops: Iterable[DeltaOp]) -> list[int | None]:
     return graph.apply_delta(ops)
 
 
-def ranking_context(
-    pattern: Pattern, graph: Graph, optimized: bool = True
-) -> RankingContext:
+def ranking_context(pattern: Pattern, graph: Graph) -> RankingContext:
     """A fully evaluated :class:`RankingContext` (relevant sets, ``C_uo``)."""
     pattern.validate()
-    return RankingContext(pattern, graph, optimized=optimized)
+    return RankingContext(pattern, graph)
 
 
 def top_k_matches_multi(

@@ -115,19 +115,8 @@ def _cmd_match(args: argparse.Namespace) -> int:
     else:
         algorithm = "TopKDAG" if pattern.is_dag() else "TopK"
 
-    options = {}
-    if args.no_csr:
-        # Force the dict-of-sets reference path.  ``Match`` / ``TopKDiv``
-        # gate it on ``optimized``; the engine family has a dedicated
-        # ``use_csr`` toggle (``optimized`` there picks the visiting order).
-        if algorithm in ("Match", "TopKDiv"):
-            options["optimized"] = False
-        else:
-            options["use_csr"] = False
     with _maybe_tracing(args.trace):
-        record = run_algorithm(
-            algorithm, pattern, graph, args.k, args.lam, **options
-        )
+        record = run_algorithm(algorithm, pattern, graph, args.k, args.lam)
     payload = {
         "algorithm": record.algorithm,
         "k": args.k,
@@ -207,7 +196,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     graph = load_json(args.graph)
     entries = load_batch_file(args.queries)
     config = ExecutionConfig(
-        use_csr=False if args.no_csr else None,
         slow_query_seconds=args.slow_query,
         workers=args.workers,
     )
@@ -325,7 +313,6 @@ def _cmd_update_stream(args: argparse.Namespace) -> int:
         name="cli",
         lam=args.lam,
         recompute_threshold=args.recompute_threshold,
-        optimized=not args.no_csr,
     )
     api.update_graph(graph, ops)
     result = view.diversified() if args.diversify else view.top_k()
@@ -402,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="optimise F (topKDP) instead of relevance alone")
     match.add_argument("--algorithm", choices=list(ALGORITHMS),
                        help="force a specific algorithm")
-    match.add_argument("--no-csr", action="store_true",
-                       help="disable the CSR snapshot fast path (reference run)")
     match.add_argument("--trace", metavar="FILE",
                        help="record the run's phase spans as JSON lines here")
     match.add_argument("--json", action="store_true", help="machine-readable output")
@@ -420,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default k for queries that do not set one")
     batch.add_argument("--lam", type=float, default=0.5,
                        help="default lambda for diversified queries")
-    batch.add_argument("--no-csr", action="store_true",
-                       help="disable the CSR snapshot fast path (reference run)")
     batch.add_argument("--trace", metavar="FILE",
                        help="record the batch's phase spans as JSON lines here")
     batch.add_argument("--workers", type=int, default=0, metavar="N",
@@ -464,8 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rank the final answer with topKDP instead of topKP")
     stream.add_argument("--recompute-threshold", type=int, default=None,
                         help="touched-frontier size forcing a full recompute")
-    stream.add_argument("--no-csr", action="store_true",
-                        help="rebuild the view over the dict reference path")
     stream.add_argument("--out", help="write the updated graph JSON here")
     stream.add_argument("--json", action="store_true", help="machine-readable output")
     stream.set_defaults(func=_cmd_update_stream)

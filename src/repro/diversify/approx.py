@@ -49,8 +49,6 @@ def top_k_diversified_approx(
     lam: float = 0.5,
     objective: DiversificationObjective | None = None,
     context: RankingContext | None = None,
-    optimized: bool = True,
-    use_csr: bool | None = None,
     config: "ExecutionConfig | None" = None,
     cache: "SessionCache | None" = None,
 ) -> TopKResult:
@@ -58,20 +56,13 @@ def top_k_diversified_approx(
 
     ``objective`` overrides the default (normalised δ'r + Jaccard δd) with
     a generalised ``F*`` (Proposition 6 preserves the ratio).  ``context``
-    reuses an existing full evaluation.  ``optimized=False`` forces the
-    dict-of-sets reference simulation.
-
-    ``use_csr`` (or ``config=`` carrying it) is accepted for API
-    symmetry, so facade callers can pass one option set to either
-    diversification method: the resolved ``use_csr`` selects the
-    full-evaluation simulation path.  ``cache`` (a session's artifact
+    reuses an existing full evaluation.  ``config=`` carries the run's
+    observability settings (``TopKDiv`` scores every match, so
+    ``optimized`` does not apply), and ``cache`` (a session's artifact
     store) serves the full evaluation as a shared
     :class:`RankingContext`.
     """
-    cfg = ExecutionConfig.adapt(
-        config, optimized=optimized, use_csr=use_csr
-    ).resolved()
-    optimized = cfg.use_csr
+    cfg = config if config is not None else ExecutionConfig()
     if k < 1:
         raise MatchingError(f"k must be positive; got {k}")
     pattern.validate()
@@ -80,9 +71,9 @@ def top_k_diversified_approx(
     with instrumentation(cfg):
         if context is None:
             if cache is not None:
-                context = cache.ranking_context(pattern, optimized)
+                context = cache.ranking_context(pattern)
             else:
-                context = RankingContext(pattern, graph, optimized=optimized)
+                context = RankingContext(pattern, graph)
         stats = EngineStats()
         if not context.simulation.total:
             stats.total_matches = 0

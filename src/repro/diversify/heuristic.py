@@ -47,7 +47,6 @@ def top_k_diversified_heuristic(
     optimized: bool = True,
     seed: int = 0,
     candidates: CandidateSets | None = None,
-    use_csr: bool | None = None,
     config: ExecutionConfig | None = None,
     cache: "SessionCache | None" = None,
 ) -> TopKResult:
@@ -56,17 +55,14 @@ def top_k_diversified_heuristic(
     The algorithm name in the result follows the paper's convention:
     ``TopKDAGDH`` on DAG patterns, ``TopKDH`` otherwise.  Execution
     settings arrive as one :class:`ExecutionConfig` (``config=``) or as
-    the kwargs ``optimized`` / ``seed`` / ``use_csr``, adapted onto the
-    same config; ``optimized=False`` visits in seeded random order over
-    the dict reference path.  ``cache`` injects a session's shared
-    artifact store.
+    the kwargs ``optimized`` / ``seed``, adapted onto the same config;
+    ``optimized=False`` visits in seeded random order.  ``cache``
+    injects a session's shared artifact store.
     """
     obj = objective if objective is not None else DiversificationObjective(lam=lam, k=k)
     if obj.k != k:
         raise MatchingError(f"objective is configured for k={obj.k}, not k={k}")
-    cfg = ExecutionConfig.adapt(
-        config, optimized=optimized, seed=seed, use_csr=use_csr
-    )
+    cfg = ExecutionConfig.adapt(config, optimized=optimized, seed=seed)
     name = "TopKDAGDH" if pattern.is_dag() else "TopKDH"
     with instrumentation(cfg):
         started = time.perf_counter()

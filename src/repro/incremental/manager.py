@@ -71,7 +71,7 @@ class MatchViewManager:
         ``name`` defaults to ``view-<n>``; registering an existing name
         replaces the old view.  Keyword options are forwarded to
         :class:`MatchView` (``lam``, ``relevance_fn``,
-        ``recompute_threshold``, ``optimized``).
+        ``recompute_threshold``, ``cache``).
         """
         self._check_open()
         if name is None:

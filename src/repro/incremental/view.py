@@ -94,12 +94,6 @@ class MatchView:
         Touched-frontier size above which one update falls back to a
         full fixpoint recompute.  ``None`` picks a size-scaled default
         (roughly the initialisation cost of the from-scratch fixpoint).
-    optimized:
-        Run full rebuilds (the initial build and every threshold
-        fallback) over the graph's compiled CSR snapshot.  The snapshot
-        is cached on the graph, so the rebuilds a single update triggers
-        across many registered views all share one compilation pass.
-        ``False`` forces the dict-of-sets reference path.
     cache:
         Optional :class:`repro.session.SessionCache` (normally injected
         by :meth:`repro.session.MatchSession.register_view`): full
@@ -125,7 +119,6 @@ class MatchView:
         relevance_fn: RelevanceFunction | None = None,
         recompute_threshold: int | None = None,
         name: str | None = None,
-        optimized: bool = True,
         cache=None,
     ) -> None:
         pattern.validate()
@@ -136,7 +129,6 @@ class MatchView:
         self.k = k
         self.lam = lam
         self.name = name
-        self.optimized = optimized
         self._cache = cache
         self.relevance_fn = (
             relevance_fn if relevance_fn is not None else CardinalityRelevance()
@@ -199,13 +191,16 @@ class MatchView:
         return set(self._sim[self.pattern.output_node])
 
     def ranking_context(self) -> RankingContext:
-        """A :class:`RankingContext` over the maintained relation."""
+        """A :class:`RankingContext` over the maintained relation.
+
+        Between rebuilds the relation tracks the live graph, whose
+        snapshot each write drops; the context's evaluation then gathers
+        from the live adjacency instead of recompiling the snapshot for
+        every ranking (:func:`~repro.simulation.relevant.build_evaluation`).
+        """
         if self._cached_context is None:
-            # Between rebuilds the relation tracks the live graph, whose
-            # snapshot each mutation drops: walk its adjacency instead of
-            # recompiling the snapshot for every ranking.
             self._cached_context = RankingContext(
-                self.pattern, self.graph, simulation=self.simulation(), optimized=False
+                self.pattern, self.graph, simulation=self.simulation()
             )
         return self._cached_context
 
@@ -425,27 +420,20 @@ class MatchView:
             self._rebuild_state()
 
     def _rebuild_state(self) -> None:
-        # With ``optimized`` both passes run over graph.snapshot() —
-        # cached on the graph, so a threshold overflow that rebuilds
-        # several registered views compiles the snapshot only once.
+        # Both passes run over graph.snapshot() — cached on the graph,
+        # so a threshold overflow that rebuilds several registered views
+        # compiles the snapshot only once.
         if self._cache is not None:
             # Session-shared rebuild: candidates and the fixpoint come
             # from the session's artifact store (refreshed there if the
             # mutation that triggered this rebuild staled it), so the
             # view and the session's ad-hoc queries compute them once.
             # Copy everything kept — delta maintenance mutates in place.
-            candidates, result = self._cache.view_rebuild(
-                self.pattern, self.optimized
-            )
+            candidates, result = self._cache.view_rebuild(self.pattern)
             sim = [set(s) for s in result.sim]
         else:
-            candidates = compute_candidates(
-                self.pattern, self.graph, optimized=self.optimized
-            )
-            result = maximal_simulation(
-                self.pattern, self.graph, candidates, optimized=self.optimized
-            )
-            sim = result.sim
+            candidates = compute_candidates(self.pattern, self.graph)
+            sim = maximal_simulation(self.pattern, self.graph, candidates).sim
         self._can_lists = [list(lst) for lst in candidates.lists]
         self._can_sets = [set(s) for s in candidates.sets]
         self._sim = sim

@@ -18,7 +18,7 @@ from repro.errors import RankingError
 from repro.graph import csr
 from repro.graph.digraph import Graph
 from repro.patterns.pattern import Pattern
-from repro.simulation.candidates import CandidateSets, compute_candidates
+from repro.simulation.candidates import CandidateSets
 from repro.simulation.match import SimulationResult, maximal_simulation
 from repro.simulation.relevant import Evaluation, build_evaluation, relevant_sets
 
@@ -26,9 +26,11 @@ from repro.simulation.relevant import Evaluation, build_evaluation, relevant_set
 class RankingContext:
     """Inputs and cached derived data for ranking matches of ``uo``.
 
-    ``optimized`` selects the CSR arm of the simulation and of the
-    evaluation.  ``evaluation`` supplies the output node's evaluation
-    over ``simulation``; otherwise it is built on first use.
+    ``simulation`` defaults to the maximal simulation of ``pattern`` in
+    ``graph``.  ``evaluation`` supplies the output node's evaluation
+    over ``simulation``; otherwise it is built on first use, over the
+    graph's cached snapshot or, when a write has dropped it, over the
+    live adjacency (:func:`~repro.simulation.relevant.build_evaluation`).
     """
 
     def __init__(
@@ -37,16 +39,12 @@ class RankingContext:
         graph: Graph,
         simulation: SimulationResult | None = None,
         query_node: int | None = None,
-        optimized: bool = True,
         evaluation: Evaluation | None = None,
     ) -> None:
         self.pattern = pattern
         self.graph = graph
-        self.optimized = optimized
         self.simulation = (
-            simulation
-            if simulation is not None
-            else maximal_simulation(pattern, graph, optimized=optimized)
+            simulation if simulation is not None else maximal_simulation(pattern, graph)
         )
         self.query_node = query_node if query_node is not None else pattern.output_node
         if evaluation is not None:
@@ -64,9 +62,7 @@ class RankingContext:
     @cached_property
     def evaluation(self) -> Evaluation:
         """The pair graph, condensation and relevant-set memo of ``uo``."""
-        return build_evaluation(
-            self.pattern, self.graph, self.simulation.sim, self.query_node, self.optimized
-        )
+        return build_evaluation(self.pattern, self.graph, self.simulation.sim, self.query_node)
 
     @cached_property
     def relevant(self) -> dict[int, csr.FrozenBitset]:

@@ -1,7 +1,7 @@
 """Cross-query caches pinned to one graph snapshot generation.
 
 A :class:`SessionCache` owns every artifact that is expensive to build
-yet pure in ``(pattern structure, graph state, representation arm)``:
+yet pure in ``(pattern structure, graph state)``:
 
 * **label buckets** — the pre-predicate candidate base lists, shared
   across *every* pattern in the session (two patterns asking for label
@@ -18,10 +18,7 @@ yet pure in ``(pattern structure, graph state, representation arm)``:
   style queries.
 
 Artifacts are keyed structurally — label row, edge list, predicate
-objects — so two equal patterns share, and separately per
-representation arm (``use_csr``), so the dict reference arm never
-silently consumes CSR-computed state (the twin-oracle property the
-test suite pins).
+objects — so two equal patterns share.
 
 The cache subscribes to its graph's change events: any structural
 mutation marks it *stale*, after which the owning
@@ -53,6 +50,7 @@ from repro.simulation.candidates import (
     WILDCARD_LABEL,
     CandidateSets,
     compute_candidates,
+    label_bucket,
 )
 from repro.simulation.match import SimulationResult, maximal_simulation
 from repro.simulation.relevant import Evaluation, build_evaluation
@@ -355,27 +353,24 @@ class SessionCache:
                 "SessionCache artifact lookups by artifact class and outcome.",
             ).inc(1, artifact=artifact, outcome=outcome)
 
-    def _base_source(self, use_csr: bool) -> Callable[[str], list[int]]:
+    def _base_source(self) -> Callable[[str], list[int]]:
         """A label → pre-predicate base list lookup over the bucket cache.
 
-        Snapshot-path buckets are keyed by the snapshot's *bucket
-        token* for that label, not by the snapshot's mere presence: a
-        patched snapshot inherits the base's token for every label its
-        delta did not touch (so those buckets keep hitting across a
-        patch) and mints a fresh token for the touched ones (so a
-        patched snapshot can never serve a stale pre-patch bucket).
-        The wildcard bucket is the live set and keys on the live-set
-        token; an absent label keys on ``0`` (no token is ever 0) and
-        re-keys itself the moment the label is interned.  The dict path
-        keys on ``None``, disjoint from every token.
+        Buckets are keyed by the snapshot's *bucket token* for that
+        label, not by the snapshot's mere presence: a patched snapshot
+        inherits the base's token for every label its delta did not
+        touch (so those buckets keep hitting across a patch) and mints a
+        fresh token for the touched ones (so a patched snapshot can
+        never serve a stale pre-patch bucket).  The wildcard bucket is
+        the live set and keys on the live-set token; an absent label
+        keys on ``0`` (no token is ever 0) and re-keys itself the moment
+        the label is interned.
         """
         graph = self.graph
-        snapshot = graph.snapshot() if use_csr else None
+        snapshot = graph.snapshot()
 
         def base(label: str) -> list[int]:
-            if snapshot is None:
-                key = (label, None)
-            elif label == WILDCARD_LABEL:
+            if label == WILDCARD_LABEL:
                 key = (label, snapshot.live_token())
             else:
                 label_id = graph.labels.get(label)
@@ -391,28 +386,15 @@ class SessionCache:
                 return cached
             self.stats.bucket_builds += 1
             self._observe("bucket", "build")
-            if snapshot is not None:
-                if label == WILDCARD_LABEL:
-                    bucket = snapshot.live_list()
-                else:
-                    label_id = graph.labels.get(label)
-                    bucket = (
-                        []
-                        if label_id is None
-                        else snapshot.label_bucket_list(label_id)
-                    )
-            elif label == WILDCARD_LABEL:
-                bucket = list(graph.live_nodes())
-            else:
-                bucket = graph.nodes_with_label(label)
+            bucket = label_bucket(graph, snapshot, label)
             self._buckets[key] = bucket
             return bucket
 
         return base
 
-    def candidates(self, pattern: Pattern, use_csr: bool) -> tuple[CandidateSets, bool]:
+    def candidates(self, pattern: Pattern) -> tuple[CandidateSets, bool]:
         """``can(u)`` rows for ``pattern``; returns ``(sets, was_hit)``."""
-        key = ("can", pattern_structure_key(pattern), use_csr)
+        key = ("can", pattern_structure_key(pattern))
         cached = self._candidates.get(key)
         if cached is not None:
             self.stats.candidates_hits += 1
@@ -422,19 +404,14 @@ class SessionCache:
         self._observe("candidates", "build")
         with trace("cache.build", artifact="candidates"):
             built = compute_candidates(
-                pattern, self.graph, optimized=use_csr,
-                base_source=self._base_source(use_csr),
+                pattern, self.graph, base_source=self._base_source()
             )
         self._candidates[key] = built
         return built, False
 
-    def simulation(
-        self,
-        pattern: Pattern,
-        use_csr: bool,
-    ) -> tuple[SimulationResult, bool]:
+    def simulation(self, pattern: Pattern) -> tuple[SimulationResult, bool]:
         """The maximal-simulation fixpoint; returns ``(simulation, was_hit)``."""
-        key = ("sim", pattern_structure_key(pattern), use_csr)
+        key = ("sim", pattern_structure_key(pattern))
         cached = self._sim.get(key)
         if cached is not None:
             self.stats.sim_hits += 1
@@ -443,17 +420,14 @@ class SessionCache:
         self.stats.sim_builds += 1
         self._observe("simulation", "build")
         with trace("cache.build", artifact="simulation"):
-            base, _ = self.candidates(pattern, use_csr)
-            result = maximal_simulation(
-                pattern, self.graph, base, optimized=use_csr
-            )
+            base, _ = self.candidates(pattern)
+            result = maximal_simulation(pattern, self.graph, base)
         self._sim[key] = result
         return result, False
 
     def pair_csr(
         self,
         pattern: Pattern,
-        use_csr: bool,
         output_node: int,
         simulation: SimulationResult,
     ) -> tuple[Evaluation, bool]:
@@ -464,7 +438,7 @@ class SessionCache:
         a pattern shares one build and its relevant-set memo.
         ``simulation`` must be this cache's simulation of ``pattern``.
         """
-        key = ("paircsr", pattern_structure_key(pattern), use_csr, output_node)
+        key = ("paircsr", pattern_structure_key(pattern), output_node)
         cached = self._pair_csr.get(key)
         if cached is not None:
             self.stats.paircsr_hits += 1
@@ -473,20 +447,18 @@ class SessionCache:
         self.stats.paircsr_builds += 1
         self._observe("pair_csr", "build")
         with trace("cache.build", artifact="pair_csr"):
-            built = build_evaluation(
-                pattern, self.graph, simulation.sim, output_node, use_csr
-            )
+            built = build_evaluation(pattern, self.graph, simulation.sim, output_node)
         self._pair_csr[key] = built
         return built, False
 
-    def ranking_context(self, pattern: Pattern, use_csr: bool) -> RankingContext:
+    def ranking_context(self, pattern: Pattern) -> RankingContext:
         """A :class:`RankingContext` over the session's evaluation.
 
         Serves the find-all-then-rank family (``Match``, ``TopKDiv``).
         Its relevant sets are views of the :meth:`pair_csr` evaluation
         the top-k queries of the pattern use, memo included.
         """
-        key = ("ctx", pattern_structure_key(pattern), use_csr, pattern.output_node)
+        key = ("ctx", pattern_structure_key(pattern), pattern.output_node)
         cached = self._contexts.get(key)
         if cached is not None:
             self.stats.context_hits += 1
@@ -495,15 +467,11 @@ class SessionCache:
         self.stats.context_builds += 1
         self._observe("ranking_context", "build")
         with trace("cache.build", artifact="ranking_context"):
-            result, _ = self.simulation(pattern, use_csr)
+            result, _ = self.simulation(pattern)
             evaluation = None
             if result.total:
-                evaluation, _ = self.pair_csr(
-                    pattern, use_csr, pattern.output_node, result
-                )
-            context = RankingContext(
-                pattern, self.graph, result, optimized=use_csr, evaluation=evaluation
-            )
+                evaluation, _ = self.pair_csr(pattern, pattern.output_node, result)
+            context = RankingContext(pattern, self.graph, result, evaluation=evaluation)
         self._contexts[key] = context
         return context
 
@@ -526,7 +494,7 @@ class SessionCache:
         self._results[key] = result
 
     def view_rebuild(
-        self, pattern: Pattern, use_csr: bool
+        self, pattern: Pattern
     ) -> tuple[CandidateSets, SimulationResult]:
         """Candidates + full simulation for a :class:`MatchView` rebuild.
 
@@ -537,6 +505,6 @@ class SessionCache:
         """
         if self._stale:
             self.refresh()
-        result, _ = self.simulation(pattern, use_csr)
-        base, _ = self.candidates(pattern, use_csr)
+        result, _ = self.simulation(pattern)
+        base, _ = self.candidates(pattern)
         return base, result

@@ -1,12 +1,10 @@
 """``ExecutionConfig`` — one validated object for every execution setting.
 
 :class:`ExecutionConfig` is one frozen, validated dataclass threaded
-through every layer instead of loose keyword arguments, and
-:meth:`ExecutionConfig.resolved` is the single place the defaulting
-chain lives (``use_csr`` follows ``optimized``).
+through every layer instead of loose keyword arguments.
 
-The keyword surface of the engine wrappers (``optimized`` /
-``use_csr`` / ``seed``) remains accepted everywhere via
+The paper's TopK/TopKnopt keywords of the engine wrappers
+(``optimized`` / ``seed``) remain accepted via
 :meth:`ExecutionConfig.adapt` (the adapter the wrappers call): passing
 the kwargs builds the equivalent config; passing ``config=`` wins, and
 mixing ``config=`` with an explicit kwarg is rejected as ambiguous.
@@ -14,7 +12,7 @@ mixing ``config=`` with an explicit kwarg is rejected as ambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import MatchingError
 
@@ -25,12 +23,11 @@ class ExecutionConfig:
     Attributes
     ----------
     optimized:
-        The paper's opt/nopt split: matches visited in descending upper
-        bound (and, via the defaulting chain, the CSR fast path) versus
-        seeded random order over the dict reference path.
-    use_csr:
-        CSR snapshot fast path.  ``None`` (default) follows
-        ``optimized``.
+        The paper's opt/nopt split of the engine family (``TopK`` versus
+        ``TopKnopt``, likewise TopKDAG and TopKDH): matches visited in
+        descending upper bound versus seeded random order, over the
+        same evaluation.  ``Match`` and ``TopKDiv`` visit every match
+        and ignore it.
     seed:
         RNG seed for the non-optimized random visiting order.
     trace:
@@ -67,7 +64,6 @@ class ExecutionConfig:
     """
 
     optimized: bool = True
-    use_csr: bool | None = None
     seed: int = 0
     trace: bool = False
     metrics: bool = False
@@ -85,25 +81,12 @@ class ExecutionConfig:
                 f"workers must be non-negative; got {self.workers}"
             )
 
-    def resolved(self) -> "ExecutionConfig":
-        """The config with ``use_csr`` made concrete.
-
-        This is the single home of the defaulting chain: ``use_csr``
-        defaults to ``optimized``.  Idempotent: resolving a resolved
-        config returns it unchanged.
-        """
-        use = self.optimized if self.use_csr is None else bool(self.use_csr)
-        if use == self.use_csr:
-            return self
-        return replace(self, use_csr=use)
-
     @classmethod
     def adapt(
         cls,
         config: "ExecutionConfig | None" = None,
         *,
         optimized: bool = True,
-        use_csr: bool | None = None,
         seed: int = 0,
     ) -> "ExecutionConfig":
         """The adapter mapping the wrappers' keyword surface.
@@ -111,16 +94,14 @@ class ExecutionConfig:
         Every engine wrapper funnels its keyword arguments through here:
         with ``config`` given it wins outright — and combining it with
         *any* kwarg set away from its default (``optimized=False``, a
-        forced ``use_csr``, a seed) is rejected as ambiguous rather than
-        silently dropped.  Without ``config`` the kwargs build the
-        equivalent config.
+        seed) is rejected as ambiguous rather than silently dropped.
+        Without ``config`` the kwargs build the equivalent config.
         """
         if config is not None:
             conflicting = [
                 name
                 for name, value, default in (
                     ("optimized", optimized, True),
-                    ("use_csr", use_csr, None),
                     ("seed", seed, 0),
                 )
                 if value != default
@@ -131,4 +112,4 @@ class ExecutionConfig:
                     f"both (got config plus {', '.join(conflicting)})"
                 )
             return config
-        return cls(optimized=optimized, use_csr=use_csr, seed=seed)
+        return cls(optimized=optimized, seed=seed)

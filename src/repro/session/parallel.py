@@ -82,7 +82,7 @@ def worker_config(config: ExecutionConfig) -> ExecutionConfig:
     and double-log every slow query.
     """
     return replace(
-        config.resolved(),
+        config,
         workers=0,
         trace=False,
         metrics=False,

@@ -147,8 +147,7 @@ class MatchSession:
         The data graph every query of this session runs against.
     config:
         Session-wide :class:`ExecutionConfig` default (per-query specs
-        may override).  ``None`` is the all-defaults config (every fast
-        path on).
+        may override).  ``None`` is the all-defaults config.
     on_mutation:
         ``"refuse"`` (default): executing a query after a structural
         graph mutation raises :class:`StaleSessionError` until
@@ -156,7 +155,7 @@ class MatchSession:
         recompiles transparently before the next query.
     reuse_results:
         Serve an *identical* resubmitted query (same pattern structure,
-        mode, ``k``, ``lam``, method, output designation and resolved
+        mode, ``k``, ``lam``, method, output designation and
         config; default relevance/objective only) from the session's
         result store — as an independent copy — instead of re-running
         it.  Sound because every
@@ -366,8 +365,8 @@ class MatchSession:
             rank = group_rank.setdefault(signature, len(group_rank))
             ranked.append((rank, index, handle))
         ranked.sort(key=lambda item: (item[0], item[1]))
-        cfg = self.config.resolved()
-        with instrumentation(self.config), trace(
+        cfg = self.config
+        with instrumentation(cfg), trace(
             "session.run_batch",
             queries=len(handles),
             groups=len(group_rank),
@@ -565,7 +564,7 @@ class MatchSession:
     # execution
     # ------------------------------------------------------------------
     def _config_for(self, spec: QuerySpec) -> ExecutionConfig:
-        return (spec.config if spec.config is not None else self.config).resolved()
+        return spec.config if spec.config is not None else self.config
 
     def _result_key(
         self, spec: QuerySpec, cfg: ExecutionConfig
@@ -660,7 +659,7 @@ class MatchSession:
                 self.graph,
                 spec.k,
                 relevance_fn=spec.relevance_fn,
-                context=self.cache.ranking_context(pattern, cfg.use_csr),
+                context=self.cache.ranking_context(pattern),
                 config=cfg,
             )
         # diversified
@@ -673,7 +672,7 @@ class MatchSession:
                 spec.k,
                 lam=spec.lam,
                 objective=spec.objective,
-                context=self.cache.ranking_context(pattern, cfg.use_csr),
+                context=self.cache.ranking_context(pattern),
                 config=cfg,
             )
         from repro.diversify.heuristic import top_k_diversified_heuristic

@@ -10,7 +10,6 @@ from repro.simulation.match import (
     SimulationResult,
     matches,
     maximal_simulation,
-    naive_simulation,
 )
 from repro.simulation.relevant import (
     induced_result_graph,
@@ -27,7 +26,6 @@ __all__ = [
     "induced_result_graph",
     "matches",
     "maximal_simulation",
-    "naive_simulation",
     "relevance_values",
     "relevant_sets",
 ]

@@ -9,9 +9,14 @@ fixpoint and drive the upper bounds ``C_u`` used by early termination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING
 
 from repro.graph.digraph import Graph
 from repro.patterns.pattern import Pattern
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.graph.csr import CSRSnapshot
 
 WILDCARD_LABEL = "*"
 """Pattern label matching any data node (attribute-only search conditions)."""
@@ -47,16 +52,26 @@ class CandidateSets:
         return any(not lst for lst in self.lists)
 
 
+def label_bucket(graph: Graph, snapshot: "CSRSnapshot", label: str) -> list[int]:
+    """The live nodes labelled ``label`` in ``snapshot``, ascending.
+
+    The wildcard label ``"*"`` selects every live node; a label the
+    graph never interned selects none.
+    """
+    if label == WILDCARD_LABEL:
+        return snapshot.live_list()
+    label_id = graph.labels.get(label)
+    return [] if label_id is None else snapshot.label_bucket_list(label_id)
+
+
 def compute_candidates(
-    pattern: Pattern, graph: Graph, optimized: bool = True, base_source=None
+    pattern: Pattern, graph: Graph, base_source=None
 ) -> CandidateSets:
     """Compute ``can(u)`` for every query node ``u``.
 
-    With ``optimized`` (the default) the label filter is a contiguous
-    bucket scan over the graph's compiled CSR snapshot
-    (:meth:`Graph.snapshot`); the reference path walks the per-label
-    dict index.  Both produce identical candidate lists (live nodes in
-    ascending id order).  The node predicate (if any) is applied on top;
+    The label filter is a contiguous bucket scan over the graph's
+    compiled CSR snapshot (:meth:`Graph.snapshot`): live nodes in
+    ascending id order.  The node predicate (if any) is applied on top;
     the wildcard label ``"*"`` matches any live node.
 
     ``base_source`` (``label -> list[int]``) overrides the pre-predicate
@@ -65,23 +80,11 @@ def compute_candidates(
     returned lists may be shared and must not be mutated.
     """
     if base_source is None:
-        snapshot = graph.snapshot() if optimized else None
+        base_source = partial(label_bucket, graph, graph.snapshot())
     lists: list[list[int]] = []
     sets: list[set[int]] = []
     for u in pattern.nodes():
-        label = pattern.label(u)
-        if base_source is not None:
-            base = base_source(label)
-        elif snapshot is not None:
-            if label == WILDCARD_LABEL:
-                base = snapshot.live_list()
-            else:
-                label_id = graph.labels.get(label)
-                base = [] if label_id is None else snapshot.label_bucket_list(label_id)
-        elif label == WILDCARD_LABEL:
-            base = list(graph.live_nodes())
-        else:
-            base = graph.nodes_with_label(label)
+        base = base_source(pattern.label(u))
         predicate = pattern.predicate(u)
         if predicate is not None:
             base = [v for v in base if predicate.matches(graph, v)]

@@ -1,9 +1,8 @@
 """Array-backed HHK simulation fixpoint over a CSR snapshot.
 
-The reference fixpoint in :mod:`repro.simulation.match` realises the
-counter-based refinement of Henzinger, Henzinger & Kopke over dict
-counters and Python sets.  This module is the same greatest fixpoint
-compiled onto the :class:`repro.graph.csr.CSRSnapshot` layout:
+The counter-based refinement of Henzinger, Henzinger & Kopke that
+:func:`repro.simulation.match.maximal_simulation` computes, compiled
+onto the :class:`repro.graph.csr.CSRSnapshot` layout:
 
 * one support counter *per child query node* instead of one per pattern
   edge: ``counter[u'][v] = |successors(v) ∩ sim(u')|`` is the only
@@ -20,8 +19,8 @@ compiled onto the :class:`repro.graph.csr.CSRSnapshot` layout:
   one vectorised counting scan (heavy rounds, where the batch amortises
   the full-edge gather).
 
-The result is the identical greatest fixpoint — the property suite
-cross-checks it against the dict path and the naive oracle.
+The test suite checks the greatest fixpoint against the naive
+transcription in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -106,8 +105,7 @@ def _fixpoint_cascade(
 
     # Support counters per *child* query node: ``counter[u'][v]`` is the
     # number of v's successors inside sim(u'), initialised from the full
-    # candidate sets (the dict path also initialises every counter
-    # before applying any removal, so this is exactly equivalent).
+    # candidate sets, before any removal is applied.
     children = sorted({u_child for _, u_child in pattern.edges()})
     parents_of: dict[int, list[int]] = {
         uc: list(pattern.predecessors(uc)) for uc in children

@@ -22,9 +22,9 @@ by array passes over the match pairs of the query nodes ``uo`` reaches,
 
 * the pair graph: per query node, one gather of the out-slices of its
   sorted matches, mapped to pair ids through one table per child query
-  node.  The CSR arm reads the snapshot's flat out-CSR
-  (:meth:`~repro.graph.csr.CSRSnapshot.out_csr`); the dict arm reads
-  ``graph.successors`` into the same arrays;
+  node.  The gather reads the cached snapshot's flat out-CSR
+  (:meth:`~repro.graph.csr.CSRSnapshot.out_csr`), or ``graph.successors``
+  when a write has dropped the snapshot (see :func:`build_evaluation`);
 * its condensation.  Pair-cycles only run inside nontrivial pattern
   SCCs.  There, pairs without an in-edge or an out-edge are trimmed
   until none is left, and Tarjan runs on the core that remains; every
@@ -66,8 +66,9 @@ class Evaluation:
 
     ``matches`` lists ``Mu`` in ascending order; a match's *pid* is its
     index there.  ``out_comp[pid]`` is its component and ``out_bound[pid]``
-    the bound ``ub`` of that component.  ``snapshot`` is the graph's CSR
-    snapshot, or ``None`` to read adjacency from ``graph.successors``.
+    the bound ``ub`` of that component.  ``snapshot`` is the graph's
+    current CSR snapshot, or ``None`` to read adjacency from
+    ``graph.successors``.
     """
 
     __slots__ = (
@@ -328,14 +329,19 @@ def _bounds(
 
 
 def build_evaluation(
-    pattern: Pattern, graph: Graph, sim: Sequence[set[int]], uo: int, use_csr: bool
+    pattern: Pattern, graph: Graph, sim: Sequence[set[int]], uo: int
 ) -> Evaluation:
     """The :class:`Evaluation` of ``pattern`` at output node ``uo``.
 
-    ``use_csr`` reads adjacency from the graph's CSR snapshot; otherwise
-    the pair graph walks ``graph.successors``.
+    Adjacency comes from the graph's cached snapshot, flat or patched.
+    When a write has dropped it, the pair graph gathers from
+    ``graph.successors`` instead: a caller whose relation was repaired
+    in place (:class:`~repro.incremental.view.MatchView`) would
+    otherwise compile or patch a whole snapshot per ranking rebuild,
+    while its gather touches only the matches' out-lists.
     """
-    return Evaluation(pattern, graph, sim, uo, graph.snapshot() if use_csr else None)
+    snapshot = graph.snapshot() if csr.has_cached_snapshot(graph) else None
+    return Evaluation(pattern, graph, sim, uo, snapshot)
 
 
 def relevant_sets(
@@ -352,7 +358,7 @@ def relevant_sets(
     given.
     """
     if evaluation is None:
-        evaluation = build_evaluation(pattern, graph, sim, query_node, use_csr=True)
+        evaluation = build_evaluation(pattern, graph, sim, query_node)
     relevant, interner = evaluation.relevant, evaluation.interner
     return {
         v: csr.FrozenBitset(relevant(comp), interner)

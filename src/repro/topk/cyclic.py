@@ -38,23 +38,19 @@ def top_k(
     relevance_fn: RelevanceFunction | None = None,
     candidates: CandidateSets | None = None,
     output_node: int | None = None,
-    use_csr: bool | None = None,
     config: ExecutionConfig | None = None,
     cache: "SessionCache | None" = None,
 ) -> TopKResult:
     """Find top-k matches of the output node of any pattern.
 
     Execution settings arrive either as one :class:`ExecutionConfig`
-    (``config=``) or as the kwargs ``optimized`` / ``seed`` /
-    ``use_csr``, which the adapter maps onto the same config.
-    ``optimized=False`` is the paper's ``TopKnopt``: matches are visited
-    in seeded random order over the dict-of-sets reference path.
+    (``config=``) or as the kwargs ``optimized`` / ``seed``, which the
+    adapter maps onto the same config.  ``optimized=False`` is the
+    paper's ``TopKnopt``: matches are visited in seeded random order.
     ``cache`` injects a session's shared artifact store (simulation and
     evaluation).
     """
-    cfg = ExecutionConfig.adapt(
-        config, optimized=optimized, seed=seed, use_csr=use_csr
-    )
+    cfg = ExecutionConfig.adapt(config, optimized=optimized, seed=seed)
     name = "TopK" if cfg.optimized else "TopKnopt"
     with instrumentation(cfg):
         started = time.perf_counter()

@@ -40,26 +40,23 @@ def top_k_dag(
     relevance_fn: RelevanceFunction | None = None,
     candidates: CandidateSets | None = None,
     output_node: int | None = None,
-    use_csr: bool | None = None,
     config: ExecutionConfig | None = None,
     cache: "SessionCache | None" = None,
 ) -> TopKResult:
     """Find top-k matches of the output node of a DAG pattern.
 
     Execution settings arrive as one :class:`ExecutionConfig`
-    (``config=``) or as the kwargs ``optimized`` / ``seed`` /
-    ``use_csr``, adapted onto the same config; ``optimized=False`` is
-    ``TopKDAGnopt`` over the dict-of-sets reference path.  ``cache``
-    injects a session's shared artifact store.
+    (``config=``) or as the kwargs ``optimized`` / ``seed``, adapted
+    onto the same config; ``optimized=False`` is ``TopKDAGnopt``, which
+    visits the matches in seeded random order.  ``cache`` injects a
+    session's shared artifact store.
 
     Raises :class:`MatchingError` when the pattern is cyclic — use
     :func:`repro.topk.cyclic.top_k` there.
     """
     if not pattern.is_dag():
         raise MatchingError("TopKDAG requires a DAG pattern; use top_k for cyclic patterns")
-    cfg = ExecutionConfig.adapt(
-        config, optimized=optimized, seed=seed, use_csr=use_csr
-    )
+    cfg = ExecutionConfig.adapt(config, optimized=optimized, seed=seed)
     name = "TopKDAG" if cfg.optimized else "TopKDAGnopt"
     with instrumentation(cfg):
         started = time.perf_counter()

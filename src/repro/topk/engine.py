@@ -68,8 +68,7 @@ class TopKEngine:
         if k < 1:
             raise MatchingError(f"k must be positive; got {k}")
         pattern.validate()
-        cfg = (config if config is not None else ExecutionConfig()).resolved()
-        self.config = cfg
+        self.config = config if config is not None else ExecutionConfig()
         self.pattern = pattern
         self.graph = graph
         self.k = k
@@ -85,34 +84,29 @@ class TopKEngine:
         # artifacts all derive from the pattern's own can(u).
         if candidates is not None:
             cache = None
-        if cfg.use_csr:
-            # Either form counts as a hit: a patched overlay serves the
-            # same arrays a flat snapshot would.
-            if csr.has_cached_snapshot(graph):
-                self.stats.snapshot_hits += 1
-            else:
-                self.stats.snapshot_builds += 1
+        # Either form counts as a hit: a patched overlay serves the same
+        # arrays a flat snapshot would.
+        if csr.has_cached_snapshot(graph):
+            self.stats.snapshot_hits += 1
+        else:
+            self.stats.snapshot_builds += 1
         with trace("engine.simulation", algorithm=algorithm_name):
             if cache is not None:
-                simulation, hit = cache.simulation(pattern, cfg.use_csr)
+                simulation, hit = cache.simulation(pattern)
                 if hit:
                     self.stats.sim_hits += 1
                 else:
                     self.stats.sim_builds += 1
             else:
-                simulation = maximal_simulation(
-                    pattern, graph, candidates, optimized=cfg.use_csr
-                )
+                simulation = maximal_simulation(pattern, graph, candidates)
                 self.stats.sim_builds += 1
         self.evaluation: Evaluation | None = None
         if simulation.total:
             with trace("engine.evaluation", algorithm=algorithm_name):
                 if cache is not None:
-                    evaluation, hit = cache.pair_csr(pattern, cfg.use_csr, self.uo, simulation)
+                    evaluation, hit = cache.pair_csr(pattern, self.uo, simulation)
                 else:
-                    evaluation = build_evaluation(
-                        pattern, graph, simulation.sim, self.uo, cfg.use_csr
-                    )
+                    evaluation = build_evaluation(pattern, graph, simulation.sim, self.uo)
                     hit = False
             if hit:
                 self.stats.paircsr_hits += 1
@@ -123,8 +117,7 @@ class TopKEngine:
         # C_uo counts can(u'), as TopKDiv and exact_objective do; the
         # context's relevant sets are views of the same evaluation.
         self.context = RankingContext(
-            pattern, graph, simulation, self.uo,
-            optimized=cfg.use_csr, evaluation=self.evaluation,
+            pattern, graph, simulation, self.uo, evaluation=self.evaluation
         )
         if self.evaluation is not None:
             self.relevance_fn.prepare(self.context)

@@ -41,7 +41,6 @@ def match_baseline(
     k: int,
     relevance_fn: RelevanceFunction | None = None,
     context: RankingContext | None = None,
-    optimized: bool = True,
     config: ExecutionConfig | None = None,
     cache: "SessionCache | None" = None,
 ) -> TopKResult:
@@ -49,11 +48,10 @@ def match_baseline(
 
     ``context`` may be supplied to reuse an existing full evaluation (the
     diversified baseline does this to avoid recomputing ``M(Q, G)``).
-    ``optimized=False`` forces the dict-of-sets reference simulation;
-    ``config=`` carries the same choice session-style (its resolved
-    ``use_csr`` selects the simulation and pair-graph path), and
-    ``cache`` serves the context from a session, over the evaluation
-    its top-k queries share.
+    ``config=`` carries the run's observability settings (``Match``
+    visits every match, so ``optimized`` does not apply), and ``cache``
+    serves the context from a session, over the evaluation its top-k
+    queries share.
     """
     if k < 1:
         raise MatchingError(f"k must be positive; got {k}")
@@ -61,14 +59,12 @@ def match_baseline(
     started = time.perf_counter()
     fn = relevance_fn if relevance_fn is not None else CardinalityRelevance()
 
-    if config is not None:
-        optimized = ExecutionConfig.adapt(config).resolved().use_csr
     with instrumentation(config):
         if context is None:
             if cache is not None:
-                context = cache.ranking_context(pattern, bool(optimized))
+                context = cache.ranking_context(pattern)
             else:
-                context = RankingContext(pattern, graph, optimized=optimized)
+                context = RankingContext(pattern, graph)
         stats = EngineStats()
         if not context.simulation.total:
             stats.elapsed_seconds = time.perf_counter() - started

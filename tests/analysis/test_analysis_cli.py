@@ -9,6 +9,7 @@ import pytest
 
 from _fixtures import write_file
 from repro.analysis.baseline import PLACEHOLDER_JUSTIFICATION
+from repro.analysis import cli
 from repro.analysis.cli import main
 from repro.analysis.rules import ALL_RULES
 
@@ -27,13 +28,6 @@ SEEDED = {
             def add_edge(self, u, v):
                 self._adj[u].append(v)
                 self._emit(DeltaOp(ADD_EDGE, u, v))
-        """,
-    ),
-    "R2": (
-        "repro/topk/wrapper.py",
-        """
-        def top_k(pattern, graph, k, use_csr=None):
-            return run(pattern, graph, k, bool(use_csr))
         """,
     ),
     "R3": (
@@ -82,15 +76,6 @@ SEEDED = {
             def bucket(self, snapshot, label):
                 key = ("bucket", snapshot, label)
                 return self._store.get(key)
-        """,
-    ),
-    # The field name must not occur in the real test tree: single-file
-    # targets anchor at the repo root, so R10's corpus is tests/.
-    "R10": (
-        "repro/session/config.py",
-        """
-        class ExecutionConfig:
-            frobnicate_mode: bool = False
         """,
     ),
 }
@@ -234,6 +219,26 @@ class TestFindingsCache:
         target.write_text(target.read_text() + "# trailing note\n")
         assert main([str(root)]) == 0
         assert "(1 from cache)" in capsys.readouterr().err
+
+    def test_test_file_edit_keeps_every_entry_warm(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The real layout: the default target src/repro, tests/ beside
+        # it.  Findings depend on the analysed source alone, so a test
+        # edit leaves every entry valid.
+        root = tmp_path / "proj"
+        target = root / "src" / "repro"
+        write_file(target, "util.py", "def collect(values):\n    return values\n")
+        write_file(target, "extra.py", "def double(value):\n    return value * 2\n")
+        test_file = write_file(root, "tests/test_util.py", "def test_x():\n    pass\n")
+        monkeypatch.setattr(cli, "REPO_ROOT", root)
+        monkeypatch.setattr(cli, "DEFAULT_TARGET", target)
+        monkeypatch.setattr(cli, "DEFAULT_BASELINE", root / "analysis-baseline.json")
+        assert main([]) == 0
+        assert "(0 from cache)" in capsys.readouterr().err
+        test_file.write_text(test_file.read_text() + "# trailing note\n")
+        assert main([]) == 0
+        assert "(2 from cache)" in capsys.readouterr().err
 
     def test_no_cache_flag_skips_cache_entirely(self, tmp_path, capsys):
         root = _clean_tree(tmp_path)

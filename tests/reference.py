@@ -1,7 +1,8 @@
 """A small reference for top-k matching, transcribed from the paper.
 
 No fast paths: the maximal simulation comes from ``naive_simulation``
-(repeated full scans), ``R(uo, v)`` from a breadth-first search over the
+(repeated full scans from ``can(u)``, read off the live nodes one by
+one), ``R(uo, v)`` from a breadth-first search over the
 match-pair graph from ``(uo, v)`` through at least one edge (Section
 3.1), the optimum from sorting, and the diversified optimum from
 enumerating every k-set (Section 3.3).  The library's engines are
@@ -18,7 +19,43 @@ from itertools import combinations
 
 from repro.graph.digraph import Graph
 from repro.patterns.pattern import Pattern
-from repro.simulation.match import naive_simulation
+
+WILDCARD = "*"
+
+
+def candidates(pattern: Pattern, graph: Graph, u: int) -> set[int]:
+    """``can(u)``: live nodes with ``u``'s label (any, for ``*``) that
+    satisfy ``u``'s predicate (Section 2.2)."""
+    label, predicate = pattern.label(u), pattern.predicate(u)
+    return {
+        v
+        for v in graph.nodes()
+        if graph.is_live(v)
+        and label in (WILDCARD, graph.label(v))
+        and (predicate is None or predicate.matches(graph, v))
+    }
+
+
+def naive_simulation(pattern: Pattern, graph: Graph) -> list[set[int]]:
+    """The greatest simulation by repeated full scans (Section 2.1).
+
+    Starts from ``can(u)`` and drops ``v`` from ``sim(u)`` while some
+    pattern edge ``(u, u')`` leaves ``v`` without a successor in
+    ``sim(u')``, until a scan drops nothing.
+    """
+    sim = [candidates(pattern, graph, u) for u in pattern.nodes()]
+    changed = True
+    while changed:
+        changed = False
+        for u, u_child in pattern.edges():
+            child_sim = sim[u_child]
+            surviving = {
+                v for v in sim[u] if any(w in child_sim for w in graph.successors(v))
+            }
+            if len(surviving) != len(sim[u]):
+                sim[u] = surviving
+                changed = True
+    return sim
 
 
 def simulation(pattern: Pattern, graph: Graph) -> list[set[int]] | None:
@@ -110,15 +147,8 @@ def optimum(values: dict[int, float], k: int) -> float:
 
 
 def normalisation(pattern: Pattern, graph: Graph, u: int) -> int:
-    """``C_u``: the candidates, by label, of the query nodes ``u`` reaches.
-
-    Planted instances carry no predicates, so ``can(u')`` is the set of
-    data nodes labelled like ``u'``.
-    """
-    return sum(
-        sum(1 for v in graph.nodes() if graph.label(v) == pattern.label(w))
-        for w in reachable_query_nodes(pattern, u)
-    )
+    """``C_u``: the candidates of the query nodes ``u`` reaches."""
+    return sum(len(candidates(pattern, graph, w)) for w in reachable_query_nodes(pattern, u))
 
 
 def objective(

@@ -4,14 +4,14 @@ The session changes *where artifacts come from* (shared candidates,
 simulations, top-k evaluations, ranking contexts), never
 what is computed — so a mixed batch executed through one session must
 return answers identical to the same queries issued one at a time
-through the one-shot API, across the full execution-toggle grid:
+through the one-shot API, under both visiting orders:
 
 * heterogeneous batches — DAG topKP, cyclic topKP, diversified
   (heuristic and 2-approximation), the find-all baseline, and
   multi-output fan-outs — over graphs with attributes and tombstones,
   patterns with wildcards and predicates;
-* every arm of the (optimized × use_csr) grid, pinned per-query
-  through ``QuerySpec.config``;
+* ``optimized`` on and off (the paper's TopK and TopKnopt), pinned
+  per-query through ``QuerySpec.config``;
 * batches interleaved with graph mutations: the session must detect
   the stale snapshot and refuse (``StaleSessionError``) or refresh
   explicitly — and after the refresh its answers must equal one-shot
@@ -29,20 +29,21 @@ from repro import api
 from repro.errors import StaleSessionError
 from repro.session import ExecutionConfig, MatchSession, QuerySpec
 
-from tests.conftest import make_random_graph, make_random_pattern
-from tests.test_csr_equivalence import rich_random_graph, rich_random_pattern
+from tests.conftest import (
+    make_random_graph,
+    make_random_pattern,
+    rich_random_graph,
+    rich_random_pattern,
+)
 
 SETTINGS = settings(
     max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
-#: The full toggle grid: the reference arm, the forced toggles, and the
-#: all-on default — including the off-diagonal combination the
-#: defaulting chain would never pick on its own.
+#: Both visiting orders: the paper's ``nopt`` random order and the
+#: default bound order.
 TOGGLE_GRID = [
     ExecutionConfig(optimized=False),
-    ExecutionConfig(optimized=False, use_csr=True),
-    ExecutionConfig(use_csr=False),
     ExecutionConfig(),
 ]
 

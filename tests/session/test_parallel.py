@@ -27,14 +27,13 @@ from repro.session import (
 from repro.session.parallel import spec_is_poolable
 from repro.errors import MatchingError
 
-from tests.conftest import make_random_graph
+from tests.conftest import make_random_graph, rich_random_graph
 from tests.session.test_batch_equivalence import (
     TOGGLE_GRID,
     assert_same,
     mixed_batch,
     one_shot,
 )
-from tests.test_csr_equivalence import rich_random_graph
 
 
 SETTINGS = settings(
@@ -197,14 +196,14 @@ def test_workers_zero_and_one_stay_serial():
 def test_worker_config_strips_serving_knobs():
     cfg = ExecutionConfig(
         workers=4, trace=True, metrics=True, slow_query_seconds=0.5,
-        use_csr=True,
+        optimized=False, seed=7,
     )
     stripped = worker_config(cfg)
     assert stripped.workers == 0
     assert not stripped.trace and not stripped.metrics
     assert stripped.slow_query_seconds == float("inf")
     # Engine toggles survive — answers must not change.
-    assert stripped.use_csr is True
+    assert not stripped.optimized and stripped.seed == 7
 
 
 def test_worker_pool_validation_and_close():

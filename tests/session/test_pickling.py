@@ -115,11 +115,10 @@ def test_patched_snapshot_roundtrip_preserves_overlay_reads():
 
 def test_execution_config_roundtrip():
     cfg = ExecutionConfig(
-        use_csr=True, seed=9, workers=3, snapshot_patching=True,
+        optimized=False, seed=9, workers=3, snapshot_patching=True,
         slow_query_seconds=0.5, metrics=True,
     )
     assert roundtrip(cfg) == cfg
-    assert roundtrip(cfg.resolved()) == cfg.resolved()
 
 
 def test_query_spec_roundtrip():

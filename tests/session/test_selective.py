@@ -25,8 +25,8 @@ from repro.patterns.pattern import Pattern
 from repro.session import ExecutionConfig, MatchSession
 from repro.session.cache import PENDING_OPS_CAP, SessionCache
 
+from tests.conftest import rich_random_graph
 from tests.session.test_batch_equivalence import assert_same, mixed_batch
-from tests.test_csr_equivalence import rich_random_graph
 
 SETTINGS = settings(
     max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]

@@ -4,9 +4,10 @@ import pytest
 
 from repro.graph.digraph import Graph
 from repro.patterns.pattern import pattern_from_edges
-from repro.simulation.match import maximal_simulation, naive_simulation
+from repro.simulation.match import maximal_simulation
 
 from tests.conftest import make_random_graph, make_random_pattern
+from tests.reference import naive_simulation
 
 
 def chain_graph():

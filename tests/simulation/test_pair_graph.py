@@ -3,15 +3,15 @@
 from repro.graph import csr
 from repro.graph.algorithms import descendants
 from repro.simulation.match import maximal_simulation
-from repro.simulation.relevant import build_evaluation
+from repro.simulation.relevant import Evaluation
 
 
 def evaluations(fig1, uo):
-    """The evaluation of ``uo`` on both adjacency arms."""
+    """The evaluation of ``uo`` over the snapshot and over the live adjacency."""
     result = maximal_simulation(fig1.pattern, fig1.graph)
     return result, [
-        build_evaluation(fig1.pattern, fig1.graph, result.sim, uo, use_csr)
-        for use_csr in (True, False)
+        Evaluation(fig1.pattern, fig1.graph, result.sim, uo, snapshot)
+        for snapshot in (fig1.graph.snapshot(), None)
     ]
 
 
@@ -29,7 +29,7 @@ class TestPairGraph:
 
     def test_edges_follow_both_graphs(self, fig1):
         # R(PM, v) holds matches of the query nodes PM reaches that v
-        # reaches in G, and both arms agree on it.
+        # reaches in G, and both adjacency sources agree on it.
         result, (flat, walked) = evaluations(fig1, 0)
         reachable = set()
         for u in fig1.pattern.analysis.reachable_from(0):

@@ -1,18 +1,13 @@
 """Property-based tests (hypothesis) on the library's core invariants."""
 
-import random
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.graph.digraph import Graph
-from repro.ranking.context import RankingContext
 from repro.ranking.distance import jaccard_distance
-from repro.simulation.match import maximal_simulation, naive_simulation
-from repro.topk.cyclic import top_k
-from repro.topk.match_all import match_baseline
+from repro.simulation.match import maximal_simulation
 
 from tests.conftest import make_random_graph, make_random_pattern
+from tests.reference import naive_simulation
 
 SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -84,71 +79,6 @@ class TestSimulationProperties:
                     for u_child in q.successors(u)
                 )
                 assert violates
-
-
-class TestTopKProperties:
-    @given(seed=st.integers(min_value=0, max_value=10_000), k=st.integers(1, 4))
-    @SETTINGS
-    def test_engine_set_is_optimal(self, seed, k):
-        g = make_random_graph(seed, num_nodes=14, num_edges=30)
-        q = make_random_pattern(seed + 7, num_nodes=3, extra_edges=1, cyclic=seed % 3 == 0)
-        result = maximal_simulation(q, g)
-        if not result.total:
-            return
-        ctx = RankingContext(q, g, result)
-        oracle = match_baseline(q, g, k, context=ctx)
-        engine = top_k(q, g, k)
-        true_sum = sum(len(ctx.relevant[v]) for v in engine.matches)
-        assert true_sum == oracle.total_relevance()
-
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @SETTINGS
-    def test_scores_never_exceed_true_relevance(self, seed):
-        g = make_random_graph(seed, num_nodes=14, num_edges=30)
-        q = make_random_pattern(seed + 7, num_nodes=3, extra_edges=1)
-        result = maximal_simulation(q, g)
-        if not result.total:
-            return
-        ctx = RankingContext(q, g, result)
-        engine = top_k(q, g, 3)
-        for v in engine.matches:
-            assert engine.scores[v] <= len(ctx.relevant[v]) + 1e-9
-
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @SETTINGS
-    def test_inspected_never_exceeds_total(self, seed):
-        g = make_random_graph(seed, num_nodes=14, num_edges=30)
-        q = make_random_pattern(seed + 7, num_nodes=3, extra_edges=1)
-        result = maximal_simulation(q, g)
-        if not result.total:
-            return
-        mu = len(result.matches_of(q.output_node))
-        engine = top_k(q, g, 2)
-        assert engine.stats.inspected_matches <= mu
-
-
-class TestDiversificationProperties:
-    @given(
-        seed=st.integers(min_value=0, max_value=5_000),
-        lam=st.floats(min_value=0.0, max_value=1.0),
-    )
-    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_approx_ratio_two(self, seed, lam):
-        from repro.diversify.approx import top_k_diversified_approx
-        from repro.diversify.exact import optimal_diversified
-
-        g = make_random_graph(seed, num_nodes=12, num_edges=26)
-        q = make_random_pattern(seed + 13, num_nodes=3, extra_edges=1)
-        result = maximal_simulation(q, g)
-        if not result.total:
-            return
-        ctx = RankingContext(q, g, result)
-        if len(ctx.matches) > 12:
-            return
-        k = min(3, len(ctx.matches))
-        approx = top_k_diversified_approx(q, g, k, lam=lam, context=ctx)
-        _, best = optimal_diversified(ctx, k, lam=lam)
-        assert approx.objective_value >= best / 2 - 1e-9
 
 
 class TestGeneratorProperties:

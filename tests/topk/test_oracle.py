@@ -4,13 +4,15 @@ Instances match by construction (``tests.reference.planted_instance``),
 so no case is vacuous.  On each, every top-k variant and ``Match`` must
 return ``min(k, |Mu|)`` matches whose reference relevance sums to the
 optimum (Proposition 3), and report each match's exact reference
-relevance as its score; ``relevant_sets`` must equal the reference
-sets; ``TopKDiv`` must reach half the diversified optimum (Theorem 5).
-The reference has no fast paths: naive simulation, BFS relevant sets,
-sorting, enumeration.
+relevance as its score, visiting no more than ``|Mu|`` matches;
+``relevant_sets`` must equal the reference sets, whichever adjacency
+the evaluation gathers from; ``TopKDiv`` must reach half the
+diversified optimum (Theorem 5).  The reference has no fast paths:
+naive simulation, BFS relevant sets, sorting, enumeration.
 """
 
 import copy
+import random
 
 import pytest
 
@@ -18,12 +20,13 @@ from repro import api
 from repro.diversify.approx import top_k_diversified_approx
 from repro.graph import csr
 from repro.graph.digraph import Graph
+from repro.incremental.manager import MatchViewManager
 from repro.patterns.pattern import pattern_from_edges
 from repro.ranking.generalized import PreferentialAttachment
 from repro.ranking.relevance import CardinalityRelevance
 from repro.session import MatchSession
 from repro.simulation.match import maximal_simulation
-from repro.simulation.relevant import build_evaluation, relevant_sets
+from repro.simulation.relevant import Evaluation, build_evaluation, relevant_sets
 from repro.topk.cyclic import top_k
 from repro.topk.dag import top_k_dag
 from repro.topk.match_all import match_baseline
@@ -61,6 +64,7 @@ def check(result, values, k):
     assert len(set(result.matches)) == len(result.matches)
     assert sum(values[v] for v in result.matches) == reference.optimum(values, k)
     assert result.scores == {v: values[v] for v in result.matches}
+    assert result.stats.inspected_matches <= len(values)
 
 
 def check_multi(pattern, graph, kind, fn):
@@ -151,25 +155,84 @@ EVALUATION_INSTANCES = [
 ]
 
 
+def grow(graph, rng):
+    """Writes that keep a matching instance matching: a simulation only
+    grows with nodes and edges.  Adds a wired node and three edges, then
+    removes the first of those edges again."""
+    node = graph.add_node(graph.label(rng.randrange(graph.num_nodes)))
+    graph.add_edge(node, rng.randrange(node))
+    graph.add_edge(rng.randrange(node), node)
+    added = []
+    while len(added) < 3:
+        a, b = rng.randrange(graph.num_nodes), rng.randrange(graph.num_nodes)
+        if not graph.has_edge(a, b):
+            graph.add_edge(a, b)
+            added.append((a, b))
+    graph.remove_edge(*added[0])
+
+
+def prepare_adjacency(graph, state):
+    """Leave ``graph`` with the snapshot state the evaluation reads.
+
+    ``flat``: a compiled snapshot is cached.  ``patched``: writes made
+    with snapshot patching attached leave a cached
+    :class:`~repro.graph.csr.PatchedCSRSnapshot`.  ``live``: no snapshot
+    was ever compiled, so the evaluation gathers from
+    ``graph.successors``.
+    """
+    if state == "flat":
+        graph.snapshot()
+    elif state == "patched":
+        csr.attach_snapshot_patching(graph, compact_ratio=1.0)
+        graph.snapshot()
+        grow(graph, random.Random(graph.num_edges))
+        assert isinstance(graph.snapshot(), csr.PatchedCSRSnapshot)
+
+
+def assert_evaluation_matches(evaluation, pattern, graph, sim, node):
+    """Matches, bounds and relevant sets equal the reference's."""
+    bounds = reference.upper_bounds(pattern, graph, sim, node)
+    assert evaluation.matches == sorted(sim[node])
+    assert evaluation.out_bound == [bounds[v] for v in evaluation.matches]
+    got = {
+        v: csr.FrozenBitset(evaluation.relevant(comp), evaluation.interner)
+        for v, comp in zip(evaluation.matches, evaluation.out_comp)
+    }
+    assert got == reference_sets(pattern, graph, node)
+
+
+@pytest.mark.parametrize("state", ["flat", "patched", "live"])
 @pytest.mark.parametrize("make", EVALUATION_INSTANCES)
-def test_evaluation_equals_reference(make):
-    """Matches, bounds and relevant sets, on both adjacency arms."""
+def test_evaluation_equals_reference(make, state):
+    """Matches, bounds and relevant sets, over each adjacency source."""
     graph, pattern = make()
+    prepare_adjacency(graph, state)
     sim = reference.simulation(pattern, graph)
     assert sim is not None
-    simulation = maximal_simulation(pattern, graph)
     for node in pattern.nodes():
-        bounds = reference.upper_bounds(pattern, graph, sim, node)
-        expected = reference_sets(pattern, graph, node)
-        for use_csr in (True, False):
-            evaluation = build_evaluation(pattern, graph, simulation.sim, node, use_csr)
-            assert evaluation.matches == sorted(sim[node])
-            assert evaluation.out_bound == [bounds[v] for v in evaluation.matches]
-            got = {
-                v: csr.FrozenBitset(evaluation.relevant(comp), evaluation.interner)
-                for v, comp in zip(evaluation.matches, evaluation.out_comp)
-            }
-            assert got == expected
+        evaluation = build_evaluation(pattern, graph, sim, node)
+        assert csr.has_cached_snapshot(graph) == (state != "live")
+        assert_evaluation_matches(evaluation, pattern, graph, sim, node)
+
+
+@pytest.mark.parametrize("instance", INSTANCES[::5], ids=instance_id)
+def test_evaluation_after_a_write_reads_live_adjacency(instance):
+    """A write drops the snapshot; the evaluation of the relation a
+    :class:`MatchView` repaired in place gathers from the live adjacency
+    and compiles nothing."""
+    graph, pattern = reference.planted_instance(*instance)
+    manager = MatchViewManager(graph)
+    view = manager.register(pattern)
+    assert csr.has_cached_snapshot(graph)
+    grow(graph, random.Random(instance[0]))
+    assert not csr.has_cached_snapshot(graph)
+    sim = view.simulation().sim
+    assert sim == reference.simulation(pattern, graph)
+    for node in pattern.nodes():
+        evaluation = build_evaluation(pattern, graph, sim, node)
+        assert not csr.has_cached_snapshot(graph)
+        assert_evaluation_matches(evaluation, pattern, graph, sim, node)
+    manager.close()
 
 
 def test_special_instances_reach_their_cases():
@@ -191,7 +254,7 @@ class TestEvaluationReaders:
         simulation = maximal_simulation(pattern, graph)
         for node in pattern.nodes():
             expected = reference_sets(pattern, graph, node)
-            walked = build_evaluation(pattern, graph, simulation.sim, node, use_csr=False)
+            walked = Evaluation(pattern, graph, simulation.sim, node, None)
             assert relevant_sets(pattern, graph, simulation.sim, node) == expected
             assert relevant_sets(pattern, graph, simulation.sim, node, walked) == expected
 
@@ -202,10 +265,6 @@ class TestEvaluationReaders:
             for kind in KS:
                 k = resolve_k(kind, values)
                 check(match_baseline(pattern, graph, k, relevance_fn=fn()), values, k)
-                check(
-                    match_baseline(pattern, graph, k, relevance_fn=fn(), optimized=False),
-                    values, k,
-                )
                 with MatchSession(graph) as session:
                     check(session.baseline(pattern, k, relevance_fn=fn()), values, k)
 
@@ -214,7 +273,7 @@ class TestEvaluationReaders:
         graph, pattern = reference.planted_instance(*instance)
         rsets = reference_sets(pattern, graph)
         c = reference.normalisation(pattern, graph, 0)
-        for lam in (0.0, 0.5, 1.0):
+        for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
             best = reference.diversified_optimum(rsets, k, lam, c)
             one_shot = top_k_diversified_approx(pattern, graph, k, lam=lam)
             with MatchSession(graph) as session:
