@@ -48,10 +48,11 @@ from repro.analysis.rules import ALL_RULES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TARGET = REPO_ROOT / "src" / "repro"
+TESTS = REPO_ROOT / "tests"
 
 
 def _load() -> Project:
-    return load_project([TARGET], root=REPO_ROOT)
+    return load_project([TARGET], root=REPO_ROOT, tests_root=TESTS)
 
 
 def _fingerprints(report) -> list[str]:

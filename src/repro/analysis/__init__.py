@@ -7,6 +7,9 @@ invariants holds everywhere:
 * structural mutations invalidate derived caches, and every writer of
   ``graph.derived`` registers its key prefix with the invalidation
   hooks (the PR-2 stale-snapshot bug class);
+* execution toggles flow through :class:`repro.session.config.ExecutionConfig`
+  instead of re-growing the legacy kwargs sprawl, and each toggle that
+  selects a serving arm is branched on and named by a test;
 * observability hooks are strict no-ops when disabled — no ambient
   lookups or span allocation inside hot loops;
 * engine-private buffers stay inside :mod:`repro.topk`;

@@ -229,7 +229,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     started = time.perf_counter()
     root = _analysis_root(paths)
-    project = load_project(paths, root=root)
+    project = load_project(paths, root=root, tests_root=root / "tests")
 
     scope: set[str] | None = None
     if args.changed:

@@ -288,10 +288,20 @@ def dotted_name(node: ast.expr) -> str | None:
 
 
 class Project:
-    """Every module under analysis plus shared cross-module facts."""
+    """Every module under analysis plus shared cross-module facts.
 
-    def __init__(self, modules: list[SourceModule]) -> None:
+    ``test_corpus`` maps repo-relative test-file paths to their raw
+    text; rules that cross-check source against the test tree (R10
+    toggle-oracle parity) search it without parsing.
+    """
+
+    def __init__(
+        self,
+        modules: list[SourceModule],
+        test_corpus: dict[str, str] | None = None,
+    ) -> None:
         self.modules = modules
+        self.test_corpus: dict[str, str] = dict(test_corpus or {})
         self.by_rel_path = {module.rel_path: module for module in modules}
         self._module_constants: dict[str, dict[str, str]] = {}
         for module in modules:
@@ -431,12 +441,18 @@ def iter_source_files(paths: Iterable[Path]) -> Iterator[Path]:
             yield path
 
 
-def load_project(paths: Iterable[Path], root: Path | None = None) -> Project:
+def load_project(
+    paths: Iterable[Path],
+    root: Path | None = None,
+    tests_root: Path | None = None,
+) -> Project:
     """Parse every ``.py`` under ``paths`` into a :class:`Project`.
 
     ``root`` anchors the repo-relative paths findings and baselines
     use; it defaults to the common parent so fingerprints are stable
-    regardless of the invocation directory.
+    regardless of the invocation directory.  ``tests_root`` (when it
+    exists) is read — not parsed — into the project's test corpus for
+    the source-vs-tests cross-checks.
     """
     resolved = [Path(p).resolve() for p in paths]
     if root is None:
@@ -449,7 +465,15 @@ def load_project(paths: Iterable[Path], root: Path | None = None) -> Project:
             rel = file_path.as_posix()
         text = file_path.read_text(encoding="utf-8")
         modules.append(SourceModule(file_path, rel, text))
-    return Project(modules)
+    test_corpus: dict[str, str] = {}
+    if tests_root is not None and tests_root.is_dir():
+        for file_path in sorted(tests_root.rglob("*.py")):
+            try:
+                rel = file_path.relative_to(root).as_posix()
+            except ValueError:
+                rel = file_path.as_posix()
+            test_corpus[rel] = file_path.read_text(encoding="utf-8")
+    return Project(modules, test_corpus)
 
 
 def _common_root(paths: list[Path]) -> Path:

@@ -1,6 +1,7 @@
-"""The project-invariant rules (R1, R3, R5–R9).
+"""The project-invariant rules (R1–R3, R5–R10).
 
-Each rule encodes one architectural invariant of the serving design.  They are deliberately *project-specific*: generic linters
+Each rule encodes one architectural invariant of the serving design.
+They are deliberately *project-specific*: generic linters
 cannot know that ``graph.derived`` writers must register an
 invalidation prefix, or that ``trace()`` inside the engine's batch
 loop costs the disabled path real allocations.  See each rule's
@@ -14,6 +15,16 @@ import ast
 from typing import Iterable, Iterator
 
 from repro.analysis.core import Finding, Project, Rule, SourceModule, dotted_name
+
+#: Retired engine toggles: each selected a second implementation arm
+#: that has since been deleted.  Declaring one again as a loose kwarg
+#: would regrow the arm-selection surface outside ``ExecutionConfig``.
+LEGACY_TOGGLES = ("use_csr", "scc_incremental", "rset_bitset")
+#: ``optimized`` is the paper's TopK/TopKnopt visiting order; it only
+#: counts as legacy surface when it appears alongside a ``config=``
+#: parameter (the wrapper signature), where ``ExecutionConfig.adapt``
+#: must settle which of the two wins.
+OPTIMIZED = "optimized"
 
 #: Structural DeltaOp kinds — ``set_attrs`` is exempt by design: it
 #: changes no structure, and the label-based structural caches stay
@@ -74,6 +85,15 @@ TOKEN_KEY_MODULES = ("session/cache.py", "graph/csr.py")
 #: must also call one of these on it (or read a token/generation).
 TOKEN_SOURCE_CALLS = frozenset({"bucket_token", "live_token"})
 TOKEN_SOURCE_ATTRS = frozenset({"token", "generation"})
+
+#: Non-bool ExecutionConfig fields that still select an optimized arm
+#: (R10): fan-out counts where 0/1 means "serial path".
+TOGGLE_ARM_EXTRAS = ("workers",)
+#: Config fields that are *observability* switches rather than
+#: optimized-arm selectors never need an equivalence oracle — but the
+#: live ones all have one anyway, so nothing is exempt today.
+TOGGLE_EXEMPT: frozenset[str] = frozenset()
+
 
 def _in_packages(module: SourceModule, packages: Iterable[str]) -> bool:
     rel = module.rel_path
@@ -285,6 +305,77 @@ class InvalidationSoundness(Rule):
                     and node.args
                 ):
                     yield node, node.args[0]
+
+
+class ConfigDiscipline(Rule):
+    """R2 — toggles flow through ``ExecutionConfig``, not loose kwargs."""
+
+    id = "R2"
+    title = "config discipline"
+    rationale = (
+        "Execution settings live in ExecutionConfig.  A wrapper that "
+        "accepts the paper's optimized= kwarg next to config= must "
+        "funnel both through ExecutionConfig.adapt(), the one place "
+        "that rejects an explicit kwarg mixed with config= instead of "
+        "silently discarding one of them.  The retired arm toggles "
+        "(use_csr, scc_incremental, rset_bitset) may not come back as "
+        "loose kwargs with local defaulting logic."
+    )
+    reference = (
+        "CHANGES.md PR 5: 'the three copies of toggle defaulting deleted "
+        "from the wrappers'; a new toggle (the roadmap's anytime "
+        "deadline) must join ExecutionConfig, not the kwargs surface."
+    )
+
+    def check(self, module: SourceModule, project: Project) -> Iterable[Finding]:
+        if module.rel_path.endswith("session/config.py"):
+            return
+        # Module-local funnels: functions whose body reaches adapt()
+        # directly.  One level of indirection is enough for the facade
+        # pattern (api._adapt_options); deeper chains should not exist.
+        funnels = {
+            func.name
+            for func in _function_defs(module)
+            if self._calls_adapt(func)
+        }
+        for func in _function_defs(module):
+            declared = {arg.arg for arg, _ in _params_with_defaults(func)}
+            legacy = declared & set(LEGACY_TOGGLES)
+            if OPTIMIZED in declared and "config" in {
+                a.arg for a in _all_params(func)
+            }:
+                legacy.add(OPTIMIZED)
+            if not legacy:
+                continue
+            if not self._calls_adapt(func, funnels):
+                yield self.finding(
+                    module,
+                    func,
+                    f"{func.name}() declares legacy toggle kwargs "
+                    f"({', '.join(sorted(legacy))}) without funnelling "
+                    "them through ExecutionConfig.adapt() — the "
+                    "deprecation adapter in repro/session/config.py is "
+                    "the only place the legacy surface may be interpreted",
+                    f"legacy-kwargs:{func.name}:{','.join(sorted(legacy))}",
+                )
+
+    @staticmethod
+    def _calls_adapt(
+        func: ast.FunctionDef | ast.AsyncFunctionDef,
+        funnels: frozenset[str] | set[str] = frozenset(),
+    ) -> bool:
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call):
+                callee = dotted_name(node.func)
+                if callee is not None and callee.endswith("ExecutionConfig.adapt"):
+                    return True
+                if isinstance(node.func, ast.Attribute) and node.func.attr == "adapt":
+                    base = dotted_name(node.func.value)
+                    if base in {"cls", "ExecutionConfig"}:
+                        return True
+                if isinstance(node.func, ast.Name) and node.func.id in funnels:
+                    return True
+        return False
 
 
 class ObsNoOpGuarantee(Rule):
@@ -1327,14 +1418,156 @@ class TokenKeySoundness(Rule):
         return False
 
 
+# ----------------------------------------------------------------------
+# R10 — toggle-oracle parity
+# ----------------------------------------------------------------------
+
+
+class ToggleOracleParity(Rule):
+    """R10 — every optimized-arm toggle has a serial arm and a test."""
+
+    id = "R10"
+    title = "toggle-oracle parity"
+    rationale = (
+        "The architecture keeps every serial/reference path alive as "
+        "the oracle its optimized arm is equivalence-tested against "
+        "(pooled vs serial batches, patched vs rebuilt snapshots, "
+        "TopK vs TopKnopt visiting order).  An ExecutionConfig "
+        "field that selects an optimized arm must therefore (a) be "
+        "branched on somewhere in src — the off position must reach a "
+        "reference path — and (b) appear by name in at least one test "
+        "file, where its hypothesis twin suite lives.  A new toggle "
+        "missing either is an optimized arm without an oracle: exactly "
+        "the regression the roadmap's next toggles (anytime deadlines, "
+        "durable temporal top-k) would otherwise ship."
+    )
+    reference = (
+        "ROADMAP 'hypothesis equivalence suites pinning every "
+        "optimized arm against its reference oracle'; workers and "
+        "snapshot_patching each landed with an equivalence suite."
+    )
+
+    def check(self, module: SourceModule, project: Project) -> Iterable[Finding]:
+        from repro.analysis.incremental import _named_in_tests
+
+        if not module.rel_path.endswith("session/config.py"):
+            return
+        fields = self._toggle_fields(module)
+        if not fields:
+            return
+        guard_ids, aliases = self._guard_facts(project, module, fields)
+        for name, node in fields:
+            if not self._branched_on(name, guard_ids, aliases):
+                yield self.finding(
+                    module,
+                    node,
+                    f"ExecutionConfig.{name} selects an optimized arm "
+                    "but nothing in src branches on it — the off "
+                    "position must reach a serial/reference path",
+                    f"toggle-without-branch:{name}",
+                )
+            if not _named_in_tests(name, project):
+                yield self.finding(
+                    module,
+                    node,
+                    f"ExecutionConfig.{name} has no test referencing it "
+                    "by name — every optimized arm needs an equivalence "
+                    "suite against its reference oracle",
+                    f"toggle-without-test:{name}",
+                )
+
+    # ------------------------------------------------------------------
+    def _toggle_fields(
+        self, module: SourceModule
+    ) -> list[tuple[str, ast.AnnAssign]]:
+        fields: list[tuple[str, ast.AnnAssign]] = []
+        for node in ast.walk(module.tree):
+            if not (
+                isinstance(node, ast.ClassDef) and node.name == "ExecutionConfig"
+            ):
+                continue
+            for stmt in node.body:
+                if not (
+                    isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                ):
+                    continue
+                name = stmt.target.id
+                if name in TOGGLE_EXEMPT:
+                    continue
+                if name in TOGGLE_ARM_EXTRAS or self._is_bool_annotation(
+                    stmt.annotation
+                ):
+                    fields.append((name, stmt))
+        return fields
+
+    @staticmethod
+    def _is_bool_annotation(annotation: ast.expr) -> bool:
+        for sub in ast.walk(annotation):
+            if isinstance(sub, ast.Name) and sub.id == "bool":
+                return True
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                if "bool" in sub.value:
+                    return True
+        return False
+
+    def _guard_facts(
+        self,
+        project: Project,
+        config_module: SourceModule,
+        fields: list[tuple[str, ast.AnnAssign]],
+    ) -> tuple[set[str], dict[str, set[str]]]:
+        """Identifiers branched on in src (outside config.py), plus the
+        one-hop renames of each toggle (``pool_size=cfg.workers`` makes
+        ``pool_size`` an alias of ``workers``)."""
+        from repro.analysis.incremental import (
+            _boolean_context_exprs,
+            _identifiers_in,
+        )
+
+        toggle_names = {name for name, _ in fields}
+        guard_ids: set[str] = set()
+        aliases: dict[str, set[str]] = {name: set() for name in toggle_names}
+        for module in project.modules:
+            if module is config_module:
+                continue
+            for expr in _boolean_context_exprs(module.tree):
+                guard_ids.update(_identifiers_in(expr))
+            for node in ast.walk(module.tree):
+                if isinstance(node, ast.Call):
+                    for keyword in node.keywords:
+                        if keyword.arg is None:
+                            continue
+                        for ident in _identifiers_in(keyword.value):
+                            if ident in toggle_names:
+                                aliases[ident].add(keyword.arg)
+                elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+                    target = node.targets[0]
+                    if isinstance(target, ast.Name):
+                        for ident in _identifiers_in(node.value):
+                            if ident in toggle_names:
+                                aliases[ident].add(target.id)
+        return guard_ids, aliases
+
+    @staticmethod
+    def _branched_on(
+        name: str, guard_ids: set[str], aliases: dict[str, set[str]]
+    ) -> bool:
+        if name in guard_ids:
+            return True
+        return any(alias in guard_ids for alias in aliases.get(name, ()))
+
+
 ALL_RULES: tuple[Rule, ...] = (
     InvalidationSoundness(),
+    ConfigDiscipline(),
     ObsNoOpGuarantee(),
     FrozenAndDefaults(),
     TypedCore(),
     PickleSpawnSafety(),
     LockDiscipline(),
     TokenKeySoundness(),
+    ToggleOracleParity(),
 )
 
 

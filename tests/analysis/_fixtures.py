@@ -25,12 +25,22 @@ INVALIDATION_FIXTURE = """
 
 
 def build_project(tmp_path: Path, files: dict[str, str]) -> Project:
-    """Write a fixture tree and load it."""
+    """Write a fixture tree and load it.
+
+    Files under ``tests/`` become the project's *test corpus* (the R10
+    cross-check surface), mirroring the real layout; everything else is
+    loaded as source.
+    """
     for rel, source in files.items():
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source), encoding="utf-8")
-    return load_project(sorted(tmp_path.iterdir()), root=tmp_path)
+    sources = [
+        entry for entry in sorted(tmp_path.iterdir()) if entry.name != "tests"
+    ]
+    return load_project(
+        sources, root=tmp_path, tests_root=tmp_path / "tests"
+    )
 
 
 def check(tmp_path: Path, files: dict[str, str], *rule_ids: str) -> AnalysisReport:

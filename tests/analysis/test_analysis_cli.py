@@ -8,8 +8,8 @@ import subprocess
 import pytest
 
 from _fixtures import write_file
-from repro.analysis.baseline import PLACEHOLDER_JUSTIFICATION
 from repro.analysis import cli
+from repro.analysis.baseline import PLACEHOLDER_JUSTIFICATION
 from repro.analysis.cli import main
 from repro.analysis.rules import ALL_RULES
 
@@ -28,6 +28,13 @@ SEEDED = {
             def add_edge(self, u, v):
                 self._adj[u].append(v)
                 self._emit(DeltaOp(ADD_EDGE, u, v))
+        """,
+    ),
+    "R2": (
+        "repro/topk/wrapper.py",
+        """
+        def top_k(pattern, graph, k, use_csr=None):
+            return run(pattern, graph, k, bool(use_csr))
         """,
     ),
     "R3": (
@@ -76,6 +83,15 @@ SEEDED = {
             def bucket(self, snapshot, label):
                 key = ("bucket", snapshot, label)
                 return self._store.get(key)
+        """,
+    ),
+    # The field name must not occur in the real test tree: single-file
+    # targets anchor at the repo root, so R10's corpus is tests/.
+    "R10": (
+        "repro/session/config.py",
+        """
+        class ExecutionConfig:
+            frobnicate_mode: bool = False
         """,
     ),
 }
@@ -224,13 +240,38 @@ class TestFindingsCache:
         self, tmp_path, capsys, monkeypatch
     ):
         # The real layout: the default target src/repro, tests/ beside
-        # it.  Findings depend on the analysed source alone, so a test
-        # edit leaves every entry valid.
+        # it.  The test tree reaches the cache only through which config
+        # toggles it names (R10), so an edit that changes no such name
+        # leaves every entry valid.
         root = tmp_path / "proj"
         target = root / "src" / "repro"
-        write_file(target, "util.py", "def collect(values):\n    return values\n")
-        write_file(target, "extra.py", "def double(value):\n    return value * 2\n")
-        test_file = write_file(root, "tests/test_util.py", "def test_x():\n    pass\n")
+        write_file(
+            target,
+            "session/config.py",
+            """
+            from dataclasses import dataclass
+
+
+            @dataclass(frozen=True)
+            class ExecutionConfig:
+                use_fast: bool = True
+            """,
+        )
+        write_file(
+            target,
+            "engine.py",
+            """
+            def run(graph, config):
+                if config.use_fast:
+                    return fast(graph)
+                return serial(graph)
+            """,
+        )
+        test_file = write_file(
+            root,
+            "tests/test_engine.py",
+            "def test_use_fast():\n    assert run(g, cfg(use_fast=False))\n",
+        )
         monkeypatch.setattr(cli, "REPO_ROOT", root)
         monkeypatch.setattr(cli, "DEFAULT_TARGET", target)
         monkeypatch.setattr(cli, "DEFAULT_BASELINE", root / "analysis-baseline.json")
@@ -239,6 +280,13 @@ class TestFindingsCache:
         test_file.write_text(test_file.read_text() + "# trailing note\n")
         assert main([]) == 0
         assert "(2 from cache)" in capsys.readouterr().err
+        # Dropping the toggle's last mention is a fact R10 reads: the
+        # cache goes cold and the finding surfaces.
+        test_file.write_text("def test_engine():\n    pass\n")
+        assert main([]) == 1
+        captured = capsys.readouterr()
+        assert "(0 from cache)" in captured.err
+        assert "R10 (" in captured.out
 
     def test_no_cache_flag_skips_cache_entirely(self, tmp_path, capsys):
         root = _clean_tree(tmp_path)

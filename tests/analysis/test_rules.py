@@ -204,6 +204,110 @@ class TestR1DerivedWriters:
 
 
 # ----------------------------------------------------------------------
+# R2 — legacy toggle kwargs must funnel through ExecutionConfig.adapt
+# ----------------------------------------------------------------------
+
+
+class TestR2ConfigDiscipline:
+    def test_loose_toggle_kwargs_flagged(self, tmp_path):
+        report = check(
+            tmp_path,
+            {
+                "src/repro/topk/wrapper.py": """
+                    def top_k(pattern, graph, k, use_csr=None, rset_bitset=None):
+                        effective = True if use_csr is None else use_csr
+                        return run(pattern, graph, k, effective)
+                """
+            },
+            "R2",
+        )
+        assert len(report.new) == 1
+        assert "legacy-kwargs:top_k:rset_bitset,use_csr" in report.new[0].detail
+
+    def test_adapt_funnel_clean(self, tmp_path):
+        report = check(
+            tmp_path,
+            {
+                "src/repro/topk/wrapper.py": """
+                    from repro.session.config import ExecutionConfig
+
+                    def top_k(pattern, graph, k, use_csr=None):
+                        cfg = ExecutionConfig.adapt(use_csr=use_csr)
+                        return run(pattern, graph, k, cfg)
+                """
+            },
+            "R2",
+        )
+        assert report.new == []
+
+    def test_local_funnel_indirection_clean(self, tmp_path):
+        # The api.py facade pattern: one module-local helper owns the
+        # adapt() call; public wrappers route through it.
+        report = check(
+            tmp_path,
+            {
+                "src/repro/facade.py": """
+                    from repro.session.config import ExecutionConfig
+
+                    def _adapt(options):
+                        return ExecutionConfig.adapt(**options)
+
+                    def top_k(pattern, graph, k, use_csr=None, scc_incremental=None):
+                        cfg = _adapt({"use_csr": use_csr,
+                                      "scc_incremental": scc_incremental})
+                        return run(pattern, graph, k, cfg)
+                """
+            },
+            "R2",
+        )
+        assert report.new == []
+
+    def test_bare_optimized_on_leaf_kernel_allowed(self, tmp_path):
+        # ``optimized`` alone is the documented leaf-kernel arm selector.
+        report = check(
+            tmp_path,
+            {
+                "src/repro/simulation/kernel.py": """
+                    def simulate(pattern, graph, optimized=True):
+                        return _csr(pattern, graph) if optimized else _dict(pattern, graph)
+                """
+            },
+            "R2",
+        )
+        assert report.new == []
+
+    def test_optimized_next_to_config_param_flagged(self, tmp_path):
+        report = check(
+            tmp_path,
+            {
+                "src/repro/topk/wrapper.py": """
+                    def top_k(pattern, graph, k, config=None, optimized=None):
+                        arm = config.optimized if config else bool(optimized)
+                        return run(pattern, graph, k, arm)
+                """
+            },
+            "R2",
+        )
+        assert len(report.new) == 1
+        assert "legacy-kwargs:top_k:optimized" in report.new[0].detail
+
+    def test_config_module_itself_exempt(self, tmp_path):
+        report = check(
+            tmp_path,
+            {
+                "src/repro/session/config.py": """
+                    class ExecutionConfig:
+                        @classmethod
+                        def adapt(cls, use_csr=None, rset_bitset=None):
+                            return cls()
+                """
+            },
+            "R2",
+        )
+        assert report.new == []
+
+
+# ----------------------------------------------------------------------
 # R3 — disabled observability must stay a strict no-op on hot paths
 # ----------------------------------------------------------------------
 
@@ -1034,5 +1138,167 @@ class TestR9TokenKeys:
                 """
             },
             "R9",
+        )
+        assert report.new == []
+
+
+# ----------------------------------------------------------------------
+# R10 — toggle-oracle parity
+# ----------------------------------------------------------------------
+
+R10_CONFIG = """
+    from dataclasses import dataclass
+
+
+    @dataclass(frozen=True)
+    class ExecutionConfig:
+        use_fast: bool = True
+"""
+
+R10_ENGINE_BRANCHING = """
+    def run(graph, config):
+        if config.use_fast:
+            return fast(graph)
+        return reference(graph)
+"""
+
+R10_TEST_SUITE = """
+    def test_use_fast_matches_reference():
+        assert run(g, cfg(use_fast=True)) == run(g, cfg(use_fast=False))
+"""
+
+
+class TestR10ToggleParity:
+    def test_toggle_without_branch_flagged(self, tmp_path):
+        report = check(
+            tmp_path,
+            {
+                "src/repro/session/config.py": R10_CONFIG,
+                "src/repro/topk/engine.py": """
+                    def run(graph, config):
+                        return reference(graph)
+                """,
+                "tests/test_engine.py": R10_TEST_SUITE,
+            },
+            "R10",
+        )
+        assert [finding.detail for finding in report.new] == [
+            "toggle-without-branch:use_fast"
+        ]
+
+    def test_toggle_without_test_flagged(self, tmp_path):
+        report = check(
+            tmp_path,
+            {
+                "src/repro/session/config.py": R10_CONFIG,
+                "src/repro/topk/engine.py": R10_ENGINE_BRANCHING,
+                "tests/test_engine.py": """
+                    def test_something_else():
+                        assert True
+                """,
+            },
+            "R10",
+        )
+        assert [finding.detail for finding in report.new] == [
+            "toggle-without-test:use_fast"
+        ]
+
+    def test_branched_and_tested_toggle_clean(self, tmp_path):
+        report = check(
+            tmp_path,
+            {
+                "src/repro/session/config.py": R10_CONFIG,
+                "src/repro/topk/engine.py": R10_ENGINE_BRANCHING,
+                "tests/test_engine.py": R10_TEST_SUITE,
+            },
+            "R10",
+        )
+        assert report.new == []
+
+    def test_kwarg_alias_hop_counts_as_branch(self, tmp_path):
+        # workers never appears by name in a boolean context: it is
+        # renamed through `pool_size=config.workers` into the runner's
+        # `if pool_size > 1` guard.  The one-hop alias must satisfy (a).
+        files = {
+            "src/repro/session/config.py": """
+                from dataclasses import dataclass
+
+
+                @dataclass(frozen=True)
+                class ExecutionConfig:
+                    workers: int = 0
+            """,
+            "src/repro/session/session.py": """
+                def dispatch(batch, config):
+                    return run(batch, pool_size=config.workers)
+            """,
+            "src/repro/session/runner.py": """
+                def run(batch, pool_size=0):
+                    if pool_size > 1:
+                        return pooled(batch, pool_size)
+                    return serial(batch)
+            """,
+            "tests/test_runner.py": """
+                def test_workers_match_serial():
+                    cfg = ExecutionConfig(workers=2)
+                    assert dispatch(b, cfg) == run(b)
+            """,
+        }
+        assert check(tmp_path / "aliased", files, "R10").new == []
+        # Without the guard the toggle is flagged, so the hop is what
+        # satisfies (a) above.
+        files["src/repro/session/runner.py"] = """
+            def run(batch, pool_size=0):
+                return serial(batch)
+        """
+        report = check(tmp_path / "unguarded", files, "R10")
+        assert [finding.detail for finding in report.new] == [
+            "toggle-without-branch:workers"
+        ]
+
+    def test_defaulting_branch_in_config_does_not_count(self, tmp_path):
+        # resolved()'s own defaulting logic branches on every field; it
+        # must not satisfy the serial-arm requirement.
+        report = check(
+            tmp_path,
+            {
+                "src/repro/session/config.py": """
+                    from dataclasses import dataclass
+
+
+                    @dataclass(frozen=True)
+                    class ExecutionConfig:
+                        use_fast: bool = True
+
+                        def resolved(self):
+                            if self.use_fast:
+                                return self
+                            return self
+                """,
+                "tests/test_config.py": """
+                    def test_use_fast():
+                        assert ExecutionConfig(use_fast=True)
+                """,
+            },
+            "R10",
+        )
+        assert [finding.detail for finding in report.new] == [
+            "toggle-without-branch:use_fast"
+        ]
+
+    def test_non_toggle_fields_exempt(self, tmp_path):
+        report = check(
+            tmp_path,
+            {
+                "src/repro/session/config.py": """
+                    from dataclasses import dataclass
+
+
+                    @dataclass(frozen=True)
+                    class ExecutionConfig:
+                        batch_label: str = "default"
+                """,
+            },
+            "R10",
         )
         assert report.new == []

@@ -27,7 +27,7 @@ class TestValidation:
 
 
 class TestAdapter:
-    def test_kwargs_build_equivalent_config(self):
+    def test_legacy_kwargs_build_equivalent_config(self):
         cfg = ExecutionConfig.adapt(None, optimized=False, seed=9)
         assert cfg == ExecutionConfig(optimized=False, seed=9)
 
@@ -35,10 +35,12 @@ class TestAdapter:
         explicit = ExecutionConfig(optimized=False)
         assert ExecutionConfig.adapt(explicit, optimized=True) is explicit
 
-    def test_mixing_config_and_kwargs_rejected(self):
-        # Explicit kwargs must not be silently discarded.
+    def test_mixing_config_and_legacy_toggles_rejected(self):
         with pytest.raises(MatchingError):
             ExecutionConfig.adapt(ExecutionConfig(), optimized=False)
+
+    def test_mixing_config_and_other_legacy_kwargs_rejected(self):
+        # Non-toggle legacy kwargs must not be silently discarded either.
         with pytest.raises(MatchingError):
             ExecutionConfig.adapt(ExecutionConfig(), seed=3)
 

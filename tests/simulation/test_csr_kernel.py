@@ -114,7 +114,7 @@ class TestSharedCandidates:
         assert result.candidates is candidates
         assert result.sim == reference.naive_simulation(q, g)
 
-    def test_candidates_equal_reference(self):
+    def test_candidate_paths_agree(self):
         g = make_random_graph(21, num_nodes=15, num_edges=30)
         g.remove_node(4)
         q = pattern_from_edges(["*", "A", "B"], [(0, 1), (1, 2)], output=0)

@@ -1,13 +1,19 @@
-"""Rich random instances against the reference (``tests/reference.py``).
+"""Rich random instances: the CSR path against the reference.
 
 The planted instances of ``tests/topk/test_oracle.py`` carry plain
 labels only.  Here the graphs carry attributes and tombstoned nodes,
 and the patterns mix plain labels, wildcards and attribute predicates.
 On each, ``maximal_simulation``, ``top_k_matches`` (both visiting
 orders), ``diversified_matches`` (both methods) and a wildcard
-``MatchView`` under a delta stream are checked against the reference's
-naive simulation, BFS relevant sets and enumerated optima.  Instances
-that do not match must yield empty answers.
+``MatchView`` under a delta stream are checked against the reference
+(``tests/reference.py``): naive simulation, BFS relevant sets and
+enumerated optima.  Instances that do not match must yield empty
+answers.
+
+The ``api`` entry points serve through an implicit ``MatchSession``
+and its artifact cache; the engine wrappers build every artifact
+themselves.  Both routes run the one CSR path, so they are
+deterministic twins: identical matches, scores and objective values.
 """
 
 import random
@@ -17,9 +23,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import api
+from repro.diversify.approx import top_k_diversified_approx
+from repro.diversify.heuristic import top_k_diversified_heuristic
 from repro.incremental.manager import MatchViewManager
 from repro.simulation.candidates import WILDCARD_LABEL
 from repro.simulation.match import maximal_simulation
+from repro.topk.cyclic import top_k
+from repro.topk.dag import top_k_dag
 
 from tests import reference
 from tests.conftest import rich_random_graph, rich_random_pattern
@@ -71,10 +81,16 @@ def check_diversified(result, pattern, graph, rsets, k, lam, normalised):
     return reference.diversified_optimum(rsets, k, lam, c), value
 
 
-class TestSimulation:
+def assert_twins(session_route, engine_route):
+    assert session_route.matches == engine_route.matches
+    assert session_route.scores == engine_route.scores
+    assert session_route.objective_value == engine_route.objective_value
+
+
+class TestSimulationEquivalence:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @SETTINGS
-    def test_fixpoint_equals_reference(self, seed):
+    def test_fixpoint_paths_identical(self, seed):
         g = rich_random_graph(seed)
         q = rich_random_pattern(seed + 1, cyclic=seed % 2 == 0)
         result = maximal_simulation(q, g)
@@ -93,35 +109,43 @@ class TestSimulation:
         assert api.find_matches(q, g).sim == reference.naive_simulation(q, g)
 
 
-class TestTopK:
+class TestTopKEquivalence:
     @given(seed=st.integers(min_value=0, max_value=10_000), k=st.integers(1, 4))
     @SETTINGS
-    def test_top_k_is_optimal(self, seed, k):
+    def test_csr_toggle_is_a_deterministic_twin(self, seed, k):
+        """Session route and engine wrapper agree, and both are optimal."""
         g = rich_random_graph(seed)
         q = rich_random_pattern(seed + 3, cyclic=seed % 2 == 1)
-        check_top_k(api.top_k_matches(q, g, k), reference_sets(q, g), k)
+        result = api.top_k_matches(q, g, k)
+        check_top_k(result, reference_sets(q, g), k)
+        runner = top_k_dag if q.is_dag() else top_k
+        assert_twins(result, runner(q, g, k))
 
     @given(seed=st.integers(min_value=0, max_value=10_000), k=st.integers(1, 4))
     @SETTINGS
-    def test_nopt_top_k_is_optimal(self, seed, k):
+    def test_reference_algorithm_same_answer_quality(self, seed, k):
+        """TopKnopt's random visiting order reaches the same optimum."""
         g = rich_random_graph(seed)
         q = rich_random_pattern(seed + 3, cyclic=seed % 2 == 1)
         result = api.top_k_matches(q, g, k, optimized=False, seed=seed)
         check_top_k(result, reference_sets(q, g), k)
 
 
-class TestDiversified:
+class TestDiversifiedEquivalence:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @SETTINGS
-    def test_heuristic_reports_reference_values(self, seed):
+    def test_heuristic_csr_toggle_is_a_deterministic_twin(self, seed):
+        """Session route and engine wrapper agree on reference values."""
         g = rich_random_graph(seed)
         q = rich_random_pattern(seed + 4, cyclic=seed % 2 == 0)
         result = api.diversified_matches(q, g, 3, lam=0.5)
         check_diversified(result, q, g, reference_sets(q, g), 3, 0.5, normalised=False)
+        assert_twins(result, top_k_diversified_heuristic(q, g, 3, lam=0.5))
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @SETTINGS
-    def test_approx_is_a_2_approximation(self, seed):
+    def test_approx_paths_identical(self, seed):
+        """Both routes of TopKDiv agree and reach half the optimum."""
         g = rich_random_graph(seed)
         q = rich_random_pattern(seed + 5, cyclic=seed % 2 == 1)
         result = api.diversified_matches(q, g, 3, method="approx")
@@ -131,9 +155,10 @@ class TestDiversified:
         if checked is not None:
             best, value = checked
             assert value >= best / 2 - 1e-12
+        assert_twins(result, top_k_diversified_approx(q, g, 3, lam=0.5))
 
 
-class TestUpdateStream:
+class TestUpdateStreamEquivalence:
     """A wildcard view under a delta stream stays equal to the reference.
 
     Also the regression test for wildcard-pattern event starvation: a

@@ -1,11 +1,15 @@
 """Property-based tests (hypothesis) on the library's core invariants."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.diversify.approx import top_k_diversified_approx
 from repro.ranking.distance import jaccard_distance
 from repro.simulation.match import maximal_simulation
+from repro.topk.cyclic import top_k
 
+from tests import reference
 from tests.conftest import make_random_graph, make_random_pattern
 from tests.reference import naive_simulation
 
@@ -79,6 +83,69 @@ class TestSimulationProperties:
                     for u_child in q.successors(u)
                 )
                 assert violates
+
+
+def planted(seed: int, graph_nodes: int, noise_edges: int):
+    """A small instance that matches by construction, so every drawn
+    case asserts something."""
+    return reference.planted_instance(
+        seed, cyclic=seed % 3 == 0, pattern_nodes=3,
+        graph_nodes=graph_nodes, noise_edges=noise_edges,
+    )
+
+
+def reference_sets(pattern, graph):
+    """Reference ``R(uo, v)`` of every match ``v`` of the output node."""
+    sim = reference.simulation(pattern, graph)
+    assert sim is not None
+    uo = pattern.output_node
+    return {v: reference.relevant_set(pattern, graph, sim, uo, v) for v in sim[uo]}
+
+
+class TestTopKProperties:
+    @given(seed=st.integers(min_value=0, max_value=10_000), k=st.integers(1, 4))
+    @SETTINGS
+    def test_engine_set_is_optimal(self, seed, k):
+        g, q = planted(seed, graph_nodes=14, noise_edges=30)
+        values = {v: len(r) for v, r in reference_sets(q, g).items()}
+        engine = top_k(q, g, k)
+        assert len(engine.matches) == len(set(engine.matches)) == min(k, len(values))
+        assert sum(values[v] for v in engine.matches) == reference.optimum(values, k)
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @SETTINGS
+    def test_scores_never_exceed_true_relevance(self, seed):
+        # Scores are the exact reference relevance, so never above it.
+        g, q = planted(seed, graph_nodes=14, noise_edges=30)
+        rsets = reference_sets(q, g)
+        engine = top_k(q, g, 3)
+        assert engine.scores == {v: len(rsets[v]) for v in engine.matches}
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @SETTINGS
+    def test_inspected_never_exceeds_total(self, seed):
+        g, q = planted(seed, graph_nodes=14, noise_edges=30)
+        mu = len(reference_sets(q, g))
+        engine = top_k(q, g, 2)
+        assert engine.stats.inspected_matches <= mu
+
+
+class TestDiversificationProperties:
+    @given(
+        seed=st.integers(min_value=0, max_value=5_000),
+        lam=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_approx_ratio_two(self, seed, lam):
+        g, q = planted(seed, graph_nodes=30, noise_edges=110)
+        rsets = reference_sets(q, g)
+        c = reference.normalisation(q, g, q.output_node)
+        k = min(3, len(rsets))
+        approx = top_k_diversified_approx(q, g, k, lam=lam)
+        assert len(approx.matches) == len(set(approx.matches)) == k
+        value = reference.objective(rsets, tuple(approx.matches), k, lam, c)
+        assert approx.objective_value == pytest.approx(value, abs=1e-12)
+        assert value >= reference.diversified_optimum(rsets, k, lam, c) / 2 - 1e-9
 
 
 class TestGeneratorProperties:

@@ -201,18 +201,18 @@ def assert_evaluation_matches(evaluation, pattern, graph, sim, node):
     assert got == reference_sets(pattern, graph, node)
 
 
-@pytest.mark.parametrize("state", ["flat", "patched", "live"])
 @pytest.mark.parametrize("make", EVALUATION_INSTANCES)
-def test_evaluation_equals_reference(make, state):
+def test_evaluation_equals_reference(make):
     """Matches, bounds and relevant sets, over each adjacency source."""
-    graph, pattern = make()
-    prepare_adjacency(graph, state)
-    sim = reference.simulation(pattern, graph)
-    assert sim is not None
-    for node in pattern.nodes():
-        evaluation = build_evaluation(pattern, graph, sim, node)
-        assert csr.has_cached_snapshot(graph) == (state != "live")
-        assert_evaluation_matches(evaluation, pattern, graph, sim, node)
+    for state in ("flat", "patched", "live"):
+        graph, pattern = make()
+        prepare_adjacency(graph, state)
+        sim = reference.simulation(pattern, graph)
+        assert sim is not None
+        for node in pattern.nodes():
+            evaluation = build_evaluation(pattern, graph, sim, node)
+            assert csr.has_cached_snapshot(graph) == (state != "live")
+            assert_evaluation_matches(evaluation, pattern, graph, sim, node)
 
 
 @pytest.mark.parametrize("instance", INSTANCES[::5], ids=instance_id)
