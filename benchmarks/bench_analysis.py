@@ -1,43 +1,35 @@
-"""Analyzer throughput: cold vs findings-cache vs forked workers.
+"""Analyzer throughput: cold vs findings-cache.
 
-This PR rebuilt the ``repro.analysis`` core around a per-file findings
-cache (content-hash keyed, environment-fingerprint scoped) and an
-optional forked worker pool (``--jobs``).  This benchmark times the
-three arms over the real ``src/repro`` tree:
+The ``repro.analysis`` core keeps a per-file findings cache (content-
+hash keyed, environment-fingerprint scoped).  This benchmark times two
+arms over the real ``src/repro`` tree:
 
 ``cold``
-    Full load + rule execution, no cache — the pre-PR behaviour and
-    the CI worst case.
+    Full load + rule execution, no cache — the CI worst case.
 
 ``warm``
     A primed cache: every file served from ``findings.json``, rule
-    execution skipped entirely.  This is the pre-commit
-    (``--changed``) steady state.
+    execution skipped entirely.  This is the steady state between
+    edits.
 
-``jobs``
-    Cold rule execution fanned out over ``os.cpu_count()`` forked
-    workers.  On multi-core CI this tracks the parallel win; on a
-    single-core box it honestly reports the fork overhead.
-
-All three arms must agree on the findings they produce (asserted every
+Both arms must agree on the findings they produce (asserted every
 round before anything is recorded).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_analysis.py
-    PYTHONPATH=src python benchmarks/bench_analysis.py --json BENCH_analysis.json
+    PYTHONPATH=src python benchmarks/bench_analysis.py --json analysis.json
     PYTHONPATH=src python benchmarks/bench_analysis.py --smoke
 
 ``--smoke`` runs one round and exits non-zero when the warm arm fails
 to beat the cold arm, when the warm run is not fully served from the
-cache, or when any arm's findings diverge.
+cache, or when the arms' findings diverge.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import tempfile
 import time
 from pathlib import Path
@@ -48,22 +40,20 @@ from repro.analysis.rules import ALL_RULES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TARGET = REPO_ROOT / "src" / "repro"
-TESTS = REPO_ROOT / "tests"
 
 
 def _load() -> Project:
-    return load_project([TARGET], root=REPO_ROOT, tests_root=TESTS)
+    return load_project([TARGET], root=REPO_ROOT)
 
 
 def _fingerprints(report) -> list[str]:
     return sorted(f.fingerprint() for f in report.all_findings())
 
 
-def run(rounds: int = 3, jobs: int | None = None) -> dict:
-    """Time the three arms; returns the result dict (BENCH_analysis.json)."""
-    jobs = jobs or os.cpu_count() or 1
+def run(rounds: int = 3) -> dict:
+    """Time the two arms; returns the result dict (``--json``)."""
     rules = list(ALL_RULES)
-    best = {"cold": float("inf"), "warm": float("inf"), "jobs": float("inf")}
+    best = {"cold": float("inf"), "warm": float("inf")}
     reference: list[str] | None = None
     files = 0
     warm_hits = 0
@@ -93,24 +83,17 @@ def run(rounds: int = 3, jobs: int | None = None) -> dict:
             best["warm"] = min(best["warm"], time.perf_counter() - started)
             warm_hits = warm_report.cache_hits
 
-            started = time.perf_counter()
-            project = _load()
-            jobs_report = run_analysis(project, rules, jobs=jobs)
-            best["jobs"] = min(best["jobs"], time.perf_counter() - started)
-
             expected = _fingerprints(cold_report)
             if reference is None:
                 reference = expected
-            for report in (warm_report, jobs_report):
-                if _fingerprints(report) != expected:
-                    mismatches += 1
+            if _fingerprints(warm_report) != expected:
+                mismatches += 1
 
     seconds = {arm: round(value, 5) for arm, value in best.items()}
     return {
         "benchmark": "analysis-incremental",
         "config": {
             "rounds": rounds,
-            "jobs": jobs,
             "rules": [rule.id for rule in rules],
             "files": files,
         },
@@ -122,11 +105,6 @@ def run(rounds: int = 3, jobs: int | None = None) -> dict:
             if seconds["warm"]
             else None
         ),
-        "speedup_jobs": (
-            round(seconds["cold"] / seconds["jobs"], 2)
-            if seconds["jobs"]
-            else None
-        ),
         "findings": len(reference or []),
         "mismatches": mismatches,
     }
@@ -135,8 +113,6 @@ def run(rounds: int = 3, jobs: int | None = None) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the jobs arm (default: cpu count)")
     parser.add_argument("--smoke", action="store_true",
                         help="one round; fail unless the warm arm beats cold "
                              "and is fully served from the cache")
@@ -145,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     rounds = 1 if args.smoke else args.rounds
-    result = run(rounds=rounds, jobs=args.jobs)
+    result = run(rounds=rounds)
 
     sec = result["seconds"]
     print(
@@ -153,9 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         f"({len(result['config']['rules'])} rules): "
         f"cold {sec['cold'] * 1000:8.1f}ms  "
         f"warm {sec['warm'] * 1000:8.1f}ms ({result['speedup_warm']}x, "
-        f"{result['warm_cache_hits']} hits)  "
-        f"jobs[{result['config']['jobs']}] {sec['jobs'] * 1000:8.1f}ms "
-        f"({result['speedup_jobs']}x), "
+        f"{result['warm_cache_hits']} hits), "
         f"{result['findings']} findings, mismatches {result['mismatches']}"
     )
 

@@ -30,7 +30,7 @@ reported, so machine drift hits all arms equally.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py
-    PYTHONPATH=src python benchmarks/bench_obs_overhead.py --json BENCH_obs.json
+    PYTHONPATH=src python benchmarks/bench_obs_overhead.py --json obs.json
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py --smoke
 
 ``--smoke`` runs a reduced-scale pass and exits non-zero when the
@@ -142,7 +142,7 @@ def _arm_once(arm: str, graph, patterns) -> float:
 
 
 def run(rounds: int = 5, scale_factor: float | None = None) -> dict:
-    """Run all three arms; returns the result dict (see BENCH_obs.json)."""
+    """Run all three arms; returns the result dict (``--json``)."""
     if scale_factor is None:
         # Undo the pytest-suite downscale: benchmark at the full
         # surrogate sizes of EXPERIMENTS.md (~6k nodes).

@@ -7,14 +7,13 @@ invariants holds everywhere:
 * structural mutations invalidate derived caches, and every writer of
   ``graph.derived`` registers its key prefix with the invalidation
   hooks (the PR-2 stale-snapshot bug class);
-* execution toggles flow through :class:`repro.session.config.ExecutionConfig`
-  instead of re-growing the legacy kwargs sprawl, and each toggle that
-  selects a serving arm is branched on and named by a test;
 * observability hooks are strict no-ops when disabled — no ambient
   lookups or span allocation inside hot loops;
-* engine-private buffers stay inside :mod:`repro.topk`;
-* no mutable default arguments, no mutation of frozen dataclasses;
-* the typed core (session/obs/index/delta/api) stays fully annotated.
+* no mutable default arguments;
+* the typed core (session/obs/index/delta/api) stays fully annotated;
+* state shipped to worker processes pickles cleanly, shared registries
+  are mutated under their lock everywhere, and snapshot-bearing cache
+  keys fold in a token.
 
 This package turns those reviewer-memory rules into machine-enforced
 checks: an AST rule registry (:mod:`repro.analysis.rules`), per-line

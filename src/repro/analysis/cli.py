@@ -5,24 +5,21 @@ finding (or an unjustified/stale baseline entry) exists, 2 on usage
 errors.
 
 Incremental use: findings are cached per file under
-``.repro-analysis-cache/`` (disable with ``--no-cache``), ``--changed``
-restricts checking to git-modified files, and ``--jobs N`` fans the
-uncached files out over worker processes.  ``--format sarif`` with
+``.repro-analysis-cache/`` (disable with ``--no-cache``), so a run
+re-checks only the files an edit touched.  ``--format sarif`` with
 ``--output`` emits a SARIF 2.1.0 log for code-scanning upload.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import subprocess
 import sys
 import time
 from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.baseline import Baseline
-from repro.analysis.core import Project, load_project, run_analysis
+from repro.analysis.core import load_project, run_analysis
 from repro.analysis.incremental import CACHE_DIR_NAME, open_cache
 from repro.analysis.report import (
     render_explain,
@@ -86,19 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="only check files git reports as modified or untracked "
-        "(pre-commit mode; stale-baseline detection is skipped)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="check files over N worker processes (0 = cpu count)",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="do not read or write the per-file findings cache",
@@ -132,61 +116,14 @@ def _analysis_root(paths: list[Path]) -> Path:
 
     The real repo root when every target lives under it (the normal
     case).  A single directory target elsewhere — a throwaway tree in
-    tests — anchors at itself, so path-suffix rule scoping, the cache
-    and ``--changed`` all work against it.  Stray file targets keep the
-    repo root (their rel paths fall back to absolute, which still
-    suffix-matches the rules' scoping patterns).
+    tests — anchors at itself, so path-suffix rule scoping and the cache
+    both work against it.  Stray file targets keep the repo root (their
+    rel paths fall back to absolute, which still suffix-matches the
+    rules' scoping patterns).
     """
     if len(paths) == 1 and paths[0].is_dir() and not paths[0].is_relative_to(REPO_ROOT):
         return paths[0]
     return REPO_ROOT
-
-
-def _changed_scope(root: Path, project: Project) -> set[str] | None:
-    """Repo-relative paths of git-modified/untracked project files.
-
-    Returns ``None`` when ``root`` is not inside a git work tree (the
-    caller turns that into a usage error).
-    """
-    try:
-        toplevel_proc = subprocess.run(
-            ["git", "-C", str(root), "rev-parse", "--show-toplevel"],
-            capture_output=True,
-            text=True,
-            check=False,
-        )
-    except OSError:
-        return None
-    if toplevel_proc.returncode != 0:
-        return None
-    toplevel = Path(toplevel_proc.stdout.strip())
-    status_proc = subprocess.run(
-        ["git", "-C", str(root), "status", "--porcelain"],
-        capture_output=True,
-        text=True,
-        check=False,
-    )
-    if status_proc.returncode != 0:
-        return None
-    scope: set[str] = set()
-    known = {module.rel_path for module in project.modules}
-    for line in status_proc.stdout.splitlines():
-        if len(line) < 4:
-            continue
-        entry = line[3:]
-        # Renames report ``old -> new``; the new path is the live one.
-        if " -> " in entry:
-            entry = entry.split(" -> ", 1)[1]
-        entry = entry.strip().strip('"')
-        if not entry.endswith(".py"):
-            continue
-        try:
-            rel = (toplevel / entry).resolve().relative_to(root).as_posix()
-        except ValueError:
-            continue
-        if rel in known:
-            scope.add(rel)
-    return scope
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -229,17 +166,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     started = time.perf_counter()
     root = _analysis_root(paths)
-    project = load_project(paths, root=root, tests_root=root / "tests")
-
-    scope: set[str] | None = None
-    if args.changed:
-        scope = _changed_scope(root, project)
-        if scope is None:
-            print(
-                f"--changed requires a git work tree at {root}",
-                file=sys.stderr,
-            )
-            return 2
+    project = load_project(paths, root=root)
 
     cache = None
     # The cache defaults on only when every target anchors under the
@@ -250,10 +177,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cache_dir = args.cache_dir or root / CACHE_DIR_NAME
         cache = open_cache(project, rules, cache_dir)
 
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    report = run_analysis(
-        project, rules, baseline, jobs=jobs, cache=cache, scope=scope
-    )
+    report = run_analysis(project, rules, baseline, cache=cache)
     if cache is not None:
         cache.prune(keep={module.rel_path for module in project.modules})
         cache.save()
@@ -283,8 +207,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(rendered)
     print(
         f"checked {report.files_checked} file(s) "
-        f"({report.cache_hits} from cache) in {elapsed:.2f}s"
-        + (" [changed-only]" if report.scoped else ""),
+        f"({report.cache_hits} from cache) in {elapsed:.2f}s",
         file=sys.stderr,
     )
 

@@ -3,9 +3,9 @@
 The model is deliberately simple — one :class:`SourceModule` per file
 (path, text, parsed AST, parent links, noqa map, module-constant
 table), one :class:`Project` holding them all plus the cross-module
-facts individual rules need (registered invalidation prefixes, frozen
-dataclass names).  Rules receive the whole project so they can
-cross-reference (e.g. R1 validates every ``graph.derived`` writer
+facts individual rules need (registered invalidation prefixes, the
+pickle-relevant class table).  Rules receive the whole project so they
+can cross-reference (e.g. R1 validates every ``graph.derived`` writer
 against the prefixes :mod:`repro.index.invalidation` registers).
 
 Suppressions are trailing comments on the flagged line::
@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
-import multiprocessing
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -173,16 +171,13 @@ class SourceModule:
         Walks outward through the parent chain; an ``orelse`` position
         also yields the test (rules that need the polarity inspect the
         expression themselves)."""
-        child = node
         current = self.parents.get(node)
         while current is not None:
             if isinstance(current, ast.If):
                 yield current.test
             if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 return
-            child = current
             current = self.parents.get(current)
-        del child
 
 
 def _collect_imports(tree: ast.Module) -> dict[str, str]:
@@ -288,21 +283,10 @@ def dotted_name(node: ast.expr) -> str | None:
 
 
 class Project:
-    """Every module under analysis plus shared cross-module facts.
+    """Every module under analysis plus shared cross-module facts."""
 
-    ``test_corpus`` maps repo-relative test-file paths to their raw
-    text; rules that cross-check source against the test tree (R10
-    toggle-oracle parity) search it without parsing.
-    """
-
-    def __init__(
-        self,
-        modules: list[SourceModule],
-        test_corpus: dict[str, str] | None = None,
-    ) -> None:
+    def __init__(self, modules: list[SourceModule]) -> None:
         self.modules = modules
-        self.test_corpus: dict[str, str] = dict(test_corpus or {})
-        self.by_rel_path = {module.rel_path: module for module in modules}
         self._module_constants: dict[str, dict[str, str]] = {}
         for module in modules:
             rel = module.rel_path
@@ -421,9 +405,6 @@ class AnalysisReport:
     stale_baseline: list[str] = field(default_factory=list)
     #: Files served from the per-file findings cache this run.
     cache_hits: int = 0
-    #: True when the run was scoped (``--changed``) — stale-baseline
-    #: detection is skipped because unscoped findings were not seen.
-    scoped: bool = False
 
     @property
     def ok(self) -> bool:
@@ -441,18 +422,12 @@ def iter_source_files(paths: Iterable[Path]) -> Iterator[Path]:
             yield path
 
 
-def load_project(
-    paths: Iterable[Path],
-    root: Path | None = None,
-    tests_root: Path | None = None,
-) -> Project:
+def load_project(paths: Iterable[Path], root: Path | None = None) -> Project:
     """Parse every ``.py`` under ``paths`` into a :class:`Project`.
 
     ``root`` anchors the repo-relative paths findings and baselines
     use; it defaults to the common parent so fingerprints are stable
-    regardless of the invocation directory.  ``tests_root`` (when it
-    exists) is read — not parsed — into the project's test corpus for
-    the source-vs-tests cross-checks.
+    regardless of the invocation directory.
     """
     resolved = [Path(p).resolve() for p in paths]
     if root is None:
@@ -465,15 +440,7 @@ def load_project(
             rel = file_path.as_posix()
         text = file_path.read_text(encoding="utf-8")
         modules.append(SourceModule(file_path, rel, text))
-    test_corpus: dict[str, str] = {}
-    if tests_root is not None and tests_root.is_dir():
-        for file_path in sorted(tests_root.rglob("*.py")):
-            try:
-                rel = file_path.relative_to(root).as_posix()
-            except ValueError:
-                rel = file_path.as_posix()
-            test_corpus[rel] = file_path.read_text(encoding="utf-8")
-    return Project(modules, test_corpus)
+    return Project(modules)
 
 
 def _common_root(paths: list[Path]) -> Path:
@@ -498,106 +465,34 @@ def check_module(
     return findings
 
 
-#: Fork-inherited worker state for ``--jobs``: set in the parent
-#: immediately before the pool forks, so child processes see the fully
-#: built project without pickling it.
-_FORK_STATE: tuple[Project, list[Rule]] | None = None
-
-
-def _forked_check(rel_path: str) -> tuple[str, list[Finding]]:
-    state = _FORK_STATE
-    if state is None:  # pragma: no cover - only on a misconfigured pool
-        raise RuntimeError("analysis worker forked without project state")
-    project, rules = state
-    module = project.by_rel_path[rel_path]
-    return rel_path, check_module(module, rules, project)
-
-
-def _check_modules(
-    pending: list[SourceModule],
-    rules: list[Rule],
-    project: Project,
-    jobs: int,
-) -> dict[str, list[Finding]]:
-    """Check ``pending`` serially, or over a forked process pool.
-
-    The fork start method is required (the project holds ASTs nobody
-    wants to pickle); where it is unavailable the run quietly degrades
-    to serial, which is always correct.
-    """
-    if jobs > 1 and len(pending) > 1:
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = None
-        if context is not None:
-            global _FORK_STATE
-            _FORK_STATE = (project, rules)
-            try:
-                workers = min(jobs, len(pending))
-                chunk = max(1, len(pending) // (workers * 4))
-                with ProcessPoolExecutor(
-                    max_workers=workers, mp_context=context
-                ) as pool:
-                    return dict(
-                        pool.map(
-                            _forked_check,
-                            [module.rel_path for module in pending],
-                            chunksize=chunk,
-                        )
-                    )
-            finally:
-                _FORK_STATE = None
-    return {
-        module.rel_path: check_module(module, rules, project)
-        for module in pending
-    }
-
-
 def run_analysis(
     project: Project,
     rules: Iterable[Rule],
     baseline: "Baseline | None" = None,
     *,
-    jobs: int = 1,
     cache: "FindingsCache | None" = None,
-    scope: set[str] | None = None,
 ) -> AnalysisReport:
     """Run ``rules`` over ``project`` and partition the findings.
 
     ``cache`` serves findings for files whose content (and the shared
-    environment fingerprint) is unchanged; ``scope`` restricts checking
-    to the named repo-relative paths (``--changed``) — stale-baseline
-    detection is skipped for scoped runs, which by design do not see
-    every finding.  ``jobs > 1`` fans uncached files out over forked
-    worker processes.
+    environment fingerprint) is unchanged; every other file is checked
+    and its findings stored back.
     """
     rules = list(rules)
-    modules = project.modules
-    if scope is not None:
-        modules = [m for m in modules if m.rel_path in scope]
     report = AnalysisReport(
-        files_checked=len(modules),
+        files_checked=len(project.modules),
         rules_run=tuple(rule.id for rule in rules),
-        scoped=scope is not None,
     )
-    per_module: dict[str, list[Finding]] = {}
-    pending: list[SourceModule] = []
-    for module in modules:
-        hit = cache.lookup(module) if cache is not None else None
-        if hit is not None:
-            per_module[module.rel_path] = hit
+    seen_fingerprints: set[str] = set()
+    for module in project.modules:
+        findings = cache.lookup(module) if cache is not None else None
+        if findings is not None:
             report.cache_hits += 1
         else:
-            pending.append(module)
-    if pending:
-        per_module.update(_check_modules(pending, rules, project, jobs))
-        if cache is not None:
-            for module in pending:
-                cache.store(module, per_module[module.rel_path])
-    seen_fingerprints: set[str] = set()
-    for module in modules:
-        for finding in per_module.get(module.rel_path, []):
+            findings = check_module(module, rules, project)
+            if cache is not None:
+                cache.store(module, findings)
+        for finding in findings:
             seen_fingerprints.add(finding.fingerprint())
             if finding.suppressed:
                 report.suppressed.append(finding)
@@ -605,7 +500,7 @@ def run_analysis(
                 report.baselined.append(finding)
             else:
                 report.new.append(finding)
-    if baseline is not None and scope is None:
+    if baseline is not None:
         report.stale_baseline = sorted(
             fp for fp in baseline.fingerprints if fp not in seen_fingerprints
         )

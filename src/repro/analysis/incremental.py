@@ -2,19 +2,16 @@
 
 The analyzer's rules are *project* invariants — a module's findings can
 depend on facts defined elsewhere (R1 folds key constants across
-modules, R5 collects frozen dataclasses project-wide, R7 resolves
-``_TRANSIENT_SLOTS`` through base classes, R10 cross-checks the test
-tree).  A per-file cache is therefore sound only under two keys:
+modules, R7 resolves ``_TRANSIENT_SLOTS`` through base classes).  A
+per-file cache is therefore sound only under two keys:
 
 * the file's own **content hash** — any edit re-checks the file; and
 * an **environment fingerprint** folding in every cross-module fact a
-  rule consumes: the analyzer's own source, the rule set, each
-  module's constant/import/class-shape facts, the toggle-guard facts
-  R10 reads, and which toggles the test tree names.  Any change there
-  drops the whole cache — conservative, but a no-op edit elsewhere
-  keeps it warm.  The test tree enters only through that last fact, so
-  a test edit that names no new toggle (and drops none) keeps every
-  entry.
+  rule consumes: the analyzer's own source, the rule set, and each
+  module's constant/import/class-shape facts.  Any change there drops
+  the whole cache — conservative, but a no-op edit elsewhere keeps it
+  warm.  The analyzer reads nothing outside the checked modules, so a
+  test edit keeps every entry.
 
 The cache lives in ``.repro-analysis-cache/findings.json`` at the repo
 root (gitignored; CI restores it like ``.mypy_cache``).  Entries store
@@ -27,9 +24,8 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
-import re
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.analysis.core import Finding, Project, Rule, SourceModule
 
@@ -53,64 +49,13 @@ def _analyzer_source_digest() -> str:
     return digest.hexdigest()
 
 
-def _toggle_field_names(project: Project) -> tuple[str, ...]:
-    """ExecutionConfig field names, for the R10 facts below."""
-    config = project.find_module("session/config.py")
-    if config is None:
-        return ()
-    names: list[str] = []
-    for node in ast.walk(config.tree):
-        if isinstance(node, ast.ClassDef) and node.name == "ExecutionConfig":
-            for stmt in node.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    names.append(stmt.target.id)
-    return tuple(sorted(names))
-
-
-def _boolean_context_exprs(tree: ast.Module) -> Iterable[ast.expr]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.If, ast.While, ast.IfExp)):
-            yield node.test
-        elif isinstance(node, ast.comprehension):
-            yield from node.ifs
-        elif isinstance(node, ast.Assert):
-            yield node.test
-        elif isinstance(node, ast.BoolOp):
-            yield from node.values
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
-            yield node.operand
-        elif isinstance(node, ast.Compare):
-            yield node.left
-            yield from node.comparators
-        elif isinstance(node, ast.Match):
-            yield node.subject
-
-
-def _identifiers_in(expr: ast.expr) -> Iterable[str]:
-    for sub in ast.walk(expr):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-
-
-def _named_in_tests(name: str, project: Project) -> bool:
-    """Whether any test file names ``name`` as a whole word — the one
-    fact R10 reads from the test corpus."""
-    pattern = re.compile(rf"\b{re.escape(name)}\b")
-    return any(pattern.search(text) for text in project.test_corpus.values())
-
-
-def _module_facts_digest(module: SourceModule, toggles: tuple[str, ...]) -> str:
+def _module_facts_digest(module: SourceModule) -> str:
     """Everything *other modules'* findings may read from this one.
 
-    Covers the constant-folding surface (R1), imports, class shapes —
-    bases, decorators, body-level assignments (``__slots__``,
-    ``_TRANSIENT_SLOTS``, dataclass fields), ``__getstate__`` presence
-    (R5/R7) — plus the branch-identifier and toggle-alias facts R10's
-    cross-check consumes.
+    Covers the constant-folding surface (R1), imports and the class
+    shapes R7 resolves through base classes — bases, body-level
+    assignments (``__slots__``, ``_TRANSIENT_SLOTS``) and
+    ``__getstate__`` presence.
     """
     digest = hashlib.sha256()
     digest.update(module.rel_path.encode("utf-8"))
@@ -126,38 +71,12 @@ def _module_facts_digest(module: SourceModule, toggles: tuple[str, ...]) -> str:
         digest.update(f"class:{node.name}\n".encode("utf-8"))
         for base in node.bases:
             digest.update(f"base:{ast.dump(base)}\n".encode("utf-8"))
-        for decorator in node.decorator_list:
-            digest.update(f"deco:{ast.dump(decorator)}\n".encode("utf-8"))
         for stmt in node.body:
-            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            if isinstance(stmt, ast.Assign):
                 digest.update(f"body:{ast.dump(stmt)}\n".encode("utf-8"))
             elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if stmt.name in ("__getstate__", "__setstate__"):
+                if stmt.name == "__getstate__":
                     digest.update(f"method:{stmt.name}\n".encode("utf-8"))
-    branch_ids: set[str] = set()
-    toggle_set = set(toggles)
-    toggle_aliases: set[tuple[str, str]] = set()
-    for expr in _boolean_context_exprs(module.tree):
-        branch_ids.update(_identifiers_in(expr))
-    if toggle_set:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                for keyword in node.keywords:
-                    if keyword.arg is None:
-                        continue
-                    for ident in _identifiers_in(keyword.value):
-                        if ident in toggle_set:
-                            toggle_aliases.add((ident, keyword.arg))
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    for ident in _identifiers_in(node.value):
-                        if ident in toggle_set:
-                            toggle_aliases.add((ident, target.id))
-    for ident in sorted(branch_ids):
-        digest.update(f"branch:{ident}\n".encode("utf-8"))
-    for toggle, alias in sorted(toggle_aliases):
-        digest.update(f"alias:{toggle}->{alias}\n".encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -167,13 +86,8 @@ def environment_fingerprint(project: Project, rules: Sequence[Rule]) -> str:
     digest.update(f"version:{CACHE_VERSION}\n".encode("utf-8"))
     digest.update(_analyzer_source_digest().encode("utf-8"))
     digest.update(",".join(rule.id for rule in rules).encode("utf-8"))
-    toggles = _toggle_field_names(project)
-    digest.update(("toggles:" + ",".join(toggles) + "\n").encode("utf-8"))
     for module in sorted(project.modules, key=lambda m: m.rel_path):
-        digest.update(_module_facts_digest(module, toggles).encode("utf-8"))
-    for name in toggles:
-        named = _named_in_tests(name, project)
-        digest.update(f"tested:{name}={named}\n".encode("utf-8"))
+        digest.update(_module_facts_digest(module).encode("utf-8"))
     return digest.hexdigest()
 
 

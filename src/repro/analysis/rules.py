@@ -1,4 +1,4 @@
-"""The project-invariant rules (R1–R3, R5–R10).
+"""The project-invariant rules (R1, R3 and R5–R9).
 
 Each rule encodes one architectural invariant of the serving design.
 They are deliberately *project-specific*: generic linters
@@ -15,16 +15,6 @@ import ast
 from typing import Iterable, Iterator
 
 from repro.analysis.core import Finding, Project, Rule, SourceModule, dotted_name
-
-#: Retired engine toggles: each selected a second implementation arm
-#: that has since been deleted.  Declaring one again as a loose kwarg
-#: would regrow the arm-selection surface outside ``ExecutionConfig``.
-LEGACY_TOGGLES = ("use_csr", "scc_incremental", "rset_bitset")
-#: ``optimized`` is the paper's TopK/TopKnopt visiting order; it only
-#: counts as legacy surface when it appears alongside a ``config=``
-#: parameter (the wrapper signature), where ``ExecutionConfig.adapt``
-#: must settle which of the two wins.
-OPTIMIZED = "optimized"
 
 #: Structural DeltaOp kinds — ``set_attrs`` is exempt by design: it
 #: changes no structure, and the label-based structural caches stay
@@ -85,15 +75,6 @@ TOKEN_KEY_MODULES = ("session/cache.py", "graph/csr.py")
 #: must also call one of these on it (or read a token/generation).
 TOKEN_SOURCE_CALLS = frozenset({"bucket_token", "live_token"})
 TOKEN_SOURCE_ATTRS = frozenset({"token", "generation"})
-
-#: Non-bool ExecutionConfig fields that still select an optimized arm
-#: (R10): fan-out counts where 0/1 means "serial path".
-TOGGLE_ARM_EXTRAS = ("workers",)
-#: Config fields that are *observability* switches rather than
-#: optimized-arm selectors never need an equivalence oracle — but the
-#: live ones all have one anyway, so nothing is exempt today.
-TOGGLE_EXEMPT: frozenset[str] = frozenset()
-
 
 def _in_packages(module: SourceModule, packages: Iterable[str]) -> bool:
     rel = module.rel_path
@@ -307,77 +288,6 @@ class InvalidationSoundness(Rule):
                     yield node, node.args[0]
 
 
-class ConfigDiscipline(Rule):
-    """R2 — toggles flow through ``ExecutionConfig``, not loose kwargs."""
-
-    id = "R2"
-    title = "config discipline"
-    rationale = (
-        "Execution settings live in ExecutionConfig.  A wrapper that "
-        "accepts the paper's optimized= kwarg next to config= must "
-        "funnel both through ExecutionConfig.adapt(), the one place "
-        "that rejects an explicit kwarg mixed with config= instead of "
-        "silently discarding one of them.  The retired arm toggles "
-        "(use_csr, scc_incremental, rset_bitset) may not come back as "
-        "loose kwargs with local defaulting logic."
-    )
-    reference = (
-        "CHANGES.md PR 5: 'the three copies of toggle defaulting deleted "
-        "from the wrappers'; a new toggle (the roadmap's anytime "
-        "deadline) must join ExecutionConfig, not the kwargs surface."
-    )
-
-    def check(self, module: SourceModule, project: Project) -> Iterable[Finding]:
-        if module.rel_path.endswith("session/config.py"):
-            return
-        # Module-local funnels: functions whose body reaches adapt()
-        # directly.  One level of indirection is enough for the facade
-        # pattern (api._adapt_options); deeper chains should not exist.
-        funnels = {
-            func.name
-            for func in _function_defs(module)
-            if self._calls_adapt(func)
-        }
-        for func in _function_defs(module):
-            declared = {arg.arg for arg, _ in _params_with_defaults(func)}
-            legacy = declared & set(LEGACY_TOGGLES)
-            if OPTIMIZED in declared and "config" in {
-                a.arg for a in _all_params(func)
-            }:
-                legacy.add(OPTIMIZED)
-            if not legacy:
-                continue
-            if not self._calls_adapt(func, funnels):
-                yield self.finding(
-                    module,
-                    func,
-                    f"{func.name}() declares legacy toggle kwargs "
-                    f"({', '.join(sorted(legacy))}) without funnelling "
-                    "them through ExecutionConfig.adapt() — the "
-                    "deprecation adapter in repro/session/config.py is "
-                    "the only place the legacy surface may be interpreted",
-                    f"legacy-kwargs:{func.name}:{','.join(sorted(legacy))}",
-                )
-
-    @staticmethod
-    def _calls_adapt(
-        func: ast.FunctionDef | ast.AsyncFunctionDef,
-        funnels: frozenset[str] | set[str] = frozenset(),
-    ) -> bool:
-        for node in ast.walk(func):
-            if isinstance(node, ast.Call):
-                callee = dotted_name(node.func)
-                if callee is not None and callee.endswith("ExecutionConfig.adapt"):
-                    return True
-                if isinstance(node.func, ast.Attribute) and node.func.attr == "adapt":
-                    base = dotted_name(node.func.value)
-                    if base in {"cls", "ExecutionConfig"}:
-                        return True
-                if isinstance(node.func, ast.Name) and node.func.id in funnels:
-                    return True
-        return False
-
-
 class ObsNoOpGuarantee(Rule):
     """R3 — disabled observability costs nothing on the hot path."""
 
@@ -550,34 +460,28 @@ class ObsNoOpGuarantee(Rule):
             )
 
 
-class FrozenAndDefaults(Rule):
-    """R5 — no mutable default args, no frozen-dataclass mutation."""
+class MutableDefaults(Rule):
+    """R5 — no mutable default arguments."""
 
     id = "R5"
-    title = "mutable defaults / frozen mutation"
+    title = "no mutable default arguments"
     rationale = (
-        "A mutable default argument is shared across every call — "
-        "cross-query state leaking through a signature is exactly the "
-        "bug class the session/config split exists to prevent.  Frozen "
-        "dataclasses (ExecutionConfig, DeltaOp, QuerySpec) are hashed "
-        "into cache keys (SessionCache, the session result store); "
-        "mutating one in place (attribute assignment or "
-        "object.__setattr__ outside the defining class) silently "
-        "corrupts every cache entry keyed on it."
+        "A mutable default argument is built once and shared by every "
+        "call, so whatever one call puts into it leaks into the next.  "
+        "The serving layers are long-lived (MatchSession, SessionCache, "
+        "worker pools), so such a leak crosses queries silently instead "
+        "of failing.  Default to None and build the container in the "
+        "body."
     )
     reference = (
-        "CHANGES.md PR 5: ExecutionConfig is a cache-key component of "
-        "the session result store; repro/session/cache.py keys "
-        "artifacts structurally."
+        "repro/session/: MatchSession and SessionCache serve many "
+        "queries per process, so per-call state must not live in a "
+        "signature."
     )
 
     MUTABLE_FACTORY = frozenset({"list", "dict", "set", "bytearray"})
 
     def check(self, module: SourceModule, project: Project) -> Iterable[Finding]:
-        yield from self._check_defaults(module)
-        yield from self._check_frozen_mutation(module, project)
-
-    def _check_defaults(self, module: SourceModule) -> Iterator[Finding]:
         for func in _function_defs(module):
             for arg, default in _params_with_defaults(func):
                 if self._is_mutable(default):
@@ -598,113 +502,6 @@ class FrozenAndDefaults(Rule):
             and isinstance(node.func, ast.Name)
             and node.func.id in self.MUTABLE_FACTORY
         )
-
-    def _check_frozen_mutation(
-        self, module: SourceModule, project: Project
-    ) -> Iterator[Finding]:
-        frozen_classes = _frozen_dataclasses(project)
-        if not frozen_classes:
-            return
-        for func in _function_defs(module):
-            owner = module.parents.get(func)
-            owner_class = owner.name if isinstance(owner, ast.ClassDef) else None
-            instances = self._frozen_bindings(func, frozen_classes)
-            for node in ast.walk(func):
-                if isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id in instances
-                        ):
-                            cls = instances[target.value.id]
-                            yield self.finding(
-                                module,
-                                node,
-                                f"assignment to `{target.value.id}.{target.attr}` "
-                                f"mutates frozen dataclass {cls} — use "
-                                "dataclasses.replace()",
-                                f"frozen-mutation:{cls}.{target.attr}",
-                            )
-                elif (
-                    isinstance(node, ast.Call)
-                    and dotted_name(node.func) == "object.__setattr__"
-                    and owner_class not in frozen_classes
-                ):
-                    yield self.finding(
-                        module,
-                        node,
-                        "object.__setattr__ outside a frozen dataclass's own "
-                        "methods bypasses immutability — use "
-                        "dataclasses.replace()",
-                        "frozen-setattr-escape",
-                    )
-
-    def _frozen_bindings(
-        self,
-        func: ast.FunctionDef | ast.AsyncFunctionDef,
-        frozen_classes: set[str],
-    ) -> dict[str, str]:
-        """Local names provably bound to frozen-dataclass instances."""
-        bindings: dict[str, str] = {}
-        for arg in _all_params(func):
-            annotation = arg.annotation
-            if annotation is not None:
-                name = _annotation_class(annotation)
-                if name in frozen_classes:
-                    bindings[arg.arg] = name
-        for node in ast.walk(func):
-            if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
-                continue
-            callee = dotted_name(node.value.func)
-            if callee is None:
-                continue
-            cls = callee.split(".")[0]
-            if callee in frozen_classes or (
-                cls in frozen_classes and callee.endswith((".adapt", ".resolved"))
-            ):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        bindings[target.id] = cls if cls in frozen_classes else callee
-        return bindings
-
-
-def _annotation_class(node: ast.expr) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        # String annotations like "ExecutionConfig | None".
-        head = node.value.split("|")[0].strip()
-        return head.split(".")[-1] or None
-    return None
-
-
-def _frozen_dataclasses(project: Project) -> set[str]:
-    # Memoized on the project: this is a full-tree walk over every
-    # module, and R5 consults it once per module checked.
-    cached = getattr(project, "_r5_frozen_classes", None)
-    if cached is not None:
-        return cached  # type: ignore[no-any-return]
-    found: set[str] = set()
-    for module in project.modules:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for decorator in node.decorator_list:
-                if not (
-                    isinstance(decorator, ast.Call)
-                    and dotted_name(decorator.func) in {"dataclass", "dataclasses.dataclass"}
-                ):
-                    continue
-                for keyword in decorator.keywords:
-                    if (
-                        keyword.arg == "frozen"
-                        and isinstance(keyword.value, ast.Constant)
-                        and keyword.value.value is True
-                    ):
-                        found.add(node.name)
-    project._r5_frozen_classes = found  # type: ignore[attr-defined]
-    return found
 
 
 class TypedCore(Rule):
@@ -1418,156 +1215,14 @@ class TokenKeySoundness(Rule):
         return False
 
 
-# ----------------------------------------------------------------------
-# R10 — toggle-oracle parity
-# ----------------------------------------------------------------------
-
-
-class ToggleOracleParity(Rule):
-    """R10 — every optimized-arm toggle has a serial arm and a test."""
-
-    id = "R10"
-    title = "toggle-oracle parity"
-    rationale = (
-        "The architecture keeps every serial/reference path alive as "
-        "the oracle its optimized arm is equivalence-tested against "
-        "(pooled vs serial batches, patched vs rebuilt snapshots, "
-        "TopK vs TopKnopt visiting order).  An ExecutionConfig "
-        "field that selects an optimized arm must therefore (a) be "
-        "branched on somewhere in src — the off position must reach a "
-        "reference path — and (b) appear by name in at least one test "
-        "file, where its hypothesis twin suite lives.  A new toggle "
-        "missing either is an optimized arm without an oracle: exactly "
-        "the regression the roadmap's next toggles (anytime deadlines, "
-        "durable temporal top-k) would otherwise ship."
-    )
-    reference = (
-        "ROADMAP 'hypothesis equivalence suites pinning every "
-        "optimized arm against its reference oracle'; workers and "
-        "snapshot_patching each landed with an equivalence suite."
-    )
-
-    def check(self, module: SourceModule, project: Project) -> Iterable[Finding]:
-        from repro.analysis.incremental import _named_in_tests
-
-        if not module.rel_path.endswith("session/config.py"):
-            return
-        fields = self._toggle_fields(module)
-        if not fields:
-            return
-        guard_ids, aliases = self._guard_facts(project, module, fields)
-        for name, node in fields:
-            if not self._branched_on(name, guard_ids, aliases):
-                yield self.finding(
-                    module,
-                    node,
-                    f"ExecutionConfig.{name} selects an optimized arm "
-                    "but nothing in src branches on it — the off "
-                    "position must reach a serial/reference path",
-                    f"toggle-without-branch:{name}",
-                )
-            if not _named_in_tests(name, project):
-                yield self.finding(
-                    module,
-                    node,
-                    f"ExecutionConfig.{name} has no test referencing it "
-                    "by name — every optimized arm needs an equivalence "
-                    "suite against its reference oracle",
-                    f"toggle-without-test:{name}",
-                )
-
-    # ------------------------------------------------------------------
-    def _toggle_fields(
-        self, module: SourceModule
-    ) -> list[tuple[str, ast.AnnAssign]]:
-        fields: list[tuple[str, ast.AnnAssign]] = []
-        for node in ast.walk(module.tree):
-            if not (
-                isinstance(node, ast.ClassDef) and node.name == "ExecutionConfig"
-            ):
-                continue
-            for stmt in node.body:
-                if not (
-                    isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                ):
-                    continue
-                name = stmt.target.id
-                if name in TOGGLE_EXEMPT:
-                    continue
-                if name in TOGGLE_ARM_EXTRAS or self._is_bool_annotation(
-                    stmt.annotation
-                ):
-                    fields.append((name, stmt))
-        return fields
-
-    @staticmethod
-    def _is_bool_annotation(annotation: ast.expr) -> bool:
-        for sub in ast.walk(annotation):
-            if isinstance(sub, ast.Name) and sub.id == "bool":
-                return True
-            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                if "bool" in sub.value:
-                    return True
-        return False
-
-    def _guard_facts(
-        self,
-        project: Project,
-        config_module: SourceModule,
-        fields: list[tuple[str, ast.AnnAssign]],
-    ) -> tuple[set[str], dict[str, set[str]]]:
-        """Identifiers branched on in src (outside config.py), plus the
-        one-hop renames of each toggle (``pool_size=cfg.workers`` makes
-        ``pool_size`` an alias of ``workers``)."""
-        from repro.analysis.incremental import (
-            _boolean_context_exprs,
-            _identifiers_in,
-        )
-
-        toggle_names = {name for name, _ in fields}
-        guard_ids: set[str] = set()
-        aliases: dict[str, set[str]] = {name: set() for name in toggle_names}
-        for module in project.modules:
-            if module is config_module:
-                continue
-            for expr in _boolean_context_exprs(module.tree):
-                guard_ids.update(_identifiers_in(expr))
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.Call):
-                    for keyword in node.keywords:
-                        if keyword.arg is None:
-                            continue
-                        for ident in _identifiers_in(keyword.value):
-                            if ident in toggle_names:
-                                aliases[ident].add(keyword.arg)
-                elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    target = node.targets[0]
-                    if isinstance(target, ast.Name):
-                        for ident in _identifiers_in(node.value):
-                            if ident in toggle_names:
-                                aliases[ident].add(target.id)
-        return guard_ids, aliases
-
-    @staticmethod
-    def _branched_on(
-        name: str, guard_ids: set[str], aliases: dict[str, set[str]]
-    ) -> bool:
-        if name in guard_ids:
-            return True
-        return any(alias in guard_ids for alias in aliases.get(name, ()))
-
-
 ALL_RULES: tuple[Rule, ...] = (
     InvalidationSoundness(),
-    ConfigDiscipline(),
     ObsNoOpGuarantee(),
-    FrozenAndDefaults(),
+    MutableDefaults(),
     TypedCore(),
     PickleSpawnSafety(),
     LockDiscipline(),
     TokenKeySoundness(),
-    ToggleOracleParity(),
 )
 
 

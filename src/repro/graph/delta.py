@@ -138,14 +138,18 @@ def save_delta_file(ops: Iterable[DeltaOp], path: str | Path) -> None:
 
 def load_delta_file(path: str | Path) -> list[DeltaOp]:
     """Read a delta stream previously written by :func:`save_delta_file`."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: not UTF-8 text: {exc}") from exc
     ops: list[DeltaOp] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
             ops.append(op_from_json_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise GraphError(f"{path}:{lineno}: bad delta line: {exc}") from exc
     return ops
 

@@ -38,18 +38,24 @@ def to_json_dict(graph: Graph) -> dict[str, Any]:
 
 
 def from_json_dict(payload: dict[str, Any]) -> Graph:
-    """Inverse of :func:`to_json_dict`."""
-    if payload.get("format") != "repro-graph-json":
-        raise GraphError("not a repro graph JSON document")
-    graph = Graph()
-    for label in payload["labels"]:
-        graph.add_node(label)
-    for src, dst in payload["edges"]:
-        graph.add_edge(int(src), int(dst))
-    for node_str, attrs in payload.get("attrs", {}).items():
-        graph.set_attrs(int(node_str), **attrs)
-    for node in payload.get("removed", ()):
-        graph.remove_node(int(node))
+    """Inverse of :func:`to_json_dict`.
+
+    A document of any other shape raises :class:`GraphError`.
+    """
+    try:
+        if payload.get("format") != "repro-graph-json":
+            raise GraphError("not a repro graph JSON document")
+        graph = Graph()
+        for label in payload["labels"]:
+            graph.add_node(label)
+        for src, dst in payload["edges"]:
+            graph.add_edge(int(src), int(dst))
+        for node_str, attrs in payload.get("attrs", {}).items():
+            graph.set_attrs(int(node_str), **attrs)
+        for node in payload.get("removed", ()):
+            graph.remove_node(int(node))
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise GraphError(f"malformed repro graph JSON document: {exc!r}") from exc
     return graph
 
 
@@ -59,8 +65,15 @@ def save_json(graph: Graph, path: str | Path) -> None:
 
 
 def load_json(path: str | Path) -> Graph:
-    """Read a graph previously written by :func:`save_json`."""
-    return from_json_dict(json.loads(Path(path).read_text()))
+    """Read a graph previously written by :func:`save_json`.
+
+    A file that is not JSON, or not a repro graph document, raises
+    :class:`GraphError` naming ``path``.
+    """
+    try:
+        return from_json_dict(json.loads(Path(path).read_text()))
+    except (GraphError, ValueError) as exc:
+        raise GraphError(f"{path}: {exc}") from exc
 
 
 def save_edge_list(graph: Graph, path: str | Path) -> None:
@@ -84,32 +97,39 @@ def save_edge_list(graph: Graph, path: str | Path) -> None:
 
 def load_edge_list(path: str | Path) -> Graph:
     """Read a graph previously written by :func:`save_edge_list`."""
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines or lines[0] != _EDGE_LIST_HEADER:
         raise GraphError(f"{path}: missing edge-list header")
     graph = Graph()
     expected = 0
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split()
-        kind = parts[0]
-        if kind == "v":
-            if len(parts) < 3:
-                raise GraphError(f"{path}:{line_no}: malformed node line")
-            node_id = int(parts[1])
-            if node_id != expected:
-                raise GraphError(f"{path}:{line_no}: node ids must be dense and ordered")
-            graph.add_node(" ".join(parts[2:]))
-            expected += 1
-        elif kind == "x":
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise GraphError(f"{path}:{line_no}: malformed tombstone line")
-            graph.remove_node(int(parts[1]))
-        elif kind == "e":
-            if len(parts) != 3:
-                raise GraphError(f"{path}:{line_no}: malformed edge line")
-            graph.add_edge(int(parts[1]), int(parts[2]))
-        else:
-            raise GraphError(f"{path}:{line_no}: unknown record kind {kind!r}")
+    line_no = 1
+    try:
+        for line_no, line in enumerate(lines[1:], start=2):
+            if not line.strip() or line.startswith("#"):
+                continue
+            parts = line.split()
+            kind = parts[0]
+            if kind == "v":
+                if len(parts) < 3:
+                    raise GraphError(f"{path}:{line_no}: malformed node line")
+                node_id = int(parts[1])
+                if node_id != expected:
+                    raise GraphError(f"{path}:{line_no}: node ids must be dense and ordered")
+                graph.add_node(" ".join(parts[2:]))
+                expected += 1
+            elif kind == "x":
+                if len(parts) != 2 or not parts[1].isdigit():
+                    raise GraphError(f"{path}:{line_no}: malformed tombstone line")
+                graph.remove_node(int(parts[1]))
+            elif kind == "e":
+                if len(parts) != 3:
+                    raise GraphError(f"{path}:{line_no}: malformed edge line")
+                graph.add_edge(int(parts[1]), int(parts[2]))
+            else:
+                raise GraphError(f"{path}:{line_no}: unknown record kind {kind!r}")
+    except ValueError as exc:
+        raise GraphError(f"{path}:{line_no}: bad record: {exc}") from exc
     return graph

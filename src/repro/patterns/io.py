@@ -54,21 +54,27 @@ def pattern_to_dict(pattern: Pattern) -> dict[str, Any]:
 
 
 def pattern_from_dict(payload: dict[str, Any]) -> Pattern:
-    """Inverse of :func:`pattern_to_dict` / hand-written pattern files."""
-    if payload.get("format") != FORMAT:
-        raise PatternError("not a repro pattern JSON document")
-    builder = PatternBuilder()
-    for index, node in enumerate(payload.get("nodes", [])):
-        name = str(node.get("name", f"n{index}"))
-        builder.node(
-            name,
-            label=node.get("label"),
-            conditions=node.get("conditions"),
-            output=bool(node.get("output", False)),
-        )
-    for src, dst in payload.get("edges", []):
-        builder.edge(str(src), str(dst))
-    return builder.build()
+    """Inverse of :func:`pattern_to_dict` / hand-written pattern files.
+
+    A document of any other shape raises :class:`PatternError`.
+    """
+    try:
+        if payload.get("format") != FORMAT:
+            raise PatternError("not a repro pattern JSON document")
+        builder = PatternBuilder()
+        for index, node in enumerate(payload.get("nodes", [])):
+            name = str(node.get("name", f"n{index}"))
+            builder.node(
+                name,
+                label=node.get("label"),
+                conditions=node.get("conditions"),
+                output=bool(node.get("output", False)),
+            )
+        for src, dst in payload.get("edges", []):
+            builder.edge(str(src), str(dst))
+        return builder.build()
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise PatternError(f"malformed repro pattern JSON document: {exc!r}") from exc
 
 
 def save_pattern(pattern: Pattern, path: str | Path) -> None:
@@ -77,5 +83,12 @@ def save_pattern(pattern: Pattern, path: str | Path) -> None:
 
 
 def load_pattern(path: str | Path) -> Pattern:
-    """Read a pattern previously written by :func:`save_pattern`."""
-    return pattern_from_dict(json.loads(Path(path).read_text()))
+    """Read a pattern previously written by :func:`save_pattern`.
+
+    A file that is not JSON, or not a repro pattern document, raises
+    :class:`PatternError` naming ``path``.
+    """
+    try:
+        return pattern_from_dict(json.loads(Path(path).read_text()))
+    except (PatternError, ValueError) as exc:
+        raise PatternError(f"{path}: {exc}") from exc
