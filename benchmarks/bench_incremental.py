@@ -5,9 +5,10 @@ pattern, a stream of single-edge deltas on a synthetic graph, and a
 fresh top-k answer required after every update.  Two strategies:
 
 ``incremental``
-    One :class:`repro.incremental.MatchView`; each delta is repaired by
-    delta simulation, then the answer is re-ranked from the maintained
-    relation.
+    One :class:`repro.incremental.MatchView`, registered through
+    ``repro.api.register_view``; its cache repairs each delta by delta
+    simulation as the graph emits it, then the answer is re-ranked from
+    the maintained relation.
 
 ``recompute``
     The seed library's only option before this subsystem: after each
@@ -34,9 +35,9 @@ import sys
 import time
 from pathlib import Path
 
+from repro import api
 from repro.datasets.synthetic import synthetic_graph
 from repro.graph.io import from_json_dict, to_json_dict
-from repro.incremental.view import MatchView
 from repro.ranking.context import RankingContext
 from repro.ranking.relevance import top_k_by_relevance
 from repro.simulation.match import maximal_simulation
@@ -69,12 +70,11 @@ def run(
 
     # -- incremental ---------------------------------------------------
     inc_graph = _copy_graph(base)
-    view = MatchView(pattern, inc_graph, k=k)
+    view = api.register_view(pattern, inc_graph, k=k)
     inc_answers: list[list[int]] = []
     started = time.perf_counter()
     for i, op in enumerate(ops):
         inc_graph.apply_delta([op])
-        view.apply(op)
         if (i + 1) % rank_every == 0:
             inc_answers.append(view.top_k().matches)
     inc_elapsed = time.perf_counter() - started

@@ -26,10 +26,12 @@ open the session yourself:
 
 Execution settings are one :class:`repro.session.ExecutionConfig`
 (``config=``); the paper's TopK/TopKnopt kwargs ``optimized`` / ``seed``
-remain accepted through an adapter that maps them onto the same config.
+remain accepted through :meth:`~repro.session.ExecutionConfig.adapt`,
+which maps them onto the same config.
 
 For update streams, register the pattern once and mutate the graph —
-the materialized view follows along without per-query recomputation:
+the view's cache repairs the match relation at each write, without
+per-query recomputation:
 
 >>> view = api.register_view(pattern, graph, k=10)     # doctest: +SKIP
 >>> api.update_graph(graph, ops)                       # doctest: +SKIP
@@ -61,8 +63,6 @@ from repro.errors import MatchingError
 from repro.graph.delta import DeltaOp
 from repro.incremental.manager import MatchViewManager
 from repro.incremental.view import MatchView
-from repro.diversify.approx import top_k_diversified_approx
-from repro.diversify.heuristic import top_k_diversified_heuristic
 from repro.graph.digraph import Graph
 from repro.patterns.pattern import Pattern
 from repro.ranking.context import RankingContext
@@ -70,31 +70,7 @@ from repro.ranking.diversification import DiversificationObjective
 from repro.ranking.relevance import RelevanceFunction
 from repro.session import ExecutionConfig, MatchSession
 from repro.simulation.match import SimulationResult, maximal_simulation
-from repro.topk.cyclic import top_k
-from repro.topk.dag import top_k_dag
-from repro.topk.match_all import match_baseline
 from repro.topk.result import TopKResult
-
-#: Engine kwargs the adapter can express as an :class:`ExecutionConfig`.
-#: Anything else (``candidates=...``) bypasses the implicit session and
-#: goes straight to the engine wrapper.
-_CONFIG_KEYS = frozenset(("seed",))
-
-
-def _adapt_options(
-    optimized: bool,
-    config: ExecutionConfig | None,
-    options: dict[str, Any],
-) -> ExecutionConfig | None:
-    """Map the engine kwargs onto one :class:`ExecutionConfig`.
-
-    Returns ``None`` when ``options`` carries keys a config cannot
-    express — the caller then falls back to the direct wrapper call
-    (which still accepts every historical kwarg).
-    """
-    if not set(options) <= _CONFIG_KEYS:
-        return None
-    return ExecutionConfig.adapt(config, optimized=optimized, **options)
 
 
 def execution_session(
@@ -134,23 +110,17 @@ def top_k_matches(
     optimized: bool = True,
     relevance_fn: RelevanceFunction | None = None,
     config: ExecutionConfig | None = None,
-    **engine_options: Any,
+    *,
+    seed: int = 0,
 ) -> TopKResult:
     """topKP with early termination: ``TopKDAG`` or ``TopK`` as appropriate.
 
     A thin shim over an implicit per-call :class:`MatchSession`.  Pass
     ``config=`` (an :class:`ExecutionConfig`) for the session-era
-    surface; the ``engine_options`` kwarg ``seed`` is accepted via the
-    adapter.  Options a config cannot express (``candidates=...``) fall
-    through to the engine wrapper directly.
+    surface, or the kwargs ``optimized`` / ``seed``, adapted onto the
+    same config.
     """
-    cfg = _adapt_options(optimized, config, engine_options)
-    if cfg is None:
-        runner = top_k_dag if pattern.is_dag() else top_k
-        return runner(
-            pattern, graph, k, optimized=optimized, relevance_fn=relevance_fn,
-            config=config, **engine_options,
-        )
+    cfg = ExecutionConfig.adapt(config, optimized=optimized, seed=seed)
     with MatchSession(graph, config=cfg) as session:
         return session.top_k(pattern, k, relevance_fn=relevance_fn)
 
@@ -176,7 +146,8 @@ def diversified_matches(
     objective: DiversificationObjective | None = None,
     optimized: bool = True,
     config: ExecutionConfig | None = None,
-    **options: Any,
+    *,
+    seed: int = 0,
 ) -> TopKResult:
     """topKDP: diversified top-k matches of the output node.
 
@@ -186,22 +157,12 @@ def diversified_matches(
     random visiting order (``TopKDiv`` scores every match, so it
     ignores the visiting order).  A thin shim over an implicit per-call
     :class:`MatchSession`; execution settings pass through ``config=``
-    or the ``options`` kwargs, and both methods accept the same option
-    set regardless of ``method``.
+    or the kwargs ``optimized`` / ``seed``, and both methods accept the
+    same options regardless of ``method``.
     """
     if method not in ("heuristic", "approx"):
         raise MatchingError(f"unknown diversification method {method!r}")
-    cfg = _adapt_options(optimized, config, options)
-    if cfg is None:
-        if method == "approx":
-            return top_k_diversified_approx(
-                pattern, graph, k, lam=lam, objective=objective,
-                config=config, **options,
-            )
-        return top_k_diversified_heuristic(
-            pattern, graph, k, lam=lam, objective=objective,
-            optimized=optimized, config=config, **options,
-        )
+    cfg = ExecutionConfig.adapt(config, optimized=optimized, seed=seed)
     with MatchSession(graph, config=cfg) as session:
         return session.diversified(
             pattern, k, lam=lam, method=method, objective=objective
@@ -224,12 +185,13 @@ def register_view(
 
     The view's match relation and ranking stay consistent under every
     subsequent mutation of ``graph`` (``add_edge`` / ``remove_edge`` /
-    ``add_node`` / ``remove_node`` / ``apply_delta``), maintained by
-    delta simulation instead of per-query recomputation.  ``graph`` must
-    be mutable — call :meth:`Graph.thaw` on frozen dataset graphs first.
-    Options forward to :class:`MatchView` (``lam``, ``relevance_fn``,
-    ``recompute_threshold``, ``cache``).  To share
-    rebuild work with a serving session, register through
+    ``add_node`` / ``remove_node`` / ``set_attrs`` / ``apply_delta``):
+    the cache of the graph's :class:`MatchViewManager` repairs the
+    relation by delta simulation at each write, instead of per-query
+    recomputation.  ``graph`` must be mutable — call :meth:`Graph.thaw`
+    on frozen dataset graphs first.  Options forward to
+    :class:`MatchView` (``lam``, ``relevance_fn``).  To share one
+    relation with a serving session's queries, register through
     :meth:`MatchSession.register_view` instead.
     """
     return view_manager(graph).register(pattern, k=k, name=name, **view_options)
@@ -259,7 +221,8 @@ def top_k_matches_multi(
     optimized: bool = True,
     relevance_fn: RelevanceFunction | None = None,
     config: ExecutionConfig | None = None,
-    **engine_options: Any,
+    *,
+    seed: int = 0,
 ) -> dict[int, TopKResult]:
     """topKP for patterns with *multiple* output nodes (Section 2.2).
 
@@ -274,21 +237,6 @@ def top_k_matches_multi(
     """
     if not pattern.output_nodes:
         raise MatchingError("pattern has no designated output nodes")
-    cfg = _adapt_options(optimized, config, engine_options)
-    if cfg is None:
-        engine = top_k_dag if pattern.is_dag() else top_k
-        results: dict[int, TopKResult] = {}
-        for node in pattern.output_nodes:
-            results[node] = engine(
-                pattern,
-                graph,
-                k,
-                optimized=optimized,
-                relevance_fn=relevance_fn,
-                output_node=node,
-                config=config,
-                **engine_options,
-            )
-        return results
+    cfg = ExecutionConfig.adapt(config, optimized=optimized, seed=seed)
     with MatchSession(graph, config=cfg) as session:
         return session.top_k_multi(pattern, k, relevance_fn=relevance_fn)

@@ -312,7 +312,6 @@ def _cmd_update_stream(args: argparse.Namespace) -> int:
         k=args.k,
         name="cli",
         lam=args.lam,
-        recompute_threshold=args.recompute_threshold,
     )
     api.update_graph(graph, ops)
     result = view.diversified() if args.diversify else view.top_k()
@@ -445,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--lam", type=float, default=0.5)
     stream.add_argument("--diversify", action="store_true",
                         help="rank the final answer with topKDP instead of topKP")
-    stream.add_argument("--recompute-threshold", type=int, default=None,
-                        help="touched-frontier size forcing a full recompute")
     stream.add_argument("--out", help="write the updated graph JSON here")
     stream.add_argument("--json", action="store_true", help="machine-readable output")
     stream.set_defaults(func=_cmd_update_stream)

@@ -29,7 +29,6 @@ from repro.obs import instrumentation, record_run
 from repro.patterns.pattern import Pattern
 from repro.ranking.diversification import DiversificationObjective
 from repro.session.config import ExecutionConfig
-from repro.simulation.candidates import CandidateSets
 from repro.topk.engine import TopKEngine
 from repro.topk.policies import DiversifiedPolicy
 from repro.topk.result import TopKResult
@@ -46,7 +45,6 @@ def top_k_diversified_heuristic(
     objective: DiversificationObjective | None = None,
     optimized: bool = True,
     seed: int = 0,
-    candidates: CandidateSets | None = None,
     config: ExecutionConfig | None = None,
     cache: "SessionCache | None" = None,
 ) -> TopKResult:
@@ -71,7 +69,6 @@ def top_k_diversified_heuristic(
             graph,
             k,
             policy=DiversifiedPolicy(obj),
-            candidates=candidates,
             algorithm_name=name,
             config=cfg,
             cache=cache,

@@ -2,8 +2,9 @@
 
 A *delta* is a sequence of :class:`DeltaOp` values — the unit of change
 the mutation API of :class:`repro.graph.digraph.Graph` understands and
-the unit of notification it emits to listeners (the
-:class:`repro.incremental.manager.MatchViewManager` chiefly).  Four op
+the unit of notification it emits to listeners (every
+:class:`repro.session.cache.SessionCache`, which repairs its cached
+match relations per op, chiefly).  Four op
 kinds cover the edit operations of incremental graph pattern matching
 (Fan et al., "Incremental Graph Pattern Matching", SIGMOD 2011 use the
 same vocabulary):

@@ -1,12 +1,11 @@
-"""Multiplexing many :class:`MatchView` registrations over one graph.
+"""The per-graph registry of :class:`MatchView` handles.
 
-The :class:`MatchViewManager` owns the single change-event subscription
-on a graph and fans each :class:`repro.graph.delta.DeltaOp` out to the
-registered views — but only to those whose pattern labels the op can
-affect (:meth:`MatchView.affected_by`), so a busy graph with many
-registered patterns pays per update only for the views that could
-actually change.  It also attaches the targeted descendant-index
-invalidation hook of :mod:`repro.index.invalidation`.
+A :class:`MatchViewManager` names the views registered on one graph.
+It owns one :class:`~repro.session.cache.SessionCache`, which subscribes
+to the graph's change events and repairs every registered pattern's
+relation at each write, so views of equal patterns share one relation.
+It also attaches the targeted descendant-index invalidation hook of
+:mod:`repro.index.invalidation`.
 
 One manager exists per graph; :meth:`MatchViewManager.for_graph` hands
 out the shared instance, stored in ``graph.extensions`` — the graph and
@@ -17,7 +16,7 @@ with every registered view.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Any, Iterable
 
 from repro.errors import MatchingError
 from repro.graph.delta import DeltaOp
@@ -30,7 +29,7 @@ _EXTENSION_KEY = "incremental:match-view-manager"
 
 
 class MatchViewManager:
-    """Dispatches graph change events to the registered match views.
+    """Names the match views of one graph over one shared cache.
 
     >>> from repro.datasets.examples import figure1
     >>> fig = figure1()
@@ -41,9 +40,11 @@ class MatchViewManager:
     """
 
     def __init__(self, graph: Graph) -> None:
+        from repro.session.cache import SessionCache
+
         self.graph = graph
         self.views: dict[str, MatchView] = {}
-        self._unsubscribe = graph.add_listener(self._on_op)
+        self.cache = SessionCache(graph)
         self._detach_index_hook = attach_index_invalidation(graph)
         self._closed = False
 
@@ -64,21 +65,20 @@ class MatchViewManager:
         pattern: Pattern,
         k: int = 10,
         name: str | None = None,
-        **view_options,
+        **view_options: Any,
     ) -> MatchView:
         """Materialize and register a view for ``pattern``.
 
         ``name`` defaults to ``view-<n>``; registering an existing name
         replaces the old view.  Keyword options are forwarded to
-        :class:`MatchView` (``lam``, ``relevance_fn``,
-        ``recompute_threshold``, ``cache``).
+        :class:`MatchView` (``lam``, ``relevance_fn``).
         """
         self._check_open()
         if name is None:
             name = f"view-{len(self.views)}"
             while name in self.views:
                 name = f"view-{len(self.views)}-{name}"
-        view = MatchView(pattern, self.graph, k=k, name=name, **view_options)
+        view = MatchView(pattern, self.cache, k=k, name=name, **view_options)
         self.views[name] = view
         return view
 
@@ -109,20 +109,13 @@ class MatchViewManager:
         self._check_open()
         return self.graph.apply_delta(ops)
 
-    def _on_op(self, op: DeltaOp) -> None:
-        for view in self.views.values():
-            if view.affected_by(op):
-                view.apply(op)
-            else:
-                view.stats.ops_skipped += 1
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Detach from the graph and drop all views."""
         if not self._closed:
-            self._unsubscribe()
+            self.cache.close()
             self._detach_index_hook()
             self.views.clear()
             if self.graph.extensions.get(_EXTENSION_KEY) is self:

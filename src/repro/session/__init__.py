@@ -8,14 +8,21 @@ Public names:
   and owns the cross-query caches;
 * :class:`QuerySpec` / :class:`QueryHandle` — batch query descriptions
   and lazy results;
-* :class:`SessionCache` — the shared artifact store (advanced use:
-  inject into engine wrappers directly via their ``cache=`` parameter);
+* :class:`SessionCache` — the shared artifact store, repaired at each
+  graph write (advanced use: inject into engine wrappers directly via
+  their ``cache=`` parameter); :class:`RepairStats` are its per-pattern
+  write counters;
 * :class:`WorkerPool` / :class:`WorkerBatchStats` — the multiprocess
   serving tier behind ``ExecutionConfig(workers=N)`` (see
   :mod:`repro.session.parallel`).
 """
 
-from repro.session.cache import SessionCache, SessionCacheStats, pattern_structure_key
+from repro.session.cache import (
+    RepairStats,
+    SessionCache,
+    SessionCacheStats,
+    pattern_structure_key,
+)
 from repro.session.config import ExecutionConfig
 from repro.session.parallel import WorkerBatchStats, WorkerPool, worker_config
 from repro.session.session import (
@@ -34,6 +41,7 @@ __all__ = [
     "MatchSession",
     "QueryHandle",
     "QuerySpec",
+    "RepairStats",
     "SessionCache",
     "SessionCacheStats",
     "SessionStats",

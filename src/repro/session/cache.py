@@ -1,4 +1,4 @@
-"""Cross-query caches pinned to one graph snapshot generation.
+"""Cross-query caches kept current under graph writes.
 
 A :class:`SessionCache` owns every artifact that is expensive to build
 yet pure in ``(pattern structure, graph state)``:
@@ -7,7 +7,7 @@ yet pure in ``(pattern structure, graph state)``:
   across *every* pattern in the session (two patterns asking for label
   ``"music"`` scan the bucket once);
 * **candidate sets** — ``can(u)`` per pattern search-condition row;
-* **simulation** — the maximal-simulation fixpoint, shared by every
+* **simulation** — the maximal simulation ``M(Q, G)``, shared by every
   query kind and every output node of a pattern;
 * **evaluations** (the ``paircsr`` store) — the match-pair
   condensation with its bounds and its growing relevant-set memo, one
@@ -15,34 +15,52 @@ yet pure in ``(pattern structure, graph state)``:
   ``Match`` and ``TopKDiv`` query of the pattern shares one build;
 * **ranking contexts** — :class:`RankingContext` objects over the
   simulation and the evaluation, serving ``Match`` / ``TopKDiv``
-  style queries.
+  style queries;
+* **results** — stored answers of repeated queries.
 
 Artifacts are keyed structurally — label row, edge list, predicate
-objects — so two equal patterns share.
+objects — so two equal patterns share one entry.
 
-The cache subscribes to its graph's change events: any structural
-mutation marks it *stale*, after which the owning
+Writes
+------
+The cache subscribes to its graph's change events and repairs each
+cached match relation as the events arrive.  An op that the pattern's
+label signature can see
+(:meth:`~repro.incremental.affected.PatternLabelSignature.affects_op`)
+repairs the pattern's candidate rows and simulation in place with the
+routines of :mod:`repro.incremental.delta_sim`; when the repair's
+touched frontier passes :func:`repair_threshold`, the fixpoint reruns
+from the repaired rows instead.  The pattern's evaluations, ranking
+contexts and stored results are dropped only when the relation or the
+candidate rows changed, or when the op added or removed an edge
+between two matches across a pattern edge — an edge of the match-pair
+graph that relevant sets walk.  Everything else keeps serving.
+
+An unpredicated candidate row is the label bucket list itself, shared
+by every pattern and query node with that label, so a pattern's rows
+are copied before the first node-op repair edits them.
+
+A write also marks the cache *stale*, and the owning
 :class:`~repro.session.session.MatchSession` refuses or refreshes per
-its policy.  :meth:`refresh` starts a fresh generation; by default it
-drops every artifact (*wholesale*), but a cache switched to
-:attr:`selective` mode (the session does this under
-``ExecutionConfig(snapshot_patching=True)``) accumulates the mutation
-ops and drops only the artifacts whose label signature intersects the
-delta — a pattern over labels the write stream never touched keeps its
-candidates, simulation, evaluations and stored results across the
-generation bump (*label-selective invalidation*).
+its policy.  :meth:`SessionCache.refresh` starts a fresh generation: it
+keeps every repaired artifact and drops only the label buckets, whose
+snapshot tokens the writes retired.  A
+:class:`~repro.incremental.view.MatchView` is a handle on one pattern
+of a cache, so views and session queries read one repaired relation.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.errors import MatchingError
+from repro.graph import csr
+from repro.graph.delta import ADD_EDGE, ADD_NODE, REMOVE_EDGE, SET_ATTRS
 from repro.graph.digraph import Graph
-from repro.incremental.affected import (
-    PatternLabelSignature,
-    summarize_delta,
-)
+from repro.incremental import delta_sim
+from repro.incremental.affected import PatternLabelSignature
 from repro.obs import current_metrics, trace
 from repro.patterns.pattern import Pattern
 from repro.ranking.context import RankingContext
@@ -52,17 +70,12 @@ from repro.simulation.candidates import (
     compute_candidates,
     label_bucket,
 )
+from repro.simulation.csr_kernel import simulation_fixpoint_csr
 from repro.simulation.match import SimulationResult, maximal_simulation
 from repro.simulation.relevant import Evaluation, build_evaluation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.delta import DeltaOp
-
-#: Pending-op accumulation cap for selective mode.  A delta longer than
-#: this has almost certainly touched every label anyway; the next
-#: refresh falls back to the wholesale drop instead of paying a
-#: per-artifact intersection test over an unbounded log.
-PENDING_OPS_CAP = 4096
 
 
 @dataclass
@@ -71,6 +84,8 @@ class SessionCacheStats:
 
     bucket_hits: int = 0
     bucket_builds: int = 0
+    #: Candidate rows are built with a simulation; a hit is a fixpoint
+    #: rerun from rows a write repaired.
     candidates_hits: int = 0
     candidates_builds: int = 0
     sim_hits: int = 0
@@ -86,17 +101,58 @@ class SessionCacheStats:
     result_hits: int = 0
     result_builds: int = 0
     refreshes: int = 0
-    #: Refresh-mode split: every refresh is exactly one of these.
+    #: Refresh-mode split: every refresh is exactly one of these.  A
+    #: refresh keeps what the writes before it repaired (*selective*);
+    #: only :meth:`SessionCache.close` drops every artifact (*wholesale*).
     selective_refreshes: int = 0
     wholesale_refreshes: int = 0
-    #: Artifact-survival totals across selective refreshes: entries kept
-    #: because their label signature missed the delta vs entries dropped
-    #: (wholesale refreshes count everything as dropped).
+    #: Artifacts held across each refresh, and artifacts dropped: by a
+    #: write that made them stale, as a refresh's label buckets, or by
+    #: :meth:`SessionCache.close`.
     artifacts_survived: int = 0
     artifacts_dropped: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+@dataclass
+class RepairStats:
+    """Write-maintenance counters of one cached pattern (a view's ``stats``).
+
+    Attributes
+    ----------
+    ops_applied:
+        Change events the pattern's label signature let through.
+    ops_skipped:
+        Events the label signature filtered out.
+    incremental_ops:
+        Events repaired by the delta routines.
+    full_recomputes:
+        Events whose repair passed :func:`repair_threshold` and reran
+        the fixpoint, plus forced :meth:`SessionCache.rebuild` calls.
+    pairs_touched:
+        Candidate pairs the delta routines examined in total.
+    relation_changes:
+        Events after which the relation differed (a threshold fallback
+        counts as one: the half-done repair leaves no pre-state).
+    """
+
+    ops_applied: int = 0
+    ops_skipped: int = 0
+    incremental_ops: int = 0
+    full_recomputes: int = 0
+    pairs_touched: int = 0
+    relation_changes: int = 0
+
+
+def repair_threshold(pattern: Pattern, graph: Graph) -> int:
+    """Touched-frontier size past which one write reruns the fixpoint.
+
+    Roughly the candidate-pair count of a fresh fixpoint: beyond this
+    much touched state the rerun is no more expensive than the repair.
+    """
+    return max(256, pattern.num_edges * max(1, graph.num_nodes) // 4)
 
 
 def pattern_structure_key(pattern: Pattern) -> tuple[Any, ...]:
@@ -122,14 +178,47 @@ def pattern_structure_key(pattern: Pattern) -> tuple[Any, ...]:
     return key
 
 
+class _Entry:
+    """Everything the cache holds for one pattern structure."""
+
+    __slots__ = (
+        "pattern",
+        "simulation",
+        "evaluations",
+        "contexts",
+        "results",
+        "stats",
+        "signature",
+        "owns_rows",
+    )
+
+    def __init__(self, pattern: Pattern) -> None:
+        self.pattern = pattern
+        #: The relation with its candidate rows; ``None`` until first read.
+        self.simulation: SimulationResult | None = None
+        self.evaluations: dict[int, Evaluation] = {}
+        self.contexts: dict[int, RankingContext] = {}
+        self.results: dict[tuple[Any, ...], Any] = {}
+        self.stats = RepairStats()
+        #: Made at the first write that reaches the entry.
+        self.signature: PatternLabelSignature | None = None
+        #: True once the candidate rows are private copies.
+        self.owns_rows = False
+
+    def count(self) -> int:
+        """How many artifacts the entry holds."""
+        rows = 2 if self.simulation is not None else 0
+        return rows + len(self.evaluations) + len(self.contexts) + len(self.results)
+
+
 class SessionCache:
     """The shared artifact store behind a :class:`MatchSession`.
 
     The compiled :class:`~repro.graph.csr.CSRSnapshot` itself is *not*
     duplicated here — it is always obtained through
     :meth:`Graph.snapshot`, whose cache lives in ``graph.derived``, so
-    session queries, ad-hoc one-shot calls and :class:`MatchView`
-    rebuilds all share the one compilation pass.
+    session queries and ad-hoc one-shot calls share the one compilation
+    pass.
     """
 
     def __init__(self, graph: Graph) -> None:
@@ -139,80 +228,49 @@ class SessionCache:
         self._stale = False
         #: Monotone count of graph mutations observed — never reset, so
         #: an owner (the session) can latch "mutated since I last
-        #: acknowledged" independently of artifact-level refreshes
-        #: (e.g. the implicit one a view rebuild performs).
+        #: acknowledged" independently of artifact-level refreshes.
         self.mutation_count = 0
         self._closed = False
-        #: Label-selective invalidation switch.  Off (the default) every
-        #: refresh is the historical wholesale drop; the owning session
-        #: turns it on under ``ExecutionConfig(snapshot_patching=True)``.
-        self.selective = False
-        self._pending_ops: list["DeltaOp"] = []
-        self._pending_overflow = False
-        self._buckets: dict[tuple, list[int]] = {}
-        self._candidates: dict[tuple, CandidateSets] = {}
-        self._sim: dict[tuple, SimulationResult] = {}
-        self._pair_csr: dict[tuple, Evaluation] = {}
-        self._contexts: dict[tuple, RankingContext] = {}
-        self._results: dict[tuple, object] = {}
+        self._buckets: dict[tuple[str, int], list[int]] = {}
+        self._entries: dict[tuple[Any, ...], _Entry] = {}
         self._unsubscribe = graph.add_listener(self._on_mutation)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _on_mutation(self, op: "DeltaOp") -> None:
-        self._stale = True
-        self.mutation_count += 1
-        if self.selective and not self._pending_overflow:
-            if len(self._pending_ops) >= PENDING_OPS_CAP:
-                self._pending_overflow = True
-                self._pending_ops.clear()
-            else:
-                self._pending_ops.append(op)
-
-    @property
-    def pending_ops(self) -> list["DeltaOp"]:
-        """The mutation ops observed since the last refresh (selective
-        mode only; empty after an overflow to wholesale)."""
-        return list(self._pending_ops)
-
     @property
     def stale(self) -> bool:
-        """True while cached artifacts predate the last graph mutation.
+        """True while a graph mutation is not yet acknowledged by a refresh.
 
-        Cleared by :meth:`refresh` (including the implicit one a view
-        rebuild triggers) — this is *artifact* validity; the session's
-        refuse policy latches on :attr:`mutation_count` instead, so an
-        implicit refresh never silently waives it.
+        The artifacts themselves are repaired at each write; this flag
+        only tells the owning session to start a new generation.
         """
         return self._stale
 
     def refresh(self) -> str:
         """Start a fresh generation; returns the mode taken.
 
-        ``"wholesale"`` (the default and the fallback): every artifact
-        is dropped.  ``"selective"`` (cache in :attr:`selective` mode
-        with a bounded pending-op log): only the artifacts whose label
-        signature intersects the accumulated delta are dropped — the
-        rest survive the generation bump.  Either way :attr:`generation`
-        advances, so generation-keyed consumers (result stores, worker
-        pools) observe every refresh identically.
+        Always ``"selective"``: every pattern artifact was repaired as
+        the writes arrived and survives.  Only the label buckets go —
+        they are keyed by snapshot tokens the writes retired.
+        :attr:`generation` advances, so generation-keyed consumers
+        (worker pools) observe every refresh.
         """
-        if (
-            self.selective
-            and not self._pending_overflow
-            and self._pending_ops
-        ):
-            mode = "selective"
-            self._refresh_selective()
-        else:
-            mode = "wholesale"
-            self._refresh_wholesale()
-        self._pending_ops.clear()
-        self._pending_overflow = False
+        self.stats.artifacts_dropped += len(self._buckets)
+        self._buckets.clear()
+        self.stats.artifacts_survived += sum(
+            entry.count() for entry in self._entries.values()
+        )
+        return self._new_generation("selective")
+
+    def _new_generation(self, mode: str) -> str:
         self._stale = False
         self.generation += 1
         self.stats.refreshes += 1
+        if mode == "selective":
+            self.stats.selective_refreshes += 1
+        else:
+            self.stats.wholesale_refreshes += 1
         registry = current_metrics()
         if registry is not None:
             registry.counter(
@@ -221,124 +279,158 @@ class SessionCache:
             ).inc(1, mode=mode)
         return mode
 
-    def _refresh_wholesale(self) -> None:
-        self.stats.wholesale_refreshes += 1
-        self.stats.artifacts_dropped += sum(
-            len(store) for store in self._stores()
-        )
-        for store in self._stores():
-            store.clear()
-
-    def _stores(self) -> tuple[dict[tuple, Any], ...]:
-        return (
-            self._buckets,
-            self._candidates,
-            self._sim,
-            self._pair_csr,
-            self._contexts,
-            self._results,
-        )
-
-    def _refresh_selective(self) -> None:
-        """Drop only the artifacts the accumulated delta can affect.
-
-        Per artifact class the sound test differs:
-
-        * **buckets** are pre-predicate label membership lists — only
-          node ops move them (edge and attrs ops cannot), and the
-          wildcard bucket is the live set, so it reacts to node ops of
-          any label;
-        * **candidates** are buckets narrowed by predicates — node and
-          attrs ops count, edge ops still cannot
-          (:meth:`PatternLabelSignature.affects_candidates`);
-        * **simulation / evaluations / contexts / results** are
-          functions of the match relation and the match-restricted
-          structure, both constrained to the pattern's label signature
-          (:meth:`PatternLabelSignature.affects_relation` — the same
-          per-op test :class:`~repro.incremental.view.MatchView`
-          dispatches on, folded over the log).
-
-        Identity-keyed artifacts (unhashable predicates) have no
-        recoverable signature and are dropped conservatively.
-        """
-        delta = summarize_delta(self._pending_ops, self.graph)
-        self.stats.selective_refreshes += 1
-        memo: dict[Any, PatternLabelSignature | None] = {}
-
-        def sig_of(psk: Any) -> PatternLabelSignature | None:
-            if psk in memo:
-                return memo[psk]
-            sig: PatternLabelSignature | None = None
-            if (
-                isinstance(psk, tuple)
-                and len(psk) == 3
-                and psk[0] != "@id"
-            ):
-                labels, edges, predicates = psk
-                sig = PatternLabelSignature.from_structure(
-                    labels, edges, predicates
-                )
-            memo[psk] = sig
-            return sig
-
-        node_hit = delta.node_labels
-
-        def bucket_doomed(key: tuple) -> bool:
-            label = key[0]
-            if label == WILDCARD_LABEL:
-                return bool(node_hit)
-            return label in node_hit
-
-        def candidates_doomed(key: tuple) -> bool:
-            sig = sig_of(key[1])
-            return sig is None or sig.affects_candidates(delta)
-
-        def relation_doomed(key: tuple) -> bool:
-            sig = sig_of(key[1])
-            return sig is None or sig.affects_relation(delta)
-
-        def result_doomed(key: tuple) -> bool:
-            if not key:
-                return True
-            sig = sig_of(key[0])
-            return sig is None or sig.affects_relation(delta)
-
-        self._drop_where(self._buckets, bucket_doomed)
-        self._drop_where(self._candidates, candidates_doomed)
-        self._drop_where(self._sim, relation_doomed)
-        self._drop_where(self._pair_csr, relation_doomed)
-        self._drop_where(self._contexts, relation_doomed)
-        self._drop_where(self._results, result_doomed)
-        # Safety valve: surviving snapshot-path buckets are token-keyed,
-        # so a compaction (every token moves) can strand entries that no
-        # current snapshot will ever address again.  Bound the store
-        # instead of chasing tokens.
-        if len(self._buckets) > 4 * max(1, len(self.graph.labels)) + 16:
-            self.stats.artifacts_dropped += len(self._buckets)
-            self._buckets.clear()
-
-    def _drop_where(
-        self,
-        store: dict[tuple, Any],
-        doomed: Callable[[tuple], bool],
-    ) -> None:
-        stale_keys = [key for key in store if doomed(key)]
-        for key in stale_keys:
-            del store[key]
-        self.stats.artifacts_dropped += len(stale_keys)
-        self.stats.artifacts_survived += len(store)
-
     def close(self) -> None:
         """Detach from the graph's change events and drop all state."""
         if self._closed:
             return
         self._closed = True
         self._unsubscribe()
-        # Unconditionally wholesale: a selective refresh would retain
-        # artifacts on a cache that is going away.
-        self._pending_ops.clear()
-        self._pending_overflow = False
-        self.refresh()
+        self.stats.artifacts_dropped += len(self._buckets) + sum(
+            entry.count() for entry in self._entries.values()
+        )
+        self._buckets.clear()
+        self._entries.clear()
+        self._new_generation("wholesale")
+
+    # ------------------------------------------------------------------
+    # write repair
+    # ------------------------------------------------------------------
+    def _on_mutation(self, op: "DeltaOp") -> None:
+        self._stale = True
+        self.mutation_count += 1
+        if not self._entries:
+            return
+        registry = current_metrics()
+        started = time.perf_counter() if registry is not None else 0.0
+        with trace("cache.repair", kind=op.kind, patterns=len(self._entries)):
+            for entry in self._entries.values():
+                self._maintain(entry, op)
+        if registry is not None:
+            registry.histogram(
+                "repro_session_repair_seconds",
+                "SessionCache write-repair latency by op kind.",
+            ).observe(time.perf_counter() - started, kind=op.kind)
+
+    def _maintain(self, entry: _Entry, op: "DeltaOp") -> None:
+        """Bring one pattern's artifacts up to date after ``op``."""
+        if entry.signature is None:
+            entry.signature = PatternLabelSignature.from_pattern(entry.pattern)
+        stats = entry.stats
+        if not entry.signature.affects_op(op, self.graph):
+            stats.ops_skipped += 1
+            return
+        result = entry.simulation
+        if result is None:
+            # Results a pool worker computed: no relation here to repair.
+            self._drop_ranking(entry)
+            return
+        stats.ops_applied += 1
+        outcome = self._repair(entry, result, op)
+        stats.pairs_touched += outcome.pairs_touched
+        if outcome.overflowed:
+            self._rerun_fixpoint(entry, result.candidates)
+            stats.full_recomputes += 1
+            stats.relation_changes += 1
+            self._drop_ranking(entry)
+            return
+        stats.incremental_ops += 1
+        if outcome.changed:
+            stats.relation_changes += 1
+            self._settle(entry, result.sim, result.candidates)
+        if outcome.changed or _ranking_affected(entry.pattern, result.sim, op, outcome):
+            self._drop_ranking(entry)
+
+    def _repair(
+        self, entry: _Entry, result: SimulationResult, op: "DeltaOp"
+    ) -> delta_sim.DeltaOutcome:
+        """Run the delta routine for ``op`` on the entry's relation."""
+        pattern, graph, sim = entry.pattern, self.graph, result.sim
+        kind = op.kind
+        if kind in (ADD_EDGE, REMOVE_EDGE):
+            assert op.src is not None and op.dst is not None
+            threshold = repair_threshold(pattern, graph)
+            if kind == ADD_EDGE:
+                return delta_sim.edge_added(
+                    pattern, graph, result.candidates.sets, sim,
+                    op.src, op.dst, threshold,
+                )
+            return delta_sim.edge_removed(
+                pattern, graph, sim, op.src, op.dst, threshold
+            )
+        assert op.node is not None
+        rows = self._own_rows(entry, result)
+        if kind == ADD_NODE:
+            return delta_sim.node_added(
+                pattern, graph, rows.lists, rows.sets, sim, op.node
+            )
+        if kind == SET_ATTRS:
+            return delta_sim.attrs_changed(
+                pattern, graph, rows.lists, rows.sets, sim, op.node,
+                repair_threshold(pattern, graph),
+            )
+        return delta_sim.node_removed(
+            pattern, graph, rows.lists, rows.sets, sim, op.node
+        )
+
+    @staticmethod
+    def _own_rows(entry: _Entry, result: SimulationResult) -> CandidateSets:
+        """The entry's candidate rows, copied before a node op edits them."""
+        if not entry.owns_rows:
+            shared = result.candidates
+            result.candidates = CandidateSets(
+                [list(row) for row in shared.lists],
+                [set(row) for row in shared.sets],
+            )
+            entry.owns_rows = True
+        return result.candidates
+
+    def _rerun_fixpoint(self, entry: _Entry, candidates: CandidateSets) -> None:
+        """Recompute a relation whose repair stopped half way.
+
+        The rows are current: the routines edit them before any
+        overflow.  The fixpoint compiles a private snapshot because a
+        snapshot patcher subscribed after this cache has not logged
+        the op yet, so ``graph.snapshot()`` could serve the state
+        before it.
+        """
+        graph = self.graph
+        self.stats.candidates_hits += 1
+        self._observe("candidates", "hit")
+        self.stats.sim_builds += 1
+        self._observe("simulation", "build")
+        sim = simulation_fixpoint_csr(
+            entry.pattern, graph, candidates, csr.CSRSnapshot.build(graph)
+        )
+        self._settle(entry, sim, candidates)
+
+    def _settle(
+        self, entry: _Entry, sim: list[set[int]], candidates: CandidateSets
+    ) -> None:
+        """Cache a changed relation as a fresh :class:`SimulationResult`."""
+        pattern = entry.pattern
+        total = pattern.num_nodes > 0 and all(sim)
+        entry.simulation = SimulationResult(pattern, self.graph, sim, total, candidates)
+
+    def _drop_ranking(self, entry: _Entry) -> None:
+        """Drop a pattern's evaluations, ranking contexts and stored results."""
+        self.stats.artifacts_dropped += (
+            len(entry.evaluations) + len(entry.contexts) + len(entry.results)
+        )
+        entry.evaluations.clear()
+        entry.contexts.clear()
+        entry.results.clear()
+
+    def rebuild(self, pattern: Pattern) -> None:
+        """Recompute ``pattern``'s candidates and simulation from scratch."""
+        entry = self._entry(pattern)
+        self._drop_ranking(entry)
+        entry.simulation = None
+        entry.stats.full_recomputes += 1
+        self.simulation(pattern)
+
+    def repair_stats(self, pattern: Pattern) -> RepairStats:
+        """The write-maintenance counters of ``pattern``'s entry."""
+        return self._entry(pattern).stats
 
     # ------------------------------------------------------------------
     # artifacts
@@ -352,6 +444,15 @@ class SessionCache:
                 "repro_session_cache_total",
                 "SessionCache artifact lookups by artifact class and outcome.",
             ).inc(1, artifact=artifact, outcome=outcome)
+
+    def _entry(self, pattern: Pattern) -> _Entry:
+        if self._closed:
+            raise MatchingError("session cache is closed")
+        key = pattern_structure_key(pattern)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = _Entry(pattern)
+        return entry
 
     def _base_source(self) -> Callable[[str], list[int]]:
         """A label → pre-predicate base list lookup over the bucket cache.
@@ -392,37 +493,26 @@ class SessionCache:
 
         return base
 
-    def candidates(self, pattern: Pattern) -> tuple[CandidateSets, bool]:
-        """``can(u)`` rows for ``pattern``; returns ``(sets, was_hit)``."""
-        key = ("can", pattern_structure_key(pattern))
-        cached = self._candidates.get(key)
-        if cached is not None:
-            self.stats.candidates_hits += 1
-            self._observe("candidates", "hit")
-            return cached, True
-        self.stats.candidates_builds += 1
-        self._observe("candidates", "build")
-        with trace("cache.build", artifact="candidates"):
-            built = compute_candidates(
-                pattern, self.graph, base_source=self._base_source()
-            )
-        self._candidates[key] = built
-        return built, False
-
     def simulation(self, pattern: Pattern) -> tuple[SimulationResult, bool]:
-        """The maximal-simulation fixpoint; returns ``(simulation, was_hit)``."""
-        key = ("sim", pattern_structure_key(pattern))
-        cached = self._sim.get(key)
-        if cached is not None:
+        """The maximal simulation with its candidate rows; returns
+        ``(simulation, was_hit)``."""
+        entry = self._entry(pattern)
+        if entry.simulation is not None:
             self.stats.sim_hits += 1
             self._observe("simulation", "hit")
-            return cached, True
+            return entry.simulation, True
         self.stats.sim_builds += 1
         self._observe("simulation", "build")
         with trace("cache.build", artifact="simulation"):
-            base, _ = self.candidates(pattern)
-            result = maximal_simulation(pattern, self.graph, base)
-        self._sim[key] = result
+            self.stats.candidates_builds += 1
+            self._observe("candidates", "build")
+            with trace("cache.build", artifact="candidates"):
+                candidates = compute_candidates(
+                    pattern, self.graph, base_source=self._base_source()
+                )
+            result = maximal_simulation(pattern, self.graph, candidates)
+        entry.simulation = result
+        entry.owns_rows = False
         return result, False
 
     def pair_csr(
@@ -438,8 +528,8 @@ class SessionCache:
         a pattern shares one build and its relevant-set memo.
         ``simulation`` must be this cache's simulation of ``pattern``.
         """
-        key = ("paircsr", pattern_structure_key(pattern), output_node)
-        cached = self._pair_csr.get(key)
+        entry = self._entry(pattern)
+        cached = entry.evaluations.get(output_node)
         if cached is not None:
             self.stats.paircsr_hits += 1
             self._observe("pair_csr", "hit")
@@ -448,7 +538,7 @@ class SessionCache:
         self._observe("pair_csr", "build")
         with trace("cache.build", artifact="pair_csr"):
             built = build_evaluation(pattern, self.graph, simulation.sim, output_node)
-        self._pair_csr[key] = built
+        entry.evaluations[output_node] = built
         return built, False
 
     def ranking_context(self, pattern: Pattern) -> RankingContext:
@@ -458,8 +548,8 @@ class SessionCache:
         Its relevant sets are views of the :meth:`pair_csr` evaluation
         the top-k queries of the pattern use, memo included.
         """
-        key = ("ctx", pattern_structure_key(pattern), pattern.output_node)
-        cached = self._contexts.get(key)
+        entry = self._entry(pattern)
+        cached = entry.contexts.get(pattern.output_node)
         if cached is not None:
             self.stats.context_hits += 1
             self._observe("ranking_context", "hit")
@@ -472,39 +562,48 @@ class SessionCache:
             if result.total:
                 evaluation, _ = self.pair_csr(pattern, pattern.output_node, result)
             context = RankingContext(pattern, self.graph, result, evaluation=evaluation)
-        self._contexts[key] = context
+        entry.contexts[pattern.output_node] = context
         return context
 
-    def cached_result(self, key: tuple) -> Any:
+    def cached_result(self, key: tuple[Any, ...]) -> Any:
         """A previously stored query result, or ``None``.
 
-        Results live and die with the artifact generation (any refresh
-        drops them), so a stored answer can never outlive the graph
-        state it was computed on.
+        ``key[0]`` is the pattern's :func:`pattern_structure_key`.  A
+        stored answer is dropped with the pattern's evaluations, so it
+        never outlives the relation it was computed on.
         """
-        cached = self._results.get(key)
+        entry = self._entries.get(key[0])
+        cached = entry.results.get(key) if entry is not None else None
         if cached is not None:
             self.stats.result_hits += 1
             self._observe("result", "hit")
         return cached
 
-    def store_result(self, key: tuple, result: Any) -> None:
+    def store_result(self, pattern: Pattern, key: tuple[Any, ...], result: Any) -> None:
+        """Store a result of ``pattern`` under ``key`` (see :meth:`cached_result`)."""
         self.stats.result_builds += 1
         self._observe("result", "build")
-        self._results[key] = result
+        self._entry(pattern).results[key] = result
 
-    def view_rebuild(
-        self, pattern: Pattern
-    ) -> tuple[CandidateSets, SimulationResult]:
-        """Candidates + full simulation for a :class:`MatchView` rebuild.
 
-        View rebuilds run *because* the graph mutated, so a stale cache
-        refreshes implicitly here (maintenance is mutation-driven; the
-        session's refuse policy guards query submission, not repair).
-        The caller must copy the returned sets before mutating them.
-        """
-        if self._stale:
-            self.refresh()
-        result, _ = self.simulation(pattern)
-        base, _ = self.candidates(pattern)
-        return base, result
+def _ranking_affected(
+    pattern: Pattern,
+    sim: list[set[int]],
+    op: "DeltaOp",
+    outcome: delta_sim.DeltaOutcome,
+) -> bool:
+    """Can ``op`` change a pattern's rankings when its relation did not move?
+
+    Relevant sets walk the match-pair graph, whose edges join matching
+    pairs across a pattern edge: an edge op between nodes that match
+    adjacent query nodes adds or removes such an edge even when ``sim``
+    itself is stable.  Node ops that edited a candidate row shift the
+    normalisation constant ``C_uo``; ``pairs_touched`` counts exactly
+    those edits.
+    """
+    if op.kind in (ADD_EDGE, REMOVE_EDGE):
+        for u, u_child in pattern.edges():
+            if op.src in sim[u] and op.dst in sim[u_child]:
+                return True
+        return False
+    return outcome.pairs_touched > 0

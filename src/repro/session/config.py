@@ -52,15 +52,14 @@ class ExecutionConfig:
         back in input order, identical to serial.  ``0`` (default) and
         ``1`` run serial in-process.
     snapshot_patching:
-        Delta-aware serving under write streams.  When on, the session
-        attaches a :class:`repro.graph.csr.SnapshotPatcher` to its
-        graph — small deltas *patch* the cached CSR snapshot (overlay
-        segments + tombstones) instead of recompiling it — and
-        :meth:`SessionCache.refresh` after a mutation drops only the
-        artifacts whose label signature intersects the accumulated
-        delta (label-selective invalidation) instead of everything.
-        Default off: the wholesale drop + full rebuild stays the
-        oracle, answers are identical either way.
+        Attach a :class:`repro.graph.csr.SnapshotPatcher` to the
+        session's graph: when a snapshot is needed after writes, small
+        deltas *patch* the cached CSR snapshot (overlay segments +
+        tombstones) instead of recompiling it.  That is all it does.
+        Every session repairs its cached match relations at each write
+        (:mod:`repro.session.cache`), so a write cycle that reads only
+        cached patterns builds no snapshot and leaves the patcher idle.
+        Default off; answers are identical either way.
     """
 
     optimized: bool = True

@@ -28,20 +28,8 @@ objective (opaque, possibly stateful — and often unpicklable) always
 execute in the parent; the pooled path only ever ships declarative
 specs.
 
-**Pool survival across selective refreshes.**  Under
-``ExecutionConfig(snapshot_patching=True)`` the parent session keeps
-its pool across a refresh instead of re-pickling the whole graph: it
-accumulates the mutation ops into a pool-lifetime *delta log* and every
-dispatch ships the full log alongside the tasks.  Each worker tracks
-how many log entries it has already applied (a module global, reset
-with the process) and replays only the unseen suffix through
-``Graph.apply_delta`` — idempotent across dispatches, and correct for
-workers that sat out intermediate dispatches because the log is always
-shipped whole.  Replay asserts that re-assigned node ids match the
-parent's (the worker graph is a faithful copy, so they must), then the
-worker session refreshes — selectively, since its config carries the
-same toggle.  A log that grows past :data:`POOL_OPS_CAP` or contains
-an unpicklable op falls back to the historical drop-and-rebuild.
+A pool serves one graph generation: after a refresh the parent session
+builds a new pool from a fresh pickle of the mutated graph.
 """
 
 from __future__ import annotations
@@ -59,15 +47,8 @@ from repro.session.cache import pattern_structure_key
 from repro.session.config import ExecutionConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.graph.delta import DeltaOp
     from repro.graph.digraph import Graph
     from repro.session.session import MatchSession, QuerySpec
-
-#: Pool-lifetime delta-log cap.  Past this many accumulated ops a
-#: refresh stops extending the log and lets the pool rebuild from a
-#: fresh graph pickle instead — shipping an ever-growing log with every
-#: dispatch would eventually cost more than the pickle it avoids.
-POOL_OPS_CAP = 4096
 
 
 def worker_config(config: ExecutionConfig) -> ExecutionConfig:
@@ -106,51 +87,26 @@ class WorkerBatchStats:
 # worker-process side (module import + initializer: spawn-safe)
 # ----------------------------------------------------------------------
 _WORKER_SESSION: "MatchSession | None" = None
-#: How many entries of the parent's pool-lifetime delta log this worker
-#: process has already replayed into its graph copy.
-_WORKER_APPLIED = 0
 
 
 def _pool_worker_init(payload: bytes) -> None:
     """Process initializer: build the worker's session exactly once."""
-    global _WORKER_SESSION, _WORKER_APPLIED
+    global _WORKER_SESSION
     from repro.session.session import MatchSession
 
     graph, config, reuse_results = pickle.loads(payload)
     _WORKER_SESSION = MatchSession(
         graph, config=config, reuse_results=reuse_results
     )
-    _WORKER_APPLIED = 0
 
 
 def _pool_worker_run(
     tasks: "Sequence[tuple[int, QuerySpec]]",
-    ops_log: "Sequence[DeltaOp]" = (),
 ) -> "tuple[list[tuple[int, Any]], dict[str, float]]":
-    """Execute one dispatch's specs through the worker's session.
-
-    ``ops_log`` is the parent pool's full lifetime delta log; the
-    unseen suffix is replayed into the worker's graph copy first (see
-    the module docstring), so the worker answers against the exact
-    graph state the parent dispatched from.
-    """
-    global _WORKER_APPLIED
+    """Execute one dispatch's specs through the worker's session."""
     session = _WORKER_SESSION
     if session is None:  # pragma: no cover - initializer always ran
         raise MatchingError("pool worker used before initialisation")
-    if len(ops_log) < _WORKER_APPLIED:  # pragma: no cover - parent resets pools
-        raise MatchingError("pool delta log regressed; worker out of sync")
-    fresh_ops = list(ops_log[_WORKER_APPLIED:])
-    if fresh_ops:
-        assigned = session.graph.apply_delta(fresh_ops)
-        for op, node in zip(fresh_ops, assigned):
-            if node is not None and node != op.node:  # pragma: no cover
-                raise MatchingError(
-                    "worker graph diverged during delta replay: "
-                    f"expected node {op.node}, assigned {node}"
-                )
-        _WORKER_APPLIED = len(ops_log)
-        session.refresh()
     start = time.perf_counter()
     before_executed = session.stats.queries_executed
     before_reused = session.stats.results_reused
@@ -217,7 +173,6 @@ class WorkerPool:
     def run(
         self,
         tasks: "Sequence[tuple[int, QuerySpec]]",
-        ops_log: "Sequence[DeltaOp]" = (),
     ) -> "tuple[list[tuple[int, Any]], list[WorkerBatchStats]]":
         """Run ``(index, spec)`` tasks across the pool.
 
@@ -226,9 +181,6 @@ class WorkerPool:
         least-loaded worker).  Returns every ``(index, result)`` pair
         (unordered — the caller restores input order by index) plus one
         :class:`WorkerBatchStats` per worker that received work.
-        ``ops_log`` — the pool-lifetime delta log under a
-        selectively-refreshing session — ships whole with every
-        dispatch; each worker replays only its unseen suffix.
         """
         if self._closed:
             raise MatchingError("worker pool is closed")
@@ -249,12 +201,11 @@ class WorkerPool:
             buckets[target].extend(group)
             loads[target] += len(group)
 
-        shipped_ops = tuple(ops_log)
         futures: "list[tuple[int, int, Future[Any]]]" = [
             (
                 worker,
                 len(bucket),
-                self._executor.submit(_pool_worker_run, bucket, shipped_ops),
+                self._executor.submit(_pool_worker_run, bucket),
             )
             for worker, bucket in enumerate(buckets)
             if bucket

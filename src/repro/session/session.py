@@ -19,13 +19,15 @@ distinct pattern structure instead of once per query::
         ])
         top = handle.result()
 
-Freshness: the session subscribes to the graph's change events.  A
-structural mutation marks the pinned snapshot stale, and the next
-query submission either raises :class:`~repro.errors.StaleSessionError`
-(``on_mutation="refuse"``, the default — a serving tier should decide
-explicitly when to recompile) or transparently recompiles
+Freshness: the session's cache subscribes to the graph's change
+events and repairs every cached match relation as the writes arrive
+(:mod:`repro.session.cache`).  A mutation still marks the session
+stale, and the next query submission either raises
+:class:`~repro.errors.StaleSessionError` (``on_mutation="refuse"``, the
+default — a serving tier should decide explicitly when to serve the new
+state) or acknowledges the writes transparently
 (``on_mutation="refresh"``).  :meth:`MatchSession.refresh` is the
-explicit recompile.
+explicit acknowledgement.
 
 Every query executes through the exact engine wrappers the one-shot
 API uses — a session changes *where artifacts come from*, never what
@@ -49,7 +51,6 @@ from repro.session.cache import SessionCache, pattern_structure_key
 from repro.session.config import ExecutionConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a topk import cycle)
-    from repro.graph.delta import DeltaOp
     from repro.incremental.view import MatchView
     from repro.session.parallel import WorkerPool
     from repro.topk.result import TopKResult
@@ -179,25 +180,21 @@ class MatchSession:
         self.config = config if config is not None else ExecutionConfig()
         self.on_mutation = on_mutation
         self.reuse_results = reuse_results
+        if self.config.snapshot_patching:
+            # Small deltas patch the cached CSR snapshot instead of
+            # recompiling it.  Attached before the cache subscribes, so
+            # the patcher logs each op before the cache repairs it.
+            csr.attach_snapshot_patching(graph)
         self.cache = SessionCache(graph)
         self.stats = SessionStats()
         self._acked_mutations = 0
         self._closed = False
         self._pool: "WorkerPool | None" = None
         self._pool_key: tuple[int, int] | None = None
-        #: Pool-lifetime delta log: the ops every selective refresh
-        #: observed since the current pool pickled its graph copy.
-        self._pool_ops: "list[DeltaOp]" = []
-        #: Guards the pool lifecycle triple above: a refresh on one
-        #: thread racing a pooled batch on another must never observe a
-        #: half-swapped (pool, key, ops) state or build two pools.
+        #: Guards the pool lifecycle pair above: a refresh on one thread
+        #: racing a pooled batch on another must never observe a
+        #: half-swapped (pool, key) state or build two pools.
         self._pool_lock = threading.Lock()
-        if self.config.snapshot_patching:
-            # Delta-aware serving: small deltas patch the cached CSR
-            # snapshot instead of recompiling it, and the cache drops
-            # only delta-affected artifacts on refresh.
-            csr.attach_snapshot_patching(graph)
-            self.cache.selective = True
 
     # ------------------------------------------------------------------
     # lifecycle / freshness
@@ -206,77 +203,22 @@ class MatchSession:
     def stale(self) -> bool:
         """True when the graph mutated since this session last
         acknowledged it (via :meth:`refresh` or the ``"refresh"``
-        policy).  Deliberately independent of the cache's artifact
-        state: a registered view's rebuild may refresh the artifacts
-        mid-update, but under the ``"refuse"`` policy the *session*
-        still demands an explicit :meth:`refresh` before serving."""
+        policy).  The cache repairs its artifacts at each write, but
+        under the ``"refuse"`` policy the *session* still demands an
+        explicit :meth:`refresh` before serving the new state."""
         return self.cache.mutation_count != self._acked_mutations
 
     def refresh(self) -> None:
-        """Explicitly acknowledge mutations and recompile lazily.
+        """Explicitly acknowledge mutations.
 
-        Cached artifacts are dropped only if they actually predate the
-        last mutation — a view rebuild may have refreshed them already,
-        and re-dropping would waste its work.  Under
-        ``ExecutionConfig(snapshot_patching=True)`` the cache routes
-        the drop selectively, and a live worker pool survives the
-        refresh when the delta can be shipped to it (see
-        :meth:`_note_refresh`).
+        The cache already repaired its artifacts write by write; a
+        refresh starts its next generation, which also retires a
+        worker pool's graph copy (see :meth:`_worker_pool`).
         """
         if self.cache.stale:
-            pending = self.cache.pending_ops
-            generation_before = self.cache.generation
-            mode = self.cache.refresh()
-            self._note_refresh(mode, pending, generation_before)
+            self.cache.refresh()
         self._acked_mutations = self.cache.mutation_count
         self.stats.refreshes += 1
-
-    def _note_refresh(
-        self,
-        mode: str,
-        pending: "list[DeltaOp]",
-        generation_before: int,
-    ) -> None:
-        """Decide whether the worker pool survives this refresh.
-
-        The pool is keyed ``(workers, generation)``; left alone, the
-        generation bump forces a full rebuild (fresh graph pickle) at
-        the next pooled batch.  After a *selective* refresh the pool
-        can instead be kept: the observed ops extend the pool-lifetime
-        delta log (shipped with every dispatch; workers replay the
-        unseen suffix) and the key is re-pinned to the new generation.
-        Survival requires the pool to have been current up to this very
-        refresh — if an implicit cache refresh (a view rebuild) already
-        moved the generation past the pool's key, the ops it consumed
-        were never captured here, so the pool must rebuild.  Wholesale
-        refreshes, unpicklable ops and a log past
-        :data:`~repro.session.parallel.POOL_OPS_CAP` also fall back to
-        the rebuild path.
-        """
-        from repro.session.parallel import POOL_OPS_CAP
-
-        with self._pool_lock:
-            if self._pool is None or self._pool_key is None:
-                return
-            workers, pool_generation = self._pool_key
-            if (
-                mode == "selective"
-                and pool_generation == generation_before
-                and len(self._pool_ops) + len(pending) <= POOL_OPS_CAP
-                and self._ops_shippable(pending)
-            ):
-                self._pool_ops.extend(pending)
-                self._pool_key = (workers, self.cache.generation)
-
-    @staticmethod
-    def _ops_shippable(pending: "list[DeltaOp]") -> bool:
-        import pickle
-
-        try:
-            pickle.dumps(tuple(pending), protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return False
-        return True
 
     def close(self) -> None:
         """Release the graph-event subscription, caches and any pool."""
@@ -399,10 +341,7 @@ class MatchSession:
         The pool pins a pickled copy of the graph at its generation; a
         refresh (the only way a mutated graph reaches ``run_batch``)
         bumps the generation and forces a rebuild, so workers never
-        serve a stale copy.  The one exception is a *selective* refresh
-        whose delta was captured into the pool's log —
-        :meth:`_note_refresh` re-pins the key, and the workers catch up
-        by replaying the shipped ops instead of re-pickling the graph.
+        serve a stale copy.
         """
         from repro.session.parallel import WorkerPool
 
@@ -414,9 +353,6 @@ class MatchSession:
                     self.graph, cfg, cfg.workers, reuse_results=self.reuse_results
                 )
                 self._pool_key = key
-                # A fresh pool pickled the current graph: its delta log
-                # restarts empty.
-                self._pool_ops = []
             return self._pool
 
     def _run_batch_pooled(
@@ -461,7 +397,7 @@ class MatchSession:
 
         pool = self._worker_pool(cfg)
         with trace("session.pool_dispatch", queries=len(tasks)):
-            results, worker_stats = pool.run(tasks, self._pool_ops)
+            results, worker_stats = pool.run(tasks)
 
         handle_of = {index: handle for _, index, handle in ranked}
         for index, result in results:
@@ -472,7 +408,7 @@ class MatchSession:
             cfg_q = self._config_for(spec)
             key = self._result_key(spec, cfg_q)
             if key is not None:
-                self.cache.store_result(key, self._copy_result(result))
+                self.cache.store_result(spec.pattern, key, self._copy_result(result))
             # Mirror the serial epilogue (record_run) exactly once per
             # result: workers executed with collectors stripped.
             with instrumentation(cfg_q):
@@ -545,20 +481,16 @@ class MatchSession:
     def register_view(
         self, pattern: Pattern, k: int = 10, **view_options: Any
     ) -> "MatchView":
-        """Materialize a :class:`MatchView` wired to this session's cache.
+        """A :class:`MatchView` of ``pattern`` over this session's cache.
 
-        The view's full rebuilds (initial build, threshold fallbacks)
-        fetch candidates and simulation through the session cache, so a
-        view rebuild and the session's ad-hoc queries over the same
-        pattern share one computation — and all of them share the one
-        compiled snapshot in ``graph.derived``.
+        The view and the session's queries read one relation, which the
+        cache repairs at each write; the view follows the graph until
+        the session closes.  Options forward to :class:`MatchView`
+        (``lam``, ``relevance_fn``, ``name``).
         """
-        from repro.incremental.manager import MatchViewManager
+        from repro.incremental.view import MatchView
 
-        view_options.setdefault("cache", self.cache)
-        return MatchViewManager.for_graph(self.graph).register(
-            pattern, k=k, **view_options
-        )
+        return MatchView(pattern, self.cache, k=k, **view_options)
 
     # ------------------------------------------------------------------
     # execution
@@ -634,7 +566,7 @@ class MatchSession:
                     return self._copy_result(cached)
             result = self._execute_fresh(spec, cfg)
             if key is not None:
-                self.cache.store_result(key, self._copy_result(result))
+                self.cache.store_result(spec.pattern, key, self._copy_result(result))
         return result
 
     def _execute_fresh(

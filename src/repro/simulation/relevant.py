@@ -335,10 +335,10 @@ def build_evaluation(
 
     Adjacency comes from the graph's cached snapshot, flat or patched.
     When a write has dropped it, the pair graph gathers from
-    ``graph.successors`` instead: a caller whose relation was repaired
-    in place (:class:`~repro.incremental.view.MatchView`) would
+    ``graph.successors`` instead: a session cache repairs its relations
+    in place at each write (:mod:`repro.session.cache`), and would
     otherwise compile or patch a whole snapshot per ranking rebuild,
-    while its gather touches only the matches' out-lists.
+    while the gather touches only the matches' out-lists.
     """
     snapshot = graph.snapshot() if csr.has_cached_snapshot(graph) else None
     return Evaluation(pattern, graph, sim, uo, snapshot)

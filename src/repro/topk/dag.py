@@ -22,7 +22,6 @@ from repro.obs import instrumentation, record_run
 from repro.patterns.pattern import Pattern
 from repro.ranking.relevance import RelevanceFunction
 from repro.session.config import ExecutionConfig
-from repro.simulation.candidates import CandidateSets
 from repro.topk.engine import TopKEngine
 from repro.topk.policies import RelevancePolicy
 from repro.topk.result import TopKResult
@@ -38,7 +37,6 @@ def top_k_dag(
     optimized: bool = True,
     seed: int = 0,
     relevance_fn: RelevanceFunction | None = None,
-    candidates: CandidateSets | None = None,
     output_node: int | None = None,
     config: ExecutionConfig | None = None,
     cache: "SessionCache | None" = None,
@@ -65,7 +63,6 @@ def top_k_dag(
             graph,
             k,
             policy=RelevancePolicy(),
-            candidates=candidates,
             relevance_fn=relevance_fn,
             algorithm_name=name,
             output_node=output_node,

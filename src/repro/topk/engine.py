@@ -39,7 +39,6 @@ from repro.patterns.pattern import Pattern
 from repro.ranking.context import RankingContext
 from repro.ranking.relevance import CardinalityRelevance, RelevanceFunction
 from repro.session.config import ExecutionConfig
-from repro.simulation.candidates import CandidateSets
 from repro.simulation.match import maximal_simulation
 from repro.simulation.relevant import Evaluation, build_evaluation
 from repro.topk.policies import SelectionPolicy
@@ -58,7 +57,6 @@ class TopKEngine:
         graph: Graph,
         k: int,
         policy: SelectionPolicy,
-        candidates: CandidateSets | None = None,
         relevance_fn: RelevanceFunction | None = None,
         algorithm_name: str = "TopK",
         output_node: int | None = None,
@@ -80,10 +78,6 @@ class TopKEngine:
         self.relevance_fn = relevance_fn if relevance_fn is not None else CardinalityRelevance()
         self._cardinality = isinstance(self.relevance_fn, CardinalityRelevance)
         self.stats = EngineStats()
-        # Caller-supplied candidates bypass the session store, whose
-        # artifacts all derive from the pattern's own can(u).
-        if candidates is not None:
-            cache = None
         # Either form counts as a hit: a patched overlay serves the same
         # arrays a flat snapshot would.
         if csr.has_cached_snapshot(graph):
@@ -98,7 +92,7 @@ class TopKEngine:
                 else:
                     self.stats.sim_builds += 1
             else:
-                simulation = maximal_simulation(pattern, graph, candidates)
+                simulation = maximal_simulation(pattern, graph)
                 self.stats.sim_builds += 1
         self.evaluation: Evaluation | None = None
         if simulation.total:

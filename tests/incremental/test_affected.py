@@ -1,13 +1,10 @@
-"""Unit suite for the shared label-affectedness helpers.
+"""Unit suite for the label-affectedness filter.
 
-:mod:`repro.incremental.affected` is the selectivity signal both
-:class:`MatchView` dispatch and the session cache's label-selective
-invalidation stand on, so its invariants are pinned directly:
-per-op label extraction, log summarization, the two construction
-paths of :class:`PatternLabelSignature` agreeing, and — crucially —
-the log-level tests being exactly the disjunction of the per-op test
-over the log (a selective drop may never be narrower than what per-op
-dispatch would have invalidated).
+:meth:`PatternLabelSignature.affects_op` decides, per op and cached
+pattern, whether the session cache repairs the pattern's relation at
+all.  Its invariants are pinned directly: the per-kind label tests,
+wildcards on either end of a pattern edge, and soundness — an op the
+filter lets pass by never changes the relation.
 """
 
 import random
@@ -17,15 +14,11 @@ from hypothesis import strategies as st
 
 from repro.graph.delta import ADD_EDGE, ADD_NODE, REMOVE_EDGE, REMOVE_NODE, SET_ATTRS
 from repro.graph.digraph import Graph
-from repro.incremental.affected import (
-    DeltaLabels,
-    PatternLabelSignature,
-    affected_labels,
-    summarize_delta,
-)
+from repro.incremental.affected import PatternLabelSignature
 from repro.patterns.pattern import Pattern
 from repro.patterns.predicates import AttrCompare
 from repro.simulation.candidates import WILDCARD_LABEL
+from repro.simulation.match import maximal_simulation
 
 from tests.conftest import make_random_graph, make_random_pattern
 
@@ -35,9 +28,11 @@ SETTINGS = settings(
 
 
 def recorded_mutations(graph: Graph, rng: random.Random, steps: int):
-    ops: list = []
-    unsubscribe = graph.add_listener(ops.append)
+    """Mutate ``graph`` randomly, one mutation per step; yields the
+    events each step emitted."""
     for _ in range(steps):
+        ops: list = []
+        unsubscribe = graph.add_listener(ops.append)
         roll = rng.random()
         edges = list(graph.edges())
         live = [v for v in graph.nodes() if graph.is_live(v)]
@@ -53,131 +48,80 @@ def recorded_mutations(graph: Graph, rng: random.Random, steps: int):
             graph.remove_node(rng.choice(live))
         elif live:
             graph.set_attrs(rng.choice(live), w=rng.randrange(5))
-    unsubscribe()
-    return ops
+        unsubscribe()
+        yield ops
 
 
-# ----------------------------------------------------------------------
-# affected_labels — the per-op label extraction
-# ----------------------------------------------------------------------
-def test_affected_labels_per_kind():
+def test_affects_op_per_kind():
     graph = Graph()
     a = graph.add_node("A")
     b = graph.add_node("B")
     graph.add_edge(a, b)
+    pattern = Pattern()
+    q_a = pattern.add_node("A", output=True)
+    q_b = pattern.add_node("B", predicate=AttrCompare("w", ">", 1))
+    pattern.add_edge(q_a, q_b)
+    sig = PatternLabelSignature.from_pattern(pattern)
 
     ops: list = []
     unsubscribe = graph.add_listener(ops.append)
     c = graph.add_node("C")
     graph.set_attrs(b, w=1)
+    graph.set_attrs(a, w=1)
+    graph.add_edge(b, a)
     graph.add_edge(a, c)
     graph.remove_edge(a, b)
-    graph.remove_node(c)  # emits remove_edge(a, c) then remove_node(c)
+    graph.remove_node(b)  # emits remove_edge(b, a) then remove_node(b)
     unsubscribe()
 
-    by_kind = {}
-    for op in ops:
-        by_kind.setdefault(op.kind, []).append(affected_labels(op, graph))
-    assert by_kind[ADD_NODE] == [frozenset({"C"})]
-    assert by_kind[SET_ATTRS] == [frozenset({"B"})]
-    assert frozenset({"A", "C"}) in by_kind[ADD_EDGE]
-    assert frozenset({"A", "B"}) in by_kind[REMOVE_EDGE]
-    # Tombstoned nodes keep their label, so late evaluation still works.
-    assert by_kind[REMOVE_NODE] == [frozenset({"C"})]
-
-
-@given(seed=st.integers(0, 10_000), steps=st.integers(1, 12))
-@SETTINGS
-def test_summarize_delta_is_union_of_per_op_labels(seed, steps):
-    graph = make_random_graph(seed, num_nodes=12, num_edges=20)
-    ops = recorded_mutations(graph, random.Random(seed), steps)
-    delta = summarize_delta(ops, graph)
-    per_op = frozenset().union(
-        *(affected_labels(op, graph) for op in ops)
-    ) if ops else frozenset()
-    assert delta.all_labels() == per_op
-    assert delta.empty == (not ops)
-    # Kind partition: edge pairs only from edge ops, attrs only from attrs.
-    assert len(delta.edge_pairs) <= sum(
-        1 for op in ops if op.kind in (ADD_EDGE, REMOVE_EDGE)
-    )
-    assert len(delta.attr_labels) <= sum(
-        1 for op in ops if op.kind == SET_ATTRS
-    )
-
-
-# ----------------------------------------------------------------------
-# PatternLabelSignature — both constructors agree
-# ----------------------------------------------------------------------
-@given(seed=st.integers(0, 10_000))
-@SETTINGS
-def test_from_pattern_equals_from_structure(seed):
-    rng = random.Random(seed)
-    pattern = make_random_pattern(
-        seed, num_nodes=rng.randrange(2, 5), extra_edges=1, cyclic=bool(seed % 2)
-    )
-    if rng.random() < 0.5:
-        # Sprinkle a predicate so predicated_labels is exercised.
-        pattern._predicates[rng.randrange(len(pattern._labels))] = AttrCompare(
-            "w", ">", 1
-        )
-        pattern._analysis = None
-    via_pattern = PatternLabelSignature.from_pattern(pattern)
-    via_structure = PatternLabelSignature.from_structure(
-        [pattern.label(u) for u in pattern.nodes()],
-        list(pattern.edges()),
-        [pattern.predicate(u) for u in pattern.nodes()],
-    )
-    assert via_pattern.node_labels == via_structure.node_labels
-    assert via_pattern.edge_label_pairs == via_structure.edge_label_pairs
-    assert via_pattern.predicated_labels == via_structure.predicated_labels
-    assert via_pattern.has_wildcard == via_structure.has_wildcard
+    verdicts = [(op.kind, sig.affects_op(op, graph)) for op in ops]
+    assert verdicts == [
+        (ADD_NODE, False),  # C is no pattern label
+        (SET_ATTRS, True),  # B is predicated
+        (SET_ATTRS, False),  # A is not
+        (ADD_EDGE, False),  # B -> A is no pattern edge
+        (ADD_EDGE, False),  # A -> C neither
+        (REMOVE_EDGE, True),  # A -> B is
+        (REMOVE_EDGE, False),
+        (REMOVE_NODE, True),  # a tombstoned node keeps its label
+    ]
 
 
 def test_wildcard_edge_pairs_hit_either_endpoint():
+    graph = Graph()
+    z, b, q = graph.add_node("Z"), graph.add_node("B"), graph.add_node("Q")
     pattern = Pattern()
     star = pattern.add_node(WILDCARD_LABEL)
-    b = pattern.add_node("B")
-    pattern.add_edge(star, b)
-    pattern.set_output(b)
+    b_node = pattern.add_node("B")
+    pattern.add_edge(star, b_node)
+    pattern.set_output(b_node)
     sig = PatternLabelSignature.from_pattern(pattern)
-    assert sig.affects_relation(
-        DeltaLabels(edge_pairs=frozenset({("Z", "B")}))
-    )  # wildcard source matches any src label
-    assert not sig.affects_relation(
-        DeltaLabels(edge_pairs=frozenset({("Z", "Q")}))
-    )
-    # Node adds always affect a wildcard pattern.
-    assert sig.affects_candidates(DeltaLabels(node_labels=frozenset({"Q"})))
+    ops: list = []
+    unsubscribe = graph.add_listener(ops.append)
+    graph.add_edge(z, b)  # wildcard source matches any src label
+    graph.add_edge(z, q)
+    graph.add_node("Q")  # node adds always reach a wildcard pattern
+    unsubscribe()
+    assert [sig.affects_op(op, graph) for op in ops] == [True, False, True]
 
 
-# ----------------------------------------------------------------------
-# log-level tests ≡ disjunction of per-op dispatch
-# ----------------------------------------------------------------------
 @given(seed=st.integers(0, 10_000), steps=st.integers(1, 12))
 @SETTINGS
-def test_affects_relation_equals_any_affects_op(seed, steps):
+def test_unaffected_ops_leave_the_relation_alone(seed, steps):
     graph = make_random_graph(seed, num_nodes=12, num_edges=20)
     rng = random.Random(seed + 7)
     pattern = make_random_pattern(
-        seed, num_nodes=rng.randrange(2, 5), extra_edges=1, cyclic=False
+        seed, num_nodes=rng.randrange(2, 5), extra_edges=1, cyclic=bool(seed % 2)
     )
     if rng.random() < 0.4:
-        pattern._predicates[rng.randrange(len(pattern._labels))] = AttrCompare(
+        pattern._predicates[rng.randrange(pattern.num_nodes)] = AttrCompare(
             "w", ">", 1
         )
         pattern._analysis = None
     sig = PatternLabelSignature.from_pattern(pattern)
-    ops = recorded_mutations(graph, rng, steps)
-    delta = summarize_delta(ops, graph)
-    assert sig.affects_relation(delta) == any(
-        sig.affects_op(op, graph) for op in ops
-    )
-    # Candidates are the edge-blind restriction: never broader than the
-    # relation test, and equal to it when the log has no edge ops.
-    if sig.affects_candidates(delta):
-        assert sig.affects_relation(delta)
-    no_edges = summarize_delta(
-        [op for op in ops if op.kind not in (ADD_EDGE, REMOVE_EDGE)], graph
-    )
-    assert sig.affects_candidates(no_edges) == sig.affects_relation(no_edges)
+    before = maximal_simulation(pattern, graph).sim
+    for ops in recorded_mutations(graph, rng, steps):
+        after = maximal_simulation(pattern, graph).sim
+        if not any(sig.affects_op(op, graph) for op in ops):
+            assert after == before
+        before = after

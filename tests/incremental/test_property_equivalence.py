@@ -3,9 +3,9 @@
 Property: after ANY sequence of graph updates, a :class:`MatchView`'s
 maintained state must equal a from-scratch ``maximal_simulation`` plus
 re-rank on the mutated graph.  Exercised over randomized delta sequences
-on synthetic graphs — both through the manager (label-filtered dispatch)
-and with thresholds pinned to force the pure-incremental and the
-always-recompute paths.
+on synthetic graphs through the manager's cache (label-filtered repair),
+with :func:`repro.session.cache.repair_threshold` patched to force the
+pure-incremental and the always-recompute paths.
 
 The acceptance bar of the subsystem is >= 200 randomized sequences; the
 default run covers 240 (``NUM_SEQUENCES`` x the three pattern regimes),
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.graph.digraph import Graph
 from repro.incremental.manager import MatchViewManager
-from repro.incremental.view import MatchView
 from repro.ranking.context import RankingContext
 from repro.ranking.relevance import top_k_by_relevance
 from repro.simulation.match import maximal_simulation
@@ -67,20 +66,34 @@ def random_op(rng: random.Random, graph: Graph, labels: str = "ABC") -> bool:
 
 
 def check_sequence(seed: int, cyclic: bool, threshold: int | None) -> None:
-    """One randomized sequence, oracle-checked after every op."""
+    """One randomized sequence, oracle-checked after every op.
+
+    ``threshold`` pins the repair's fallback threshold (``None``: the
+    size-scaled default).
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if threshold is not None:
+            patch.setattr(
+                "repro.session.cache.repair_threshold",
+                lambda pattern, graph: threshold,
+            )
+        _check_sequence(seed, cyclic)
+
+
+def _check_sequence(seed: int, cyclic: bool) -> None:
     rng = random.Random(seed)
     graph = make_random_graph(seed, num_nodes=12, num_edges=24)
     pattern = make_random_pattern(
         seed + 1, num_nodes=3 + seed % 2, extra_edges=1, cyclic=cyclic
     )
     manager = MatchViewManager(graph)
-    view = manager.register(pattern, k=3, recompute_threshold=threshold)
+    view = manager.register(pattern, k=3)
     for _ in range(OPS_PER_SEQUENCE):
         if not random_op(rng, graph):
             continue
         oracle = maximal_simulation(pattern, graph)
         assert view.simulation().sim == oracle.sim, (
-            f"relation diverged (seed={seed}, cyclic={cyclic}, thr={threshold})"
+            f"relation diverged (seed={seed}, cyclic={cyclic})"
         )
         assert view.total == oracle.total
         # Re-rank equivalence: the view's top-k equals ranking the

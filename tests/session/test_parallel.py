@@ -151,37 +151,6 @@ def test_pool_survives_batches_and_refresh_rebuilds_it():
                 assert_same(got, want)
 
 
-def test_pool_survives_selective_refresh_and_answers_match_serial():
-    """Under ``snapshot_patching=True`` a refresh ships the delta log to
-    the existing pool instead of dropping it — and the replayed workers
-    answer exactly like a serial session over the mutated graph."""
-    rng = random.Random(17)
-    graph = make_random_graph(17, num_nodes=16, num_edges=30)
-    specs = mixed_batch(17)
-    cfg = ExecutionConfig(workers=2, snapshot_patching=True)
-    with MatchSession(graph, config=cfg, on_mutation="refresh") as session:
-        session.run_batch(specs)
-        first_pool = session._pool
-        assert first_pool is not None
-
-        graph.add_node(rng.choice("ABC"))
-        graph.add_edge(graph.num_nodes - 1, rng.randrange(graph.num_nodes - 1))
-        results = session.run_batch(specs)
-        assert session._pool is first_pool  # survived the refresh
-        assert session.cache.stats.selective_refreshes >= 1
-        with MatchSession(graph) as serial:
-            for got, want in zip(results, serial.run_batch(specs)):
-                assert_same(got, want)
-
-        # A second mutation round extends the same pool's delta log.
-        graph.remove_edge(*next(iter(graph.edges())))
-        results = session.run_batch(specs)
-        assert session._pool is first_pool
-        with MatchSession(graph) as serial:
-            for got, want in zip(results, serial.run_batch(specs)):
-                assert_same(got, want)
-
-
 def test_workers_zero_and_one_stay_serial():
     graph = make_random_graph(21, num_nodes=12, num_edges=20)
     specs = mixed_batch(21)

@@ -265,14 +265,15 @@ class TestStaleness:
             assert session.stats.refreshes == 2
             assert session.cache_stats()["refreshes"] == 1
 
-    def test_view_rebuild_does_not_waive_the_refuse_latch(self, graph, dag_pattern):
+    def test_view_repair_does_not_waive_the_refuse_latch(self, graph, dag_pattern):
         with MatchSession(graph) as session:
-            session.register_view(dag_pattern, k=2, recompute_threshold=0)
+            view = session.register_view(dag_pattern, k=2)
             session.top_k(dag_pattern, 2)
-            # The mutation triggers a synchronous view rebuild, which
-            # refreshes the *artifact* cache — but the refuse policy
-            # must still demand an explicit session.refresh().
+            # The cache repairs the view's relation at the write — but
+            # the refuse policy must still demand an explicit
+            # session.refresh().
             graph.add_node("A")
+            assert view.stats.ops_applied + view.stats.ops_skipped == 1
             assert session.stale
             with pytest.raises(StaleSessionError):
                 session.top_k(dag_pattern, 2)
@@ -310,12 +311,18 @@ class TestSessionViews:
             assert stats["sim_builds"] == 1  # view rebuild + query: one fixpoint
             assert sorted(view.top_k(k=100).matches) == sorted(view.matches())
 
-    def test_view_stays_consistent_under_updates(self, graph, dag_pattern):
+    def test_view_stays_consistent_under_updates(self, graph, dag_pattern, monkeypatch):
+        # Threshold 0: an edge repair that touches a pair falls back to
+        # a fixpoint rerun from the repaired rows.
+        monkeypatch.setattr(
+            "repro.session.cache.repair_threshold", lambda pattern, graph: 0
+        )
         with MatchSession(graph, on_mutation="refresh") as session:
-            view = session.register_view(dag_pattern, k=3, recompute_threshold=0)
-            # threshold 0 forces full rebuilds through the session cache.
-            for _ in range(3):
-                graph.add_node(dag_pattern.label(1) if dag_pattern.label(1) != "*" else "A")
+            view = session.register_view(dag_pattern, k=3)
+            for target in range(3):
+                node = graph.add_node(dag_pattern.label(0))
+                graph.add_edge(node, target)
+            graph.remove_edge(*next(iter(graph.edges())))
             fresh = api.register_view(dag_pattern, graph, k=3, name="oracle")
             assert sorted(view.matches()) == sorted(fresh.matches())
             result = session.top_k(dag_pattern, 3)

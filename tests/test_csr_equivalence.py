@@ -168,7 +168,12 @@ class TestUpdateStreamEquivalence:
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("threshold", [None, 0])
-    def test_wildcard_view_follows_stream(self, seed, threshold):
+    def test_wildcard_view_follows_stream(self, seed, threshold, monkeypatch):
+        if threshold is not None:
+            monkeypatch.setattr(
+                "repro.session.cache.repair_threshold",
+                lambda pattern, graph: threshold,
+            )
         rng = random.Random(seed)
         graph = rich_random_graph(seed, num_nodes=12, num_edges=24)
         pattern = rich_random_pattern(seed + 6, cyclic=seed % 2 == 0)
@@ -177,7 +182,7 @@ class TestUpdateStreamEquivalence:
             extra = pattern.add_node(WILDCARD_LABEL)
             pattern.add_edge(0, extra)
         manager = MatchViewManager(graph)
-        view = manager.register(pattern, k=3, recompute_threshold=threshold)
+        view = manager.register(pattern, k=3)
         for _ in range(10):
             if not random_op(rng, graph):
                 continue
