@@ -9,11 +9,14 @@ benchmark pins that contract with three arms over the fig 5(d) workload
 (YouTube surrogate, cyclic shapes, Match / TopKnopt / TopK):
 
 ``stripped``
-    The pre-PR baseline, approximated by monkeypatching every
-    instrumented module's ``trace`` / ``current_metrics`` /
-    ``current_tracer`` / ``instrumentation`` / ``record_run`` globals to
-    null implementations for the duration of the run — the hooks
-    disappear entirely, as if the PR's call sites were never added.
+    Code without instrumentation, approximated by monkeypatching every
+    ``repro.*`` module global bound to a ``repro.obs`` hook (``trace``,
+    ``current_metrics``, ``current_tracer``, ``instrumentation``,
+    ``record_run``) to a null implementation for the duration of the
+    run — the hooks disappear entirely, as if their call sites were
+    never added.  The bindings are found by scanning the loaded modules'
+    globals for the hook objects, so an import a module gains or drops
+    needs no edit here.
 
 ``disabled``
     The shipped default: hooks present, nothing installed ambiently.
@@ -24,8 +27,9 @@ benchmark pins that contract with three arms over the fig 5(d) workload
     Reported for information only — enabled cost is a feature price,
     not a regression.
 
-Arms are interleaved across ``--rounds`` repetitions and the median is
-reported, so machine drift hits all arms equally.
+Arms are interleaved across ``--rounds`` repetitions, the arm that runs
+first rotates each round, and the median is reported, so machine drift
+and run order hit all arms equally.
 
 Usage::
 
@@ -47,10 +51,21 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from types import ModuleType
 
 from repro.bench.harness import run_algorithm
 from repro.bench.workloads import BENCH_SCALE, bench_graph, bench_pattern
-from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
+from repro.obs import (
+    MetricsRegistry,
+    Tracer,
+    current_metrics,
+    current_tracer,
+    instrumentation,
+    record_run,
+    trace,
+    use_metrics,
+    use_tracer,
+)
 
 #: Fig 5(d): the cyclic engine-time figure the ISSUE's acceptance
 #: criterion names.
@@ -61,24 +76,6 @@ WORKLOAD = {
     "algorithms": ["Match", "TopKnopt", "TopK"],
     "k": 10,
 }
-
-#: Every module that gained observability call sites in this PR, with
-#: the ``repro.obs`` names it imported.  The stripped arm nulls these
-#: module globals so the hooks vanish, approximating the pre-PR code.
-INSTRUMENTED_MODULES = {
-    "repro.topk.engine": ("trace",),
-    "repro.topk.cyclic": ("instrumentation", "record_run"),
-    "repro.topk.dag": ("instrumentation", "record_run"),
-    "repro.topk.match_all": ("instrumentation", "record_run"),
-    "repro.diversify.heuristic": ("instrumentation", "record_run"),
-    "repro.diversify.approx": ("instrumentation", "record_run"),
-    "repro.simulation.match": ("current_metrics", "trace"),
-    "repro.simulation.csr_kernel": ("current_metrics", "trace"),
-    "repro.session.cache": ("current_metrics", "trace"),
-    "repro.session.session": ("instrumentation", "trace"),
-    "repro.incremental.view": ("current_metrics", "trace"),
-}
-
 
 @contextlib.contextmanager
 def _null_cm(*args, **kwargs):
@@ -93,27 +90,43 @@ def _null_record_run(result, pattern, k, config=None):
     return result
 
 
-_NULLS = {
-    "trace": _null_cm,
-    "instrumentation": _null_cm,
-    "current_metrics": _null_lookup,
-    "current_tracer": _null_lookup,
-    "record_run": _null_record_run,
-}
+#: Each ``repro.obs`` hook and the null the stripped arm binds instead.
+_NULLS = (
+    (trace, _null_cm),
+    (instrumentation, _null_cm),
+    (current_metrics, _null_lookup),
+    (current_tracer, _null_lookup),
+    (record_run, _null_record_run),
+)
+
+
+def instrumented_bindings() -> list[tuple[ModuleType, str, object]]:
+    """``(module, name, null)`` for every loaded hook binding.
+
+    Scans the globals of every loaded ``repro.*`` module outside
+    ``repro.obs`` (whose names are the hooks' own definitions and
+    re-exports) for a value that *is* one of the hooks, the way
+    ``perfbench/tracing.py`` finds the bindings it wraps.
+    """
+    bindings = []
+    for module_name, module in sorted(sys.modules.items()):
+        if not module_name.startswith("repro.") or module_name.split(".")[1] == "obs":
+            continue
+        for name, value in vars(module).items():
+            for hook, null in _NULLS:
+                if value is hook:
+                    bindings.append((module, name, null))
+    return bindings
 
 
 @contextlib.contextmanager
-def stripped_instrumentation():
-    """Null out every observability hook for the duration of the block."""
-    import importlib
-
+def stripped_instrumentation(bindings):
+    """Null out every hook binding in ``bindings`` for the block."""
     saved = []
     try:
-        for module_name, names in INSTRUMENTED_MODULES.items():
-            module = importlib.import_module(module_name)
-            for name in names:
-                saved.append((module, name, getattr(module, name)))
-                setattr(module, name, _NULLS[name])
+        for module, name, null in bindings:
+            saved.append((module, name, getattr(module, name)))
+            setattr(module, name, null)
         yield
     finally:
         for module, name, original in saved:
@@ -126,9 +139,9 @@ def _run_workload(graph, patterns) -> None:
             run_algorithm(algorithm, pattern, graph, WORKLOAD["k"])
 
 
-def _arm_once(arm: str, graph, patterns) -> float:
+def _arm_once(arm: str, graph, patterns, bindings) -> float:
     if arm == "stripped":
-        context = stripped_instrumentation()
+        context = stripped_instrumentation(bindings)
     elif arm == "enabled":
         context = contextlib.ExitStack()
         context.enter_context(use_tracer(Tracer()))
@@ -159,9 +172,13 @@ def run(rounds: int = 5, scale_factor: float | None = None) -> dict:
     arms = ("stripped", "disabled", "enabled")
     timings: dict[str, list[float]] = {arm: [] for arm in arms}
     _run_workload(graph, patterns)  # warm the snapshot-keyed caches
-    for _ in range(rounds):  # interleaved: drift hits all arms equally
-        for arm in arms:
-            timings[arm].append(_arm_once(arm, graph, patterns))
+    bindings = instrumented_bindings()  # after the run loaded every module
+    for round_index in range(rounds):
+        # Interleaved, with the first arm rotating each round: drift and
+        # run order hit all arms equally.
+        shift = round_index % len(arms)
+        for arm in arms[shift:] + arms[:shift]:
+            timings[arm].append(_arm_once(arm, graph, patterns, bindings))
 
     medians = {arm: round(statistics.median(values), 5) for arm, values in timings.items()}
     overhead = (
@@ -183,6 +200,9 @@ def run(rounds: int = 5, scale_factor: float | None = None) -> dict:
         },
         "median_seconds": medians,
         "disabled_overhead": overhead,
+        "stripped_bindings": sorted(
+            f"{module.__name__}.{name}" for module, name, _ in bindings
+        ),
     }
 
 

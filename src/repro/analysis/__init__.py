@@ -4,9 +4,8 @@ The serving paths of this repository (CSR snapshots, session caches,
 worker pools) are only trustworthy because a set of cross-cutting
 invariants holds everywhere:
 
-* structural mutations invalidate derived caches, and every writer of
-  ``graph.derived`` registers its key prefix with the invalidation
-  hooks (the PR-2 stale-snapshot bug class);
+* structural mutations clear the derived caches before any listener
+  hears of them (the stale-snapshot bug class);
 * observability hooks are strict no-ops when disabled — no ambient
   lookups or span allocation inside hot loops;
 * no mutable default arguments;

@@ -1,16 +1,14 @@
 """Analyzer core: source model, suppression parsing, rule running.
 
 The model is deliberately simple — one :class:`SourceModule` per file
-(path, text, parsed AST, parent links, noqa map, module-constant
-table), one :class:`Project` holding them all plus the cross-module
-facts individual rules need (registered invalidation prefixes, the
-pickle-relevant class table).  Rules receive the whole project so they
-can cross-reference (e.g. R1 validates every ``graph.derived`` writer
-against the prefixes :mod:`repro.index.invalidation` registers).
+(path, text, parsed AST, parent links, noqa map, import table), one
+:class:`Project` holding them all.  Rules receive the whole project so
+they can cross-reference (e.g. R7 resolves ``_TRANSIENT_SLOTS`` through
+base classes defined in other modules).
 
 Suppressions are trailing comments on the flagged line::
 
-    graph.derived[key] = value  # repro: noqa[R1] -- rebuilt by hand below
+    registry.counter(name).inc()  # repro: noqa[R3] -- guarded by the caller
 
 A bare ``# repro: noqa`` suppresses every rule on that line.
 Suppressed findings are still collected (reporters show them on
@@ -87,8 +85,6 @@ class SourceModule:
         self.tree = ast.parse(text, filename=str(path))
         self._parents: dict[ast.AST, ast.AST] | None = None
         self._noqa: dict[int, frozenset[str] | None] | None = None
-        self.constants = _fold_module_constants(self.tree)
-        self.constant_exprs = _module_assignments(self.tree)
         self.imports = _collect_imports(self.tree)
 
     @property
@@ -193,82 +189,6 @@ def _collect_imports(tree: ast.Module) -> dict[str, str]:
     return table
 
 
-def _module_assignments(tree: ast.Module) -> dict[str, ast.expr]:
-    """Name -> value expression for single-target module-level assigns."""
-    table: dict[str, ast.expr] = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                table[target.id] = node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            if isinstance(node.target, ast.Name):
-                table[node.target.id] = node.value
-    return table
-
-
-def _fold_module_constants(tree: ast.Module) -> dict[str, str]:
-    """Module-level string constants, with ``NAME + "lit"`` folding.
-
-    Iterates to a fixpoint so constants defined in terms of earlier
-    constants (``CSR_SNAPSHOT_KEY = CSR_KEY_PREFIX + "graph"``) fold
-    too.  Only ``str`` values are kept — that is all the key-prefix
-    cross-referencing needs.
-    """
-    table: dict[str, str] = {}
-    assignments: list[tuple[str, ast.expr]] = []
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                assignments.append((target.id, node.value))
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            if isinstance(node.target, ast.Name):
-                assignments.append((node.target.id, node.value))
-    changed = True
-    while changed:
-        changed = False
-        for name, value in assignments:
-            if name in table:
-                continue
-            folded = fold_str(value, table)
-            if folded is not None:
-                table[name] = folded
-                changed = True
-    return table
-
-
-def fold_str(node: ast.expr, constants: dict[str, str]) -> str | None:
-    """Evaluate ``node`` to a ``str`` using ``constants``, else ``None``."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, ast.Name):
-        return constants.get(node.id)
-    if isinstance(node, ast.Attribute):
-        # ``module.CONSTANT`` — resolved by Project.fold_key against the
-        # defining module; locally only the bare attribute name helps.
-        return None
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-        left = fold_str(node.left, constants)
-        right = fold_str(node.right, constants)
-        if left is not None and right is not None:
-            return left + right
-    if isinstance(node, ast.JoinedStr):
-        parts: list[str] = []
-        for value in node.values:
-            if isinstance(value, ast.Constant) and isinstance(value.value, str):
-                parts.append(value.value)
-            elif isinstance(value, ast.FormattedValue):
-                folded = fold_str(value.value, constants)
-                if folded is None:
-                    return None
-                parts.append(folded)
-            else:
-                return None
-        return "".join(parts)
-    return None
-
-
 def dotted_name(node: ast.expr) -> str | None:
     """``a.b.c`` for a Name/Attribute chain, else ``None``."""
     parts: list[str] = []
@@ -283,78 +203,10 @@ def dotted_name(node: ast.expr) -> str | None:
 
 
 class Project:
-    """Every module under analysis plus shared cross-module facts."""
+    """Every module under analysis."""
 
     def __init__(self, modules: list[SourceModule]) -> None:
         self.modules = modules
-        self._module_constants: dict[str, dict[str, str]] = {}
-        for module in modules:
-            rel = module.rel_path
-            # Anchor import names at the package root: src/repro/x.py
-            # and repro/x.py both resolve as ``repro.x``.
-            if rel.startswith("src/"):
-                rel = rel[len("src/") :]
-            dotted = rel.replace("/", ".").removesuffix(".py")
-            self._module_constants[dotted] = module.constants
-            if dotted.endswith(".__init__"):
-                self._module_constants[dotted.removesuffix(".__init__")] = (
-                    module.constants
-                )
-
-    def find_module(self, suffix: str) -> SourceModule | None:
-        """The module whose repo-relative path ends with ``suffix``."""
-        for module in self.modules:
-            if module.rel_path.endswith(suffix):
-                return module
-        return None
-
-    def fold_key(
-        self,
-        module: SourceModule,
-        node: ast.expr,
-        _seen: frozenset[str] = frozenset(),
-    ) -> str | None:
-        """Fold ``node`` to a string, chasing cross-module constants.
-
-        Extends :func:`fold_str` with the module's import table (a name
-        imported ``from repro.graph.csr import CSR_SNAPSHOT_KEY`` folds
-        to that module's folded value) and with module-level constants
-        *built from* imports (``KEY = CSR_KEY_PREFIX + "main"`` folds by
-        chasing the assignment expression).  ``_seen`` breaks cycles.
-        """
-        local = fold_str(node, module.constants)
-        if local is not None:
-            return local
-        if isinstance(node, ast.Name):
-            origin = module.imports.get(node.id)
-            if origin is not None:
-                owner, _, name = origin.rpartition(".")
-                value = self._imported_constant(owner, name)
-                if value is not None:
-                    return value
-            expr = module.constant_exprs.get(node.id)
-            if expr is not None and node.id not in _seen:
-                return self.fold_key(module, expr, _seen | {node.id})
-        if isinstance(node, ast.Attribute):
-            chain = dotted_name(node)
-            if chain is not None:
-                head, _, name = chain.rpartition(".")
-                origin = module.imports.get(head, head)
-                value = self._imported_constant(origin, name)
-                if value is not None:
-                    return value
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-            left = self.fold_key(module, node.left, _seen)
-            right = self.fold_key(module, node.right, _seen)
-            if left is not None and right is not None:
-                return left + right
-        return None
-
-    def _imported_constant(self, owner_module: str, name: str) -> str | None:
-        table = self._module_constants.get(owner_module)
-        if table is not None and name in table:
-            return table[name]
-        return None
 
 
 class Rule:

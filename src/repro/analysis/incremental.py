@@ -1,14 +1,14 @@
 """Per-file findings cache: content-hash keyed, environment-scoped.
 
 The analyzer's rules are *project* invariants — a module's findings can
-depend on facts defined elsewhere (R1 folds key constants across
-modules, R7 resolves ``_TRANSIENT_SLOTS`` through base classes).  A
-per-file cache is therefore sound only under two keys:
+depend on facts defined elsewhere (R7 resolves ``_TRANSIENT_SLOTS``
+through base classes).  A per-file cache is therefore sound only under
+two keys:
 
 * the file's own **content hash** — any edit re-checks the file; and
 * an **environment fingerprint** folding in every cross-module fact a
   rule consumes: the analyzer's own source, the rule set, and each
-  module's constant/import/class-shape facts.  Any change there drops
+  module's import and class-shape facts.  Any change there drops
   the whole cache — conservative, but a no-op edit elsewhere keeps it
   warm.  The analyzer reads nothing outside the checked modules, so a
   test edit keeps every entry.
@@ -52,17 +52,12 @@ def _analyzer_source_digest() -> str:
 def _module_facts_digest(module: SourceModule) -> str:
     """Everything *other modules'* findings may read from this one.
 
-    Covers the constant-folding surface (R1), imports and the class
-    shapes R7 resolves through base classes — bases, body-level
-    assignments (``__slots__``, ``_TRANSIENT_SLOTS``) and
-    ``__getstate__`` presence.
+    Covers imports and the class shapes R7 resolves through base
+    classes — bases, body-level assignments (``__slots__``,
+    ``_TRANSIENT_SLOTS``) and ``__getstate__`` presence.
     """
     digest = hashlib.sha256()
     digest.update(module.rel_path.encode("utf-8"))
-    for name, value in sorted(module.constants.items()):
-        digest.update(f"const:{name}={value}\n".encode("utf-8"))
-    for name, expr in sorted(module.constant_exprs.items()):
-        digest.update(f"assign:{name}={ast.dump(expr)}\n".encode("utf-8"))
     for name, origin in sorted(module.imports.items()):
         digest.update(f"import:{name}={origin}\n".encode("utf-8"))
     for node in ast.walk(module.tree):

@@ -2,9 +2,9 @@
 
 Each rule encodes one architectural invariant of the serving design.
 They are deliberately *project-specific*: generic linters
-cannot know that ``graph.derived`` writers must register an
-invalidation prefix, or that ``trace()`` inside the engine's batch
-loop costs the disabled path real allocations.  See each rule's
+cannot know that a structural ``Graph`` mutator must clear the derived
+caches before it tells its listeners, or that ``trace()`` inside the
+engine's batch loop costs the disabled path real allocations.  See each rule's
 ``rationale`` (``python -m repro.analysis --explain R1``) for the
 incident or roadmap item that motivated it.
 """
@@ -112,24 +112,26 @@ def _params_with_defaults(
 
 
 class InvalidationSoundness(Rule):
-    """R1 — structural mutations invalidate; derived writers register."""
+    """R1 — structural mutations invalidate before they emit."""
 
     id = "R1"
     title = "invalidation soundness"
     rationale = (
         "Every structural-mutation method of Graph must call "
-        "_invalidate_caches() before its first structural change event, "
-        "and every module writing graph.derived[...] must use a key "
-        "whose prefix is registered in "
-        "repro.index.invalidation.STRUCTURAL_KEY_PREFIXES — otherwise a "
-        "mutation leaves the entry live and a later read serves state "
-        "from a previous graph generation."
+        "_invalidate_caches() unconditionally, before its first "
+        "structural change event — otherwise a listener reacting to the "
+        "event reads graph.derived state from the previous graph "
+        "generation.  Writers of graph.derived are not checked: "
+        "_invalidate_caches() clears every entry whatever its key, so "
+        "no entry can survive a structural write, and the former check "
+        "that each derived key carry a registered prefix guarded a "
+        "hazard that can no longer happen."
     )
     reference = (
-        "CHANGES.md PR 2: remove_node cached a CSR snapshot with the "
+        "CHANGES.md: remove_node once cached a CSR snapshot with the "
         "node still live (the stale-snapshot bug this rule machine-"
-        "checks); ROADMAP 'Delta-aware snapshot patching' multiplies "
-        "the derived-key surface."
+        "checks); the entry that gave graph.derived its one "
+        "invalidation rule records why the derived-key check went."
     )
 
     #: Methods that emit structural events without owning the mutation:
@@ -138,13 +140,8 @@ class InvalidationSoundness(Rule):
     #: naturally.
 
     def check(self, module: SourceModule, project: Project) -> Iterable[Finding]:
-        if module.rel_path.endswith("graph/digraph.py"):
-            yield from self._check_mutators(module)
-        elif not module.rel_path.endswith("index/invalidation.py"):
-            yield from self._check_derived_writers(module, project)
-
-    # -- part A: digraph mutators ------------------------------------
-    def _check_mutators(self, module: SourceModule) -> Iterator[Finding]:
+        if not module.rel_path.endswith("graph/digraph.py"):
+            return
         for func in _function_defs(module):
             emit_line = self._first_structural_emit(func)
             if emit_line is None:
@@ -210,82 +207,6 @@ class InvalidationSoundness(Rule):
             ):
                 return stmt.lineno
         return None
-
-    # -- part B: graph.derived writers -------------------------------
-    def _check_derived_writers(
-        self, module: SourceModule, project: Project
-    ) -> Iterator[Finding]:
-        prefixes = self._registered_prefixes(project)
-        for node, key_expr in self._derived_writes(module):
-            key = project.fold_key(module, key_expr)
-            if key is None:
-                yield self.finding(
-                    module,
-                    node,
-                    "write to graph.derived with a key the analyzer cannot "
-                    "resolve to a registered invalidation prefix — use a "
-                    "module-level string constant built from a prefix in "
-                    "repro.index.invalidation.STRUCTURAL_KEY_PREFIXES",
-                    "derived-key-unresolvable",
-                )
-            elif prefixes and not key.startswith(prefixes):
-                yield self.finding(
-                    module,
-                    node,
-                    f"graph.derived key {key!r} is not covered by any "
-                    "registered invalidation prefix "
-                    f"{sorted(prefixes)} — a structural mutation will "
-                    "leave this entry stale",
-                    f"derived-key-unregistered:{key}",
-                )
-
-    def _registered_prefixes(self, project: Project) -> tuple[str, ...]:
-        inv = project.find_module("index/invalidation.py")
-        if inv is None:
-            return ()
-        for node in inv.tree.body:
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == "STRUCTURAL_KEY_PREFIXES"
-                and isinstance(node.value, (ast.Tuple, ast.List))
-            ):
-                prefixes = []
-                for element in node.value.elts:
-                    folded = project.fold_key(inv, element)
-                    if folded is not None:
-                        prefixes.append(folded)
-                return tuple(prefixes)
-        return ()
-
-    def _derived_writes(
-        self, module: SourceModule
-    ) -> Iterator[tuple[ast.AST, ast.expr]]:
-        for node in ast.walk(module.tree):
-            # graph.derived[key] = ... / graph.derived[key] |= ...
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Subscript)
-                        and isinstance(target.value, ast.Attribute)
-                        and target.value.attr == "derived"
-                    ):
-                        yield node, target.slice
-            # graph.derived.setdefault(key, ...)
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr == "setdefault"
-                    and isinstance(func.value, ast.Attribute)
-                    and func.value.attr == "derived"
-                    and node.args
-                ):
-                    yield node, node.args[0]
 
 
 class ObsNoOpGuarantee(Rule):

@@ -18,11 +18,10 @@ state:
 * a label-bucket CSR (``label_offsets`` / ``label_nodes``) replacing the
   per-label dict index with one contiguous scan per label.
 
-Snapshots are produced by :meth:`Graph.snapshot`, cached under
-``graph.derived`` and dropped by the same invalidation hooks that guard
-the descendant indexes (:mod:`repro.index.invalidation`): any structural
-``DeltaOp`` invalidates the snapshot, while attribute-only updates leave
-it warm (snapshots carry no attribute state).
+Snapshots are produced by :meth:`Graph.snapshot` and cached under
+``graph.derived``, which every structural mutation clears, while
+attribute-only updates leave it warm (snapshots carry no attribute
+state).
 
 NumPy backs every array; it is a declared dependency.
 """
@@ -41,21 +40,12 @@ from repro.obs import current_metrics
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.digraph import Graph
 
-#: ``graph.derived`` key prefix owned by CSR snapshots (see
-#: :mod:`repro.index.invalidation` for the hook that drops it).
-CSR_KEY_PREFIX = "csr-snapshot:"
+#: The ``graph.derived`` key of the graph's primary snapshot.
+CSR_SNAPSHOT_KEY = "csr-snapshot:graph"
 
-#: The cache key of the graph's primary snapshot.
-CSR_SNAPSHOT_KEY = CSR_KEY_PREFIX + "graph"
-
-#: ``graph.derived`` key prefix owned by *patched* (overlay-form)
-#: snapshots.  Registered with the same invalidation hook as
-#: :data:`CSR_KEY_PREFIX` so a structural mutation drops a patched
-#: snapshot exactly like a flat one.
-CSR_OVERLAY_KEY_PREFIX = "csr-overlay:"
-
-#: The cache key of the graph's patched snapshot, when one is current.
-CSR_OVERLAY_SNAPSHOT_KEY = CSR_OVERLAY_KEY_PREFIX + "graph"
+#: The ``graph.derived`` key of the graph's patched snapshot, when one
+#: is current.
+CSR_OVERLAY_SNAPSHOT_KEY = "csr-overlay:graph"
 
 #: ``graph.extensions`` key of an attached :class:`SnapshotPatcher`.
 PATCHER_EXTENSION_KEY = "csr:snapshot-patcher"
@@ -1018,10 +1008,9 @@ def snapshot_of(graph: "Graph") -> CSRSnapshot:
     """The cached snapshot of ``graph``, building it on first use.
 
     The cache lives in ``graph.derived`` under :data:`CSR_SNAPSHOT_KEY`
-    (flat) or :data:`CSR_OVERLAY_SNAPSHOT_KEY` (patched), so the graph's
-    structural-mutation invalidation (blanket clear, or the targeted
-    invalidators of :mod:`repro.index.invalidation`) drops it exactly
-    when it goes stale.  With a :class:`SnapshotPatcher` attached, a
+    (flat) or :data:`CSR_OVERLAY_SNAPSHOT_KEY` (patched), which every
+    structural mutation clears, so it is dropped exactly when it goes
+    stale.  With a :class:`SnapshotPatcher` attached, a
     cold cache patches the previous flat base instead of recompiling
     when the accumulated delta is small.
     """

@@ -59,7 +59,6 @@ class Graph:
         "_frozen",
         "_removed",
         "_listeners",
-        "_invalidators",
         "derived",
         "extensions",
         "__weakref__",
@@ -77,11 +76,9 @@ class Graph:
         self._frozen = False
         self._removed: set[int] = set()
         self._listeners: list[Callable[[DeltaOp], None]] = []
-        self._invalidators: list[Callable[[], None]] = []
-        #: Cache for derived per-graph structures (e.g. descendant-count
-        #: indexes).  Invalidated on structural mutation — wholesale by
-        #: default, or through registered invalidators (see
-        #: :meth:`add_invalidator`) when any are attached.
+        #: Cache for structures derived from the current topology (the
+        #: CSR snapshot, descendant-count indexes).  Every structural
+        #: mutation clears it, whatever the key.
         self.derived: dict[Any, Any] = {}
         #: Persistent per-graph attachments (e.g. the graph's
         #: MatchViewManager).  Unlike :attr:`derived`, never cleared.
@@ -97,7 +94,6 @@ class Graph:
     #: topology, which pickles exactly).
     _TRANSIENT_SLOTS = (
         "_listeners",
-        "_invalidators",
         "derived",
         "extensions",
         "__weakref__",
@@ -132,7 +128,8 @@ class Graph:
             self._attrs[node] = dict(attrs)
         if self._label_index is not None:
             self._label_index.setdefault(label_id, []).append(node)
-        self._emit(DeltaOp(ADD_NODE, node=node, label=label, attrs=dict(attrs)))
+        if self._listeners:
+            self._emit(DeltaOp(ADD_NODE, node=node, label=label, attrs=dict(attrs)))
         return node
 
     def add_nodes(self, labels: Iterable[str]) -> list[int]:
@@ -158,7 +155,8 @@ class Graph:
         self._out[src].append(dst)
         self._in[dst].append(src)
         self._num_edges += 1
-        self._emit(DeltaOp(ADD_EDGE, src=src, dst=dst))
+        if self._listeners:
+            self._emit(DeltaOp(ADD_EDGE, src=src, dst=dst))
 
     def add_edges(self, edges: Iterable[tuple[int, int]]) -> None:
         """Bulk-add directed edges."""
@@ -171,15 +169,16 @@ class Graph:
         Emits a ``set_attrs`` change event: attribute values feed the
         predicate search conditions of Section 2.2 patterns, so
         registered match views must re-evaluate the node's candidacy.
-        Structural caches (descendant counts) are label-based and stay
-        valid, so no derived-cache invalidation happens here.
+        Everything in :attr:`derived` depends on topology and labels
+        only, so nothing there is cleared.
         """
         self._check_node(node)
         self._check_frozen()
         if node in self._removed:
             raise GraphError(f"node {node} is removed")
         self._attrs.setdefault(node, {}).update(attrs)
-        self._emit(DeltaOp(SET_ATTRS, node=node, attrs=dict(attrs)))
+        if self._listeners:
+            self._emit(DeltaOp(SET_ATTRS, node=node, attrs=dict(attrs)))
 
     # ------------------------------------------------------------------
     # mutation (the incremental subsystem's update API)
@@ -198,7 +197,8 @@ class Graph:
         self._out[src].remove(dst)
         self._in[dst].remove(src)
         self._num_edges -= 1
-        self._emit(DeltaOp(REMOVE_EDGE, src=src, dst=dst))
+        if self._listeners:
+            self._emit(DeltaOp(REMOVE_EDGE, src=src, dst=dst))
 
     def remove_node(self, node: int) -> None:
         """Remove ``node`` and all incident edges.
@@ -230,7 +230,8 @@ class Graph:
         # (e.g. the CSR snapshot) mid-removal, while the node still
         # counted as live.
         self._invalidate_caches()
-        self._emit(DeltaOp(REMOVE_NODE, node=node))
+        if self._listeners:
+            self._emit(DeltaOp(REMOVE_NODE, node=node))
 
     def apply_delta(self, ops: Iterable[DeltaOp]) -> list[int | None]:
         """Apply a batch of :class:`DeltaOp` in order.
@@ -277,25 +278,6 @@ class Graph:
                 self._listeners.remove(listener)
 
         return unsubscribe
-
-    def add_invalidator(self, invalidator: Callable[[], None]) -> Callable[[], None]:
-        """Register a targeted cache invalidator; returns a detacher.
-
-        While at least one invalidator is registered, structural
-        mutations call the invalidators *instead of* blanket-clearing
-        :attr:`derived` — entries the invalidators leave alone survive
-        the mutation.  Registering one therefore asserts that, between
-        them, the registered invalidators drop every mutation-sensitive
-        cache (see :func:`repro.index.invalidation.attach_index_invalidation`
-        for the descendant-index one).
-        """
-        self._invalidators.append(invalidator)
-
-        def detach() -> None:
-            if invalidator in self._invalidators:
-                self._invalidators.remove(invalidator)
-
-        return detach
 
     def _emit(self, op: DeltaOp) -> None:
         for listener in tuple(self._listeners):
@@ -438,9 +420,8 @@ class Graph:
         Returns a :class:`repro.graph.csr.CSRSnapshot` — a frozen,
         array-backed view of the current state that the matching hot
         paths scan instead of the mutable dict-of-lists adjacency.  The
-        snapshot is cached in :attr:`derived` and dropped by the same
-        invalidation that guards every other structural cache, so it is
-        always consistent with the graph.
+        snapshot is cached in :attr:`derived`, which every structural
+        mutation clears, so it is always consistent with the graph.
         """
         from repro.graph import csr
 
@@ -496,20 +477,18 @@ class Graph:
             raise GraphError("graph is frozen; call thaw() to mutate")
 
     def _invalidate_caches(self) -> None:
-        """Drop derived structural caches; called only on actual changes.
+        """Clear :attr:`derived`; called only on actual structural changes.
 
-        The label index is maintained incrementally by the mutation
-        methods.  Derived structural caches (descendant counts etc.)
-        can be changed by any edge: registered invalidators drop them
-        selectively; without any, the safe default is a blanket clear.
-        Failed mutations and no-ops (duplicate edge insertion) never
-        reach this, so warm indexes survive them.
+        This is the one invalidation rule for derived structures: any
+        edge can change a descendant count, and any node op changes the
+        id space a snapshot is indexed by, so every entry goes, whatever
+        its key.  State that must survive writes belongs in
+        :attr:`extensions`.  The label index is maintained
+        incrementally by the mutation methods.  Failed mutations and
+        no-ops (duplicate edge insertion) never reach this, so warm
+        caches survive them.
         """
-        if self._invalidators:
-            for invalidator in tuple(self._invalidators):
-                invalidator()
-        elif self.derived:
-            self.derived.clear()
+        self.derived.clear()
 
     def _check_node(self, node: int) -> None:
         if not (0 <= node < len(self._label_of)):

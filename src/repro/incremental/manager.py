@@ -4,8 +4,6 @@ A :class:`MatchViewManager` names the views registered on one graph.
 It owns one :class:`~repro.session.cache.SessionCache`, which subscribes
 to the graph's change events and repairs every registered pattern's
 relation at each write, so views of equal patterns share one relation.
-It also attaches the targeted descendant-index invalidation hook of
-:mod:`repro.index.invalidation`.
 
 One manager exists per graph; :meth:`MatchViewManager.for_graph` hands
 out the shared instance, stored in ``graph.extensions`` — the graph and
@@ -22,7 +20,6 @@ from repro.errors import MatchingError
 from repro.graph.delta import DeltaOp
 from repro.graph.digraph import Graph
 from repro.incremental.view import MatchView
-from repro.index.invalidation import attach_index_invalidation
 from repro.patterns.pattern import Pattern
 
 _EXTENSION_KEY = "incremental:match-view-manager"
@@ -45,7 +42,6 @@ class MatchViewManager:
         self.graph = graph
         self.views: dict[str, MatchView] = {}
         self.cache = SessionCache(graph)
-        self._detach_index_hook = attach_index_invalidation(graph)
         self._closed = False
 
     @classmethod
@@ -116,7 +112,6 @@ class MatchViewManager:
         """Detach from the graph and drop all views."""
         if not self._closed:
             self.cache.close()
-            self._detach_index_hook()
             self.views.clear()
             if self.graph.extensions.get(_EXTENSION_KEY) is self:
                 del self.graph.extensions[_EXTENSION_KEY]

@@ -1,16 +1,5 @@
 """Indexes supporting early termination (descendant label counts)."""
 
-from repro.index.invalidation import (
-    attach_index_invalidation,
-    descendant_cache_keys,
-    invalidate_descendant_indexes,
-)
-from repro.index.label_index import BOUND_STRATEGIES, BoundIndex
+from repro.index.label_index import BoundIndex
 
-__all__ = [
-    "BOUND_STRATEGIES",
-    "BoundIndex",
-    "attach_index_invalidation",
-    "descendant_cache_keys",
-    "invalidate_descendant_indexes",
-]
+__all__ = ["BoundIndex"]

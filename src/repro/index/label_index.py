@@ -6,29 +6,16 @@ a same label, and efficiently estimates v.h by aggregating the numbers."*
 
 The only property Proposition 3 needs from ``v.h`` is soundness:
 ``v.h ≥ δr(u, v)`` for every candidate that may still become a match.
-Tighter bounds fire the termination test earlier.  Four strategies:
-
-``global``
-    ``v.h = C_u = Σ_{u' : u ⇝ u'} |can(u')|`` — no per-node index at all;
-    every candidate of ``u`` shares one bound.  O(1) per candidate.
-
-``counting``
-    Over-counting descendant label counts via a condensation DP (shared
-    descendants are counted once per path — sound but loose on graphs
-    with many parallel paths).
-
-``exact``
-    Exact distinct-descendant counts per label, any depth (bitset DP on
-    the condensation; see :mod:`repro.index.descendants`).
-
-``hop`` (default)
-    Exact distinct-descendant counts *within the pattern-path radius*:
-    matches of a query node ``u'`` at longest pattern-path distance ``d``
-    from ``u`` can only sit within ``d`` graph hops, so the bound
-    ``Σ_{u'} min(|can(u')|, D(v, ℓ(u'), d(u')))`` is far tighter than the
-    unbounded count.  Query nodes behind pattern cycles (unbounded
-    radius) fall back to the exact unbounded count.  This is the strategy
-    that reproduces the tight ``C_u(v)`` values of Example 7.
+Tighter bounds fire the termination test earlier.  :class:`BoundIndex`
+counts exact distinct descendants *within the pattern-path radius*
+(the ``hop`` bound): matches of a query node ``u'`` at longest
+pattern-path distance ``d`` from ``u`` can only sit within ``d`` graph
+hops, so the bound ``Σ_{u'} min(|can(u')|, D(v, ℓ(u'), d(u')))`` is far
+tighter than the unbounded count.  Query nodes behind pattern cycles
+(unbounded radius) fall back to the exact unbounded count (see
+:mod:`repro.index.descendants`).  This reproduces the tight ``C_u(v)``
+values of Example 7.  Every bound is capped by
+``C_u = Σ_{u' : u ⇝ u'} |can(u')|`` (:meth:`BoundIndex.global_bound`).
 
 The per-label count arrays are graph-level caches (built lazily, reused
 across queries), so per-query initialisation is the ``O(|Q||G|)``
@@ -43,7 +30,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.errors import MatchingError
 from repro.graph.algorithms import condensation
 from repro.graph.digraph import Graph
 from repro.index.descendants import hop_counts, unbounded_counts
@@ -54,10 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.algorithms import Condensation
     from repro.graph.csr import CSRSnapshot
 
-BOUND_STRATEGIES = ("global", "counting", "exact", "hop")
-
-_COUNTING_KEY = "descendant-index:counting"
-
 
 class BoundIndex:
     """Sound upper bounds ``v.h`` on ``δr(u, v)`` for every candidate."""
@@ -67,16 +49,10 @@ class BoundIndex:
         pattern: Pattern,
         graph: Graph,
         candidates: CandidateSets,
-        strategy: str = "hop",
     ) -> None:
-        if strategy not in BOUND_STRATEGIES:
-            raise MatchingError(
-                f"unknown bound strategy {strategy!r}; expected one of {BOUND_STRATEGIES}"
-            )
         self.pattern = pattern
         self.graph = graph
         self.candidates = candidates
-        self.strategy = strategy
 
         analysis = pattern.analysis
         # C_u per query node: total candidates of everything u reaches.
@@ -98,8 +74,6 @@ class BoundIndex:
     def upper(self, u: int, v: int) -> int:
         """A sound upper bound on ``δr(u, v) = |R(u, v)|``."""
         cap = self._global_bound[u]
-        if self.strategy == "global":
-            return cap
         sources = self._sources.get(u)
         if sources is None:
             sources = self._build_sources(u)
@@ -118,12 +92,7 @@ class BoundIndex:
     def _build_sources(self, u: int) -> list[tuple[int, Sequence[int]]]:
         analysis = self.pattern.analysis
         graph = self.graph
-        depths = (
-            analysis.max_path_lengths_from(u) if self.strategy == "hop" else {}
-        )
-        counting = (
-            self._counting_counts() if self.strategy == "counting" else None
-        )
+        depths = analysis.max_path_lengths_from(u)
         # Group the reachable query nodes by label: distinct relevant-set
         # members with label ℓ are bounded by ONE descendant count (taken
         # at the deepest radius of the group), not one count per query
@@ -135,7 +104,7 @@ class BoundIndex:
             if label_id is None:
                 continue
             can_count = self.candidates.count(target)
-            depth = depths.get(target) if self.strategy == "hop" else None
+            depth = depths.get(target)
             prior = grouped.get(label_id)
             if prior is None:
                 grouped[label_id] = (can_count, depth)
@@ -148,95 +117,31 @@ class BoundIndex:
                 )
                 grouped[label_id] = (prior_can + can_count, merged_depth)
 
-        # Match paths can only traverse pattern-labelled nodes, so the
-        # "hop" strategy restricts reachability to that label set — unless
-        # a wildcard query node can sit on a path (then any label may).
+        # Match paths can only traverse pattern-labelled nodes, so
+        # reachability is restricted to that label set — unless a
+        # wildcard query node can sit on a path (then any label may).
         within: frozenset[int] | None = None
-        if self.strategy == "hop":
-            label_ids: set[int] = set()
-            wildcard = False
-            for node in self.pattern.nodes():
-                name = self.pattern.label(node)
-                if name == WILDCARD_LABEL:
-                    wildcard = True
-                    break
-                lid = graph.labels.get(name)
-                if lid is not None:
-                    label_ids.add(lid)
-            if not wildcard:
-                within = frozenset(label_ids)
+        label_ids: set[int] = set()
+        wildcard = False
+        for node in self.pattern.nodes():
+            name = self.pattern.label(node)
+            if name == WILDCARD_LABEL:
+                wildcard = True
+                break
+            lid = graph.labels.get(name)
+            if lid is not None:
+                label_ids.add(lid)
+        if not wildcard:
+            within = frozenset(label_ids)
 
         sources: list[tuple[int, Sequence[int]]] = []
         for label_id, (can_count, depth) in grouped.items():
-            if self.strategy == "counting":
-                assert counting is not None
-                counts: Sequence[int] = counting.get(label_id, _ZEROS(graph.num_nodes))
-            elif self.strategy == "exact":
-                counts = unbounded_counts(graph, label_id)
-            elif depth is None:
+            if depth is None:
                 counts = unbounded_counts(graph, label_id, within)
-            else:  # hop with a finite radius
+            else:
                 counts = hop_counts(graph, label_id, max(1, depth), within)
             sources.append((can_count, counts))
         return sources
-
-    def _counting_counts(self) -> dict[int, list[int]]:
-        """Over-counting descendant label counts (graph-level cache)."""
-        cached = self.graph.derived.get(_COUNTING_KEY)
-        if cached is not None:
-            return cached
-        graph = self.graph
-        cond = condensation(graph)
-        self_loops = {v for v in graph.nodes() if graph.has_edge(v, v)}
-
-        comp_label: list[dict[int, int]] = []
-        for members in cond.components:
-            counter: dict[int, int] = {}
-            for v in members:
-                lid = graph.label_id(v)
-                counter[lid] = counter.get(lid, 0) + 1
-            comp_label.append(counter)
-
-        full: list[dict[int, int]] = [dict() for _ in cond.components]
-        for comp in range(cond.num_components):
-            acc: dict[int, int] = {}
-            members = cond.components[comp]
-            nontrivial = len(members) > 1 or (
-                len(members) == 1 and members[0] in self_loops
-            )
-            if nontrivial:
-                for lid, count in comp_label[comp].items():
-                    acc[lid] = acc.get(lid, 0) + count
-            for child in cond.comp_succ[comp]:
-                for lid, count in comp_label[child].items():
-                    acc[lid] = acc.get(lid, 0) + count
-                for lid, count in full[child].items():
-                    acc[lid] = acc.get(lid, 0) + count
-            full[comp] = acc
-
-        per_label: dict[int, list[int]] = {}
-        for v in graph.nodes():
-            for lid, count in full[cond.comp_of[v]].items():
-                column = per_label.get(lid)
-                if column is None:
-                    column = [0] * graph.num_nodes
-                    per_label[lid] = column
-                column[v] = count
-        self.graph.derived[_COUNTING_KEY] = per_label
-        return per_label
-
-
-class _ZEROS(Sequence[int]):
-    """An all-zero virtual column (labels absent from the graph)."""
-
-    def __init__(self, length: int) -> None:
-        self._length = length
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, index: Any) -> int:  # type: ignore[override]
-        return 0
 
 
 class SimBoundIndex:

@@ -14,16 +14,6 @@ from pathlib import Path
 from repro.analysis.core import AnalysisReport, Project, load_project, run_analysis
 from repro.analysis.rules import ALL_RULES, get_rule
 
-#: A minimal invalidation registry module, included whenever an R1
-#: fixture needs registered prefixes to validate derived keys against.
-INVALIDATION_FIXTURE = """
-    DESC_PREFIX = "descendant-index:"
-    CSR_PREFIX = "csr-snapshot:"
-
-    STRUCTURAL_KEY_PREFIXES = (DESC_PREFIX, CSR_PREFIX)
-"""
-
-
 def build_project(tmp_path: Path, files: dict[str, str]) -> Project:
     """Write a fixture tree and load every file in it."""
     for rel, source in files.items():

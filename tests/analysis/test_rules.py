@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from _fixtures import INVALIDATION_FIXTURE, check
+from _fixtures import check
 
 # ----------------------------------------------------------------------
-# R1 part A — digraph mutators must invalidate before emitting
+# R1 — digraph mutators must invalidate before emitting
 # ----------------------------------------------------------------------
 
 
@@ -59,6 +59,42 @@ class TestR1Mutators:
         )
         assert report.new == []
 
+    def test_listener_guarded_emit_still_checked(self, tmp_path):
+        # An emit nested under ``if self._listeners:`` is still the
+        # mutator's structural emit.
+        report = check(
+            tmp_path,
+            {
+                "src/repro/graph/digraph.py": """
+                    class Graph:
+                        def add_edge(self, u, v):
+                            self._adj[u].append(v)
+                            if self._listeners:
+                                self._emit(DeltaOp(ADD_EDGE, u, v))
+                """
+            },
+            "R1",
+        )
+        assert len(report.new) == 1
+        assert "mutator-missing-invalidate:add_edge" in report.new[0].detail
+
+    def test_listener_guarded_emit_after_invalidate_clean(self, tmp_path):
+        report = check(
+            tmp_path,
+            {
+                "src/repro/graph/digraph.py": """
+                    class Graph:
+                        def add_edge(self, u, v):
+                            self._invalidate_caches()
+                            self._adj[u].append(v)
+                            if self._listeners:
+                                self._emit(DeltaOp(ADD_EDGE, u, v))
+                """
+            },
+            "R1",
+        )
+        assert report.new == []
+
     def test_set_attrs_exempt_by_design(self, tmp_path):
         # SET_ATTRS is not structural: no invalidation required.
         report = check(
@@ -74,133 +110,6 @@ class TestR1Mutators:
             "R1",
         )
         assert report.new == []
-
-
-# ----------------------------------------------------------------------
-# R1 part B — graph.derived writers must use registered prefixes
-# ----------------------------------------------------------------------
-
-
-class TestR1DerivedWriters:
-    def test_unregistered_key_flagged(self, tmp_path):
-        report = check(
-            tmp_path,
-            {
-                "src/repro/index/invalidation.py": INVALIDATION_FIXTURE,
-                "src/repro/index/rogue.py": """
-                    def store(graph, value):
-                        graph.derived["rogue-cache:main"] = value
-                """,
-            },
-            "R1",
-        )
-        assert len(report.new) == 1
-        assert "derived-key-unregistered:rogue-cache:main" in report.new[0].detail
-
-    def test_unresolvable_key_flagged(self, tmp_path):
-        report = check(
-            tmp_path,
-            {
-                "src/repro/index/invalidation.py": INVALIDATION_FIXTURE,
-                "src/repro/index/dynamic.py": """
-                    def store(graph, key, value):
-                        graph.derived[key] = value
-                """,
-            },
-            "R1",
-        )
-        assert len(report.new) == 1
-        assert report.new[0].detail == "derived-key-unresolvable"
-
-    def test_cross_module_prefix_constant_clean(self, tmp_path):
-        # The key folds through an imported constant to a registered
-        # prefix — exactly how descendants.py / csr.py build theirs.
-        report = check(
-            tmp_path,
-            {
-                "src/repro/index/invalidation.py": INVALIDATION_FIXTURE,
-                "src/repro/index/descendants.py": """
-                    from repro.index.invalidation import DESC_PREFIX
-
-                    KEY = DESC_PREFIX + "main"
-
-                    def store(graph, value):
-                        graph.derived[KEY] = value
-                """,
-            },
-            "R1",
-        )
-        assert report.new == []
-
-    def test_setdefault_writes_are_checked_too(self, tmp_path):
-        report = check(
-            tmp_path,
-            {
-                "src/repro/index/invalidation.py": INVALIDATION_FIXTURE,
-                "src/repro/index/lazy.py": """
-                    def store(graph):
-                        return graph.derived.setdefault("oops:x", {})
-                """,
-            },
-            "R1",
-        )
-        assert len(report.new) == 1
-        assert "derived-key-unregistered:oops:x" in report.new[0].detail
-
-    def test_overlay_key_without_registered_prefix_flagged(self, tmp_path):
-        # A snapshot-patcher caching an overlay under an unregistered
-        # prefix would be invisible to wholesale invalidation sweeps.
-        report = check(
-            tmp_path,
-            {
-                "src/repro/index/invalidation.py": INVALIDATION_FIXTURE,
-                "src/repro/graph/patcher.py": """
-                    def cache_overlay(graph, snap):
-                        graph.derived["csr-overlay:graph"] = snap
-                """,
-            },
-            "R1",
-        )
-        assert len(report.new) == 1
-        assert (
-            "derived-key-unregistered:csr-overlay:graph"
-            in report.new[0].detail
-        )
-
-    def test_overlay_key_clean_once_prefix_registered(self, tmp_path):
-        # Clean twin: the registry carries the overlay prefix and the
-        # writer folds it through an imported constant, like csr.py.
-        registry = """
-            DESC_PREFIX = "descendant-index:"
-            CSR_PREFIX = "csr-snapshot:"
-            OVERLAY_PREFIX = "csr-overlay:"
-
-            STRUCTURAL_KEY_PREFIXES = (DESC_PREFIX, CSR_PREFIX, OVERLAY_PREFIX)
-        """
-        report = check(
-            tmp_path,
-            {
-                "src/repro/index/invalidation.py": registry,
-                "src/repro/graph/patcher.py": """
-                    from repro.index.invalidation import OVERLAY_PREFIX
-
-                    OVERLAY_KEY = OVERLAY_PREFIX + "graph"
-
-                    def cache_overlay(graph, snap):
-                        graph.derived[OVERLAY_KEY] = snap
-                """,
-            },
-            "R1",
-        )
-        assert report.new == []
-
-    def test_real_registry_covers_overlay_prefix(self):
-        # The shipped registry must keep the overlay prefix registered —
-        # dropping it would orphan every cached patched snapshot.
-        from repro.graph.csr import CSR_OVERLAY_KEY_PREFIX
-        from repro.index.invalidation import STRUCTURAL_KEY_PREFIXES
-
-        assert CSR_OVERLAY_KEY_PREFIX in STRUCTURAL_KEY_PREFIXES
 
 
 # ----------------------------------------------------------------------

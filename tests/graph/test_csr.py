@@ -116,18 +116,17 @@ class TestCachingAndInvalidation:
         g.set_attrs(0, score=3)
         assert g.snapshot() is before
 
-    def test_targeted_invalidators_drop_snapshot(self):
-        # With a MatchViewManager attached, the graph switches from the
-        # blanket derived-cache clear to targeted invalidators — the CSR
-        # snapshot must be covered by them.
+    def test_write_under_manager_drops_every_derived_entry(self):
+        # A MatchViewManager changes nothing about invalidation: a write
+        # clears graph.derived whole, the snapshot and any other key.
         g = small_graph()
         manager = MatchViewManager.for_graph(g)
         manager.register(pattern_from_edges(["A", "B"], [(0, 1)], output=0))
         snap = g.snapshot()
-        g.derived["user:custom"] = "survives"
+        g.derived["user:custom"] = "dropped"
         g.add_edge(4, 2)
         assert g.derived.get(CSR_SNAPSHOT_KEY) is not snap
-        assert g.derived["user:custom"] == "survives"
+        assert "user:custom" not in g.derived
         fresh = g.snapshot()
         assert fresh.num_edges == g.num_edges
         manager.close()

@@ -3,8 +3,16 @@
 import pytest
 
 from repro.errors import GraphError
-from repro.graph.delta import DeltaOp
+from repro.graph.delta import (
+    ADD_EDGE,
+    ADD_NODE,
+    REMOVE_EDGE,
+    REMOVE_NODE,
+    SET_ATTRS,
+    DeltaOp,
+)
 from repro.graph.digraph import Graph
+from repro.graph.io import load_json, save_json
 
 
 @pytest.fixture()
@@ -137,6 +145,51 @@ class TestChangeEvents:
         unsubscribe()
         diamond.add_node("E")
         assert seen == []
+
+    def test_unobserved_mutations_build_no_ops(self, diamond, tmp_path, monkeypatch):
+        # Without a listener no DeltaOp is built, so a load pays none.
+        from repro.graph import digraph
+
+        built = []
+
+        def counting_op(*args, **kwargs):
+            built.append(args[0])
+            return DeltaOp(*args, **kwargs)
+
+        monkeypatch.setattr(digraph, "DeltaOp", counting_op)
+        path = tmp_path / "g.json"
+        save_json(diamond, path)
+        g = load_json(path)
+        g.set_attrs(0, views=1)
+        g.remove_node(1)
+        assert built == []
+        g.add_listener(lambda op: None)
+        g.add_edge(0, 3)
+        g.remove_edge(0, 3)
+        assert built == [ADD_EDGE, REMOVE_EDGE]
+
+    def test_listener_attached_after_load_sees_every_op(self, diamond, tmp_path):
+        # The loader's mutations build no events (nothing listens); a
+        # listener attached afterwards sees every later op, in order.
+        path = tmp_path / "g.json"
+        save_json(diamond, path)
+        g = load_json(path)
+        seen = []
+        g.add_listener(seen.append)
+        node = g.add_node("E", views=3)
+        g.add_edge(3, node)
+        g.set_attrs(node, views=4)
+        g.remove_edge(0, 1)
+        g.remove_node(2)
+        assert seen == [
+            DeltaOp(ADD_NODE, node=node, label="E", attrs={"views": 3}),
+            DeltaOp(ADD_EDGE, src=3, dst=node),
+            DeltaOp(SET_ATTRS, node=node, attrs={"views": 4}),
+            DeltaOp(REMOVE_EDGE, src=0, dst=1),
+            DeltaOp(REMOVE_EDGE, src=2, dst=3),
+            DeltaOp(REMOVE_EDGE, src=0, dst=2),
+            DeltaOp(REMOVE_NODE, node=2),
+        ]
 
 
 class TestFreezeThaw:

@@ -35,7 +35,7 @@ def test_graph_roundtrip_preserves_topology_and_drops_wiring():
         graph.label(v) for v in graph.nodes()
     ]
     assert copy.attr(0, "weight") == 7
-    assert copy._listeners == [] and copy._invalidators == []
+    assert copy._listeners == []
     assert copy.derived == {} and copy.extensions == {}
 
 
