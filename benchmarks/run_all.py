@@ -100,7 +100,7 @@ def _batch_serving_table(registry: MetricsRegistry, workers: int) -> None:
     ]
     rows = []
     for arm_workers in (0, workers):
-        config = ExecutionConfig(workers=arm_workers, metrics=True)
+        config = ExecutionConfig(workers=arm_workers)
         with MatchSession(graph, config=config) as session:
             started = time.perf_counter()
             results = session.run_batch(specs)

@@ -38,16 +38,12 @@ per-query recomputation:
 >>> top = view.top_k()                                 # doctest: +SKIP
 
 **Observability.**  Every one-shot call (and every session query) runs
-through the instrumented engine wrappers of :mod:`repro.obs`:
-``ExecutionConfig(trace=True)`` records phase spans into the
-process-default tracer, ``ExecutionConfig(metrics=True)`` publishes
-engine counters, cache hit/miss ratios and latency histograms to the
-process-default registry, and a run slower than
-``ExecutionConfig(slow_query_seconds=...)`` (or the
-``REPRO_SLOW_QUERY_SECONDS`` environment default) WARNs on the
+through the instrumented engine wrappers of :mod:`repro.obs`.  A run
+slower than ``ExecutionConfig(slow_query_seconds=...)`` WARNs on the
 ``repro.slowquery`` logger — one-shot shims included, not just
-batches.  Install your own collectors with
-:func:`repro.obs.use_tracer` / :func:`repro.obs.use_metrics`:
+batches.  Phase spans, engine counters, cache hit/miss ratios and
+latency histograms go to the ambient collectors, which
+:func:`repro.obs.use_tracer` / :func:`repro.obs.use_metrics` install:
 
 >>> from repro.obs import Tracer, use_tracer                        # doctest: +SKIP
 >>> with use_tracer(Tracer()) as t:                                 # doctest: +SKIP
@@ -71,21 +67,6 @@ from repro.ranking.relevance import RelevanceFunction
 from repro.session import ExecutionConfig, MatchSession
 from repro.simulation.match import SimulationResult, maximal_simulation
 from repro.topk.result import TopKResult
-
-
-def execution_session(
-    graph: Graph,
-    config: ExecutionConfig | None = None,
-    on_mutation: str = "refuse",
-) -> MatchSession:
-    """Open a :class:`MatchSession` over ``graph`` (batched serving).
-
-    Convenience re-export so ``api`` stays a one-stop facade::
-
-        with api.execution_session(graph) as session:
-            results = session.run_batch(specs)
-    """
-    return MatchSession(graph, config=config, on_mutation=on_mutation)
 
 
 def find_matches(pattern: Pattern, graph: Graph) -> SimulationResult:

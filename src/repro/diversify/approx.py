@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import MatchingError
 from repro.graph.digraph import Graph
-from repro.obs import instrumentation, record_run
+from repro.obs import record_run
 from repro.patterns.pattern import Pattern
 from repro.ranking.context import RankingContext
 from repro.ranking.diversification import DiversificationObjective
@@ -56,67 +56,65 @@ def top_k_diversified_approx(
 
     ``objective`` overrides the default (normalised δ'r + Jaccard δd) with
     a generalised ``F*`` (Proposition 6 preserves the ratio).  ``context``
-    reuses an existing full evaluation.  ``config=`` carries the run's
-    observability settings (``TopKDiv`` scores every match, so
+    reuses an existing full evaluation.  ``config=`` carries the
+    slow-query threshold (``TopKDiv`` scores every match, so
     ``optimized`` does not apply), and ``cache`` (a session's artifact
     store) serves the full evaluation as a shared
     :class:`RankingContext`.
     """
-    cfg = config if config is not None else ExecutionConfig()
     if k < 1:
         raise MatchingError(f"k must be positive; got {k}")
     pattern.validate()
     started = time.perf_counter()
 
-    with instrumentation(cfg):
-        if context is None:
-            if cache is not None:
-                context = cache.ranking_context(pattern)
-            else:
-                context = RankingContext(pattern, graph)
-        stats = EngineStats()
-        if not context.simulation.total:
-            stats.total_matches = 0
-            stats.elapsed_seconds = time.perf_counter() - started
-            return record_run(
-                TopKResult([], {}, "TopKDiv", stats), pattern, k, cfg
-            )
-
-        obj = objective if objective is not None else DiversificationObjective(lam=lam, k=k)
-        if obj.k != k:
-            raise MatchingError(f"objective is configured for k={obj.k}, not k={k}")
-        obj.prepare(context)
-
-        matches = context.matches
-        relevant = context.relevant
-        # δ'r once per match; each pair weight is F'(v1, v2) of
-        # DiversificationObjective.pair_objective, term for term.
-        value = {v: obj.relevance.value(context, v, relevant[v]) for v in matches}
-        keep = (1.0 - obj.lam) / (k - 1) if k > 1 else 0.0
-        spread = 2.0 * obj.lam / (k - 1) if k > 1 else 0.0
-        distance = obj.distance.distance
-
-        def pair_weight(v1: int, v2: int) -> float:
-            d = distance(context, v1, relevant[v1], v2, relevant[v2])
-            return keep * (value[v1] + value[v2]) + spread * d
-
-        def single_weight(v: int) -> float:
-            return (1.0 - obj.lam) * value[v]
-
-        # The pair weights to S already carry v's relevance term, so the
-        # singleton weight counts only when S is empty (k = 1).
-        selected = greedy_max_dispersion(
-            matches, k, pair_weight, single_weight if k == 1 else None
-        )
-
-        scores = {v: value[v] for v in selected}
-        objective_value = obj.score_matches(context, selected)
-        stats.inspected_matches = len(matches)
-        stats.total_matches = len(matches)
+    if context is None:
+        if cache is not None:
+            context = cache.ranking_context(pattern)
+        else:
+            context = RankingContext(pattern, graph)
+    stats = EngineStats()
+    if not context.simulation.total:
+        stats.total_matches = 0
         stats.elapsed_seconds = time.perf_counter() - started
         return record_run(
-            TopKResult(selected, scores, "TopKDiv", stats, objective_value),
-            pattern,
-            k,
-            cfg,
+            TopKResult([], {}, "TopKDiv", stats), pattern, k, config
         )
+
+    obj = objective if objective is not None else DiversificationObjective(lam=lam, k=k)
+    if obj.k != k:
+        raise MatchingError(f"objective is configured for k={obj.k}, not k={k}")
+    obj.prepare(context)
+
+    matches = context.matches
+    relevant = context.relevant
+    # δ'r once per match; each pair weight is F'(v1, v2) of
+    # DiversificationObjective.pair_objective, term for term.
+    value = {v: obj.relevance.value(context, v, relevant[v]) for v in matches}
+    keep = (1.0 - obj.lam) / (k - 1) if k > 1 else 0.0
+    spread = 2.0 * obj.lam / (k - 1) if k > 1 else 0.0
+    distance = obj.distance.distance
+
+    def pair_weight(v1: int, v2: int) -> float:
+        d = distance(context, v1, relevant[v1], v2, relevant[v2])
+        return keep * (value[v1] + value[v2]) + spread * d
+
+    def single_weight(v: int) -> float:
+        return (1.0 - obj.lam) * value[v]
+
+    # The pair weights to S already carry v's relevance term, so the
+    # singleton weight counts only when S is empty (k = 1).
+    selected = greedy_max_dispersion(
+        matches, k, pair_weight, single_weight if k == 1 else None
+    )
+
+    scores = {v: value[v] for v in selected}
+    objective_value = obj.score_matches(context, selected)
+    stats.inspected_matches = len(matches)
+    stats.total_matches = len(matches)
+    stats.elapsed_seconds = time.perf_counter() - started
+    return record_run(
+        TopKResult(selected, scores, "TopKDiv", stats, objective_value),
+        pattern,
+        k,
+        config,
+    )

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import MatchingError
 from repro.graph.digraph import Graph
-from repro.obs import instrumentation, record_run
+from repro.obs import record_run
 from repro.patterns.pattern import Pattern
 from repro.ranking.diversification import DiversificationObjective
 from repro.session.config import ExecutionConfig
@@ -62,17 +62,16 @@ def top_k_diversified_heuristic(
         raise MatchingError(f"objective is configured for k={obj.k}, not k={k}")
     cfg = ExecutionConfig.adapt(config, optimized=optimized, seed=seed)
     name = "TopKDAGDH" if pattern.is_dag() else "TopKDH"
-    with instrumentation(cfg):
-        started = time.perf_counter()
-        engine = TopKEngine(
-            pattern,
-            graph,
-            k,
-            policy=DiversifiedPolicy(obj),
-            algorithm_name=name,
-            config=cfg,
-            cache=cache,
-        )
-        result = engine.run()
-        result.stats.elapsed_seconds = time.perf_counter() - started
-        return record_run(result, pattern, k, cfg)
+    started = time.perf_counter()
+    engine = TopKEngine(
+        pattern,
+        graph,
+        k,
+        policy=DiversifiedPolicy(obj),
+        algorithm_name=name,
+        config=cfg,
+        cache=cache,
+    )
+    result = engine.run()
+    result.stats.elapsed_seconds = time.perf_counter() - started
+    return record_run(result, pattern, k, cfg)

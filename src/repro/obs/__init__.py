@@ -5,41 +5,31 @@ stdlib only).  Three pieces:
 
 * :mod:`repro.obs.trace` — contextvar-based nested spans with events,
   exception tagging and JSON-lines export;
-* :mod:`repro.obs.metrics` — a named counter/gauge/histogram registry
-  with JSON and Prometheus text exporters;
+* :mod:`repro.obs.metrics` — a named counter/histogram registry with
+  JSON and Prometheus text exporters;
 * :mod:`repro.obs.slowlog` — the per-query slow-query log every engine
   wrapper feeds.
 
 Instrumentation sites consult the *ambient* collectors
-(:func:`current_tracer` / :func:`current_metrics`): install them with
-:func:`use_tracer` / :func:`use_metrics`, or let
-``ExecutionConfig(trace=True, metrics=True)`` install the process
-defaults per run via :func:`instrumentation`.  With nothing installed
-every hook is a strict no-op (one contextvar read per phase boundary).
+(:func:`current_tracer` / :func:`current_metrics`), and
+:func:`use_tracer` / :func:`use_metrics` are the only way to install
+them.  With nothing installed every hook is a strict no-op (one
+contextvar read per phase boundary).  :func:`record_run` is every
+engine wrapper's epilogue: it publishes the run's stats and feeds the
+slow-query log.
 """
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     current_metrics,
     publish_engine_stats,
     use_metrics,
 )
-from repro.obs.runtime import (
-    default_metrics,
-    default_tracer,
-    instrumentation,
-    record_run,
-    reset_defaults,
-)
-from repro.obs.slowlog import (
-    SLOW_QUERY_ENV,
-    maybe_log_slow_query,
-    slow_query_threshold,
-)
+from repro.obs.runtime import record_run
+from repro.obs.slowlog import maybe_log_slow_query
 from repro.obs.trace import (
     TRACE_FORMAT,
     Span,
@@ -55,25 +45,18 @@ from repro.obs.trace import (
 __all__ = [
     "DEFAULT_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SLOW_QUERY_ENV",
     "Span",
     "SpanEvent",
     "TRACE_FORMAT",
     "Tracer",
     "current_metrics",
     "current_tracer",
-    "default_metrics",
-    "default_tracer",
-    "instrumentation",
     "load_jsonl",
     "maybe_log_slow_query",
     "publish_engine_stats",
     "record_run",
-    "reset_defaults",
-    "slow_query_threshold",
     "span_event",
     "trace",
     "use_metrics",

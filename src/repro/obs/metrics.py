@@ -1,4 +1,4 @@
-"""A zero-dependency metrics registry: counters, gauges, histograms.
+"""A zero-dependency metrics registry: counters and histograms.
 
 Modelled on the Prometheus client data model, small enough to live in
 the repo: a :class:`MetricsRegistry` owns named metrics, each metric
@@ -124,48 +124,6 @@ class Counter(_Metric):
         return lines
 
 
-class Gauge(_Metric):
-    """A value that can move both ways per label set."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str) -> None:
-        super().__init__(name, help)
-        self._values: dict[LabelKey, float] = {}
-
-    def set(self, value: float, **labels: Any) -> None:
-        with self._lock:
-            self._values[_label_key(labels)] = float(value)
-
-    def inc(self, value: float = 1.0, **labels: Any) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + value
-
-    def value(self, **labels: Any) -> float:
-        return self._values.get(_label_key(labels), 0.0)
-
-    def samples(self) -> Iterator[tuple[dict[str, str], float]]:
-        for key, value in sorted(self._values.items()):
-            yield dict(key), value
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "type": self.kind,
-            "help": self.help,
-            "samples": [
-                {"labels": labels, "value": value}
-                for labels, value in self.samples()
-            ],
-        }
-
-    def render(self) -> list[str]:
-        lines = [f"# HELP {self.name} {self.help}", f"# TYPE {self.name} gauge"]
-        for key, value in sorted(self._values.items()):
-            lines.append(f"{self.name}{_render_labels(key)} {_format(value)}")
-        return lines
-
-
 class Histogram(_Metric):
     """Cumulative-bucket histogram (Prometheus semantics)."""
 
@@ -277,9 +235,6 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(Counter, name, help)  # type: ignore[return-value]
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(Gauge, name, help)  # type: ignore[return-value]
-
     def histogram(
         self, name: str, help: str = "", buckets: tuple[float, ...] | None = None
     ) -> Histogram:
@@ -290,11 +245,11 @@ class MetricsRegistry:
         return self._metrics.get(name)
 
     def value(self, name: str, **labels: Any) -> float:
-        """Counter/gauge series value; 0.0 for unknown names or series."""
+        """Counter series value; 0.0 for unknown names or series."""
         metric = self._metrics.get(name)
-        if metric is None or isinstance(metric, Histogram):
+        if not isinstance(metric, Counter):
             return 0.0
-        return metric.value(**labels)  # type: ignore[union-attr]
+        return metric.value(**labels)
 
     def names(self) -> list[str]:
         return sorted(self._metrics)

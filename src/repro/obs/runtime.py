@@ -1,125 +1,25 @@
-"""Config-driven installation of the ambient tracer / metrics registry.
+"""The common epilogue of every algorithm wrapper.
 
-Instrumentation sites always consult the ambient contextvars
-(:func:`repro.obs.current_tracer` / :func:`repro.obs.current_metrics`);
-``ExecutionConfig.trace`` / ``ExecutionConfig.metrics`` merely ask for
-the *process-default* tracer/registry to be installed for the duration
-of a run.  :func:`instrumentation` is that installer — the engine
-wrappers and :class:`MatchSession` wrap their execution in it:
-
-* both flags off → the shared no-op context (one truthiness check, no
-  allocation — the strict-no-op guarantee);
-* a flag on with nothing installed → the process default goes ambient
-  for the block;
-* a flag on with a tracer/registry *already* ambient (e.g. a session
-  wrapped the batch and the wrapper wraps the query, or a caller used
-  :func:`use_tracer` directly) → idempotent no-op for that flag, so
-  explicitly installed collectors are never shadowed.
+Instrumentation sites consult the ambient collectors
+(:func:`repro.obs.current_tracer` / :func:`repro.obs.current_metrics`),
+which :func:`repro.obs.use_tracer` / :func:`repro.obs.use_metrics`
+install; with neither installed every hook is a no-op.
+:func:`record_run` is where a finished run meets them: it publishes the
+run's :class:`EngineStats` to the ambient registry and feeds the
+slow-query log.
 """
 
 from __future__ import annotations
 
-from types import TracebackType
 from typing import TYPE_CHECKING
 
-from repro.obs.metrics import (
-    MetricsRegistry,
-    current_metrics,
-    publish_engine_stats,
-    use_metrics,
-)
+from repro.obs.metrics import current_metrics, publish_engine_stats
 from repro.obs.slowlog import maybe_log_slow_query
-from repro.obs.trace import Tracer, current_tracer, use_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.patterns.pattern import Pattern
     from repro.session.config import ExecutionConfig
     from repro.topk.result import TopKResult
-
-_DEFAULT_TRACER: Tracer | None = None
-_DEFAULT_METRICS: MetricsRegistry | None = None
-
-
-def default_tracer() -> Tracer:
-    """The process-global tracer ``ExecutionConfig(trace=True)`` feeds."""
-    global _DEFAULT_TRACER
-    if _DEFAULT_TRACER is None:
-        _DEFAULT_TRACER = Tracer()
-    return _DEFAULT_TRACER
-
-
-def default_metrics() -> MetricsRegistry:
-    """The process-global registry ``ExecutionConfig(metrics=True)`` feeds."""
-    global _DEFAULT_METRICS
-    if _DEFAULT_METRICS is None:
-        _DEFAULT_METRICS = MetricsRegistry()
-    return _DEFAULT_METRICS
-
-
-def reset_defaults() -> None:
-    """Drop the process-global collectors (tests and CLI runs)."""
-    global _DEFAULT_TRACER, _DEFAULT_METRICS
-    _DEFAULT_TRACER = None
-    _DEFAULT_METRICS = None
-
-
-class _NullInstrumentation:
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> bool:
-        return False
-
-
-_NULL = _NullInstrumentation()
-
-
-class _Installer:
-    """Enters the needed ``use_tracer`` / ``use_metrics`` contexts."""
-
-    __slots__ = ("_trace", "_metrics", "_entered")
-
-    def __init__(self, trace: bool, metrics: bool) -> None:
-        self._trace = trace
-        self._metrics = metrics
-        self._entered: list[use_tracer | use_metrics] = []
-
-    def __enter__(self) -> None:
-        if self._trace and current_tracer() is None:
-            cm = use_tracer(default_tracer())
-            cm.__enter__()
-            self._entered.append(cm)
-        if self._metrics and current_metrics() is None:
-            cm = use_metrics(default_metrics())
-            cm.__enter__()
-            self._entered.append(cm)
-        return None
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> bool:
-        while self._entered:
-            self._entered.pop().__exit__(exc_type, exc, tb)
-        return False
-
-
-def instrumentation(
-    config: "ExecutionConfig | None",
-) -> "_NullInstrumentation | _Installer":
-    """The context manager every execution surface wraps its run in."""
-    if config is None or not (config.trace or config.metrics):
-        return _NULL
-    return _Installer(config.trace, config.metrics)
 
 
 def record_run(
@@ -128,14 +28,13 @@ def record_run(
     k: int,
     config: "ExecutionConfig | None" = None,
 ) -> "TopKResult":
-    """The common epilogue of every algorithm wrapper.
+    """Publish one finished run and hand the result back unchanged.
 
-    Publishes the finished run's :class:`EngineStats` to the ambient
-    metrics registry (if any) and feeds the slow-query log, then hands
-    the result back unchanged — so each wrapper's last line is simply
-    ``return record_run(result, pattern, k, cfg)``.  Must be called
-    while any :func:`instrumentation` context is still open so the
-    config-installed registry is visible.
+    Publishes the run's :class:`EngineStats` to the ambient metrics
+    registry (if any) and feeds the slow-query log, so each wrapper's
+    last line is simply ``return record_run(result, pattern, k, cfg)``.
+    A pooled session calls it in the parent for each result a worker
+    executed, since workers run with no collectors and no threshold.
     """
     registry = current_metrics()
     if registry is not None:

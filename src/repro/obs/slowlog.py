@@ -7,9 +7,8 @@ wrappers (``top_k`` / ``top_k_dag`` / ``top_k_diversified_heuristic`` /
 calls :func:`maybe_log_slow_query` on completion, so single-call users
 get the same signal a serving batch does.
 
-The threshold resolves per query: ``ExecutionConfig.slow_query_seconds``
-when set, else the process default from the ``REPRO_SLOW_QUERY_SECONDS``
-environment variable, else off.  Logging goes through the stdlib
+The threshold is ``ExecutionConfig.slow_query_seconds``; ``None`` (the
+default) turns the log off.  Logging goes through the stdlib
 ``repro.slowquery`` logger — wire a handler (or ``logging.basicConfig``)
 to see it; nothing is printed by default.
 """
@@ -17,35 +16,13 @@ to see it; nothing is printed by default.
 from __future__ import annotations
 
 import logging
-import os
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.patterns.pattern import Pattern
     from repro.session.config import ExecutionConfig
 
-SLOW_QUERY_ENV = "REPRO_SLOW_QUERY_SECONDS"
-
 logger = logging.getLogger("repro.slowquery")
-
-
-def default_threshold() -> float | None:
-    """The process-wide threshold from the environment, or ``None``."""
-    raw = os.environ.get(SLOW_QUERY_ENV)
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
-def slow_query_threshold(config: "ExecutionConfig | None") -> float | None:
-    """The effective threshold for one query (config beats environment)."""
-    if config is not None and config.slow_query_seconds is not None:
-        return config.slow_query_seconds
-    return default_threshold()
 
 
 def maybe_log_slow_query(
@@ -55,13 +32,13 @@ def maybe_log_slow_query(
     elapsed_seconds: float,
     config: "ExecutionConfig | None" = None,
 ) -> bool:
-    """Log ``algorithm``'s run if it breached the threshold.
+    """Log ``algorithm``'s run if it breached ``config``'s threshold.
 
     Returns whether a line was emitted (tests and callers can branch on
-    it).  Disabled (no threshold anywhere) costs one attribute check —
-    no formatting, no logger dispatch.
+    it).  Disabled (no config or no threshold) costs one attribute
+    check — no formatting, no logger dispatch.
     """
-    threshold = slow_query_threshold(config)
+    threshold = None if config is None else config.slow_query_seconds
     if threshold is None or elapsed_seconds < threshold:
         return False
     shape = pattern.shape

@@ -20,6 +20,10 @@ from repro.errors import MatchingError
 class ExecutionConfig:
     """How (not *what*) a query executes — every engine-family toggle.
 
+    Tracing and metrics are not settings here: a run reports to the
+    ambient collectors that :func:`repro.obs.use_tracer` /
+    :func:`repro.obs.use_metrics` install, and to none otherwise.
+
     Attributes
     ----------
     optimized:
@@ -30,21 +34,9 @@ class ExecutionConfig:
         and ignore it.
     seed:
         RNG seed for the non-optimized random visiting order.
-    trace:
-        Install the process-default :class:`repro.obs.Tracer` for this
-        query's run (phase spans and point events, exported via
-        :meth:`Tracer.export_jsonl`).  Default off — and off is a
-        strict no-op: instrumentation sites read one contextvar per
-        phase boundary and nothing else.
-    metrics:
-        Install the process-default
-        :class:`repro.obs.MetricsRegistry` for this query's run (engine
-        counters, cache hit/miss, fixpoint rounds, latency histograms).
-        Same strict-no-op guarantee when off.
     slow_query_seconds:
         Per-query slow-query log threshold (the ``repro.slowquery``
-        logger WARNs when a run exceeds it).  ``None`` falls back to
-        the ``REPRO_SLOW_QUERY_SECONDS`` environment default, else off.
+        logger WARNs when a run exceeds it).  ``None`` (default) is off.
     workers:
         Worker *processes* for :meth:`MatchSession.run_batch` — the
         batch's structure groups are partitioned across a spawn-safe
@@ -64,8 +56,6 @@ class ExecutionConfig:
 
     optimized: bool = True
     seed: int = 0
-    trace: bool = False
-    metrics: bool = False
     slow_query_seconds: float | None = None
     workers: int = 0
     snapshot_patching: bool = False

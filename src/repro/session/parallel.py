@@ -17,11 +17,13 @@ across ``N`` worker processes.  The contract mirrors the session's:
 * answers come back with their input indices and the parent restores
   input order; results are identical to the serial session because
   workers execute through the same ``MatchSession._execute``;
-* workers run with tracing/metrics/slow-logging stripped
-  (:func:`worker_config`) and report a per-batch
-  :class:`WorkerBatchStats` delta instead — the parent republishes each
-  result's :class:`EngineStats` into *its* ambient registry exactly
-  once, so nothing is double-counted.
+* workers run with no ambient collectors and no slow-query threshold
+  (:func:`worker_config`) and report, per task, whether the worker
+  executed it or served it from its result store, plus a per-batch
+  :class:`WorkerBatchStats` delta — the parent calls
+  :func:`repro.obs.record_run` for each executed result, so each
+  result's :class:`EngineStats` reaches *its* ambient registry and
+  slow-query log exactly once, as in the serial path.
 
 Queries carrying a custom relevance function or diversification
 objective (opaque, possibly stateful — and often unpicklable) always
@@ -34,7 +36,6 @@ builds a new pool from a fresh pickle of the mutated graph.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import pickle
 import time
@@ -55,20 +56,10 @@ def worker_config(config: ExecutionConfig) -> ExecutionConfig:
     """The :class:`ExecutionConfig` a pool worker executes under.
 
     Identical engine toggles (so answers are identical), with the
-    serving/observability knobs stripped: ``workers=0`` (a worker never
-    re-fans out), tracing/metrics off (the parent republishes stats into
-    its own ambient collectors), and the slow-query threshold pinned to
-    ``+inf`` rather than ``None`` — ``None`` would fall back to the
-    ``REPRO_SLOW_QUERY_SECONDS`` environment default inside the worker
-    and double-log every slow query.
+    serving knobs stripped: ``workers=0`` (a worker never re-fans out)
+    and no slow-query threshold (the parent logs each executed result).
     """
-    return replace(
-        config,
-        workers=0,
-        trace=False,
-        metrics=False,
-        slow_query_seconds=math.inf,
-    )
+    return replace(config, workers=0, slow_query_seconds=None)
 
 
 @dataclass
@@ -102,21 +93,27 @@ def _pool_worker_init(payload: bytes) -> None:
 
 def _pool_worker_run(
     tasks: "Sequence[tuple[int, QuerySpec]]",
-) -> "tuple[list[tuple[int, Any]], dict[str, float]]":
-    """Execute one dispatch's specs through the worker's session."""
+) -> "tuple[list[tuple[int, Any, bool]], dict[str, float]]":
+    """Execute one dispatch's specs through the worker's session.
+
+    Each result comes back as ``(index, result, executed)``: whether
+    the worker ran the query or served it from its result store.
+    """
     session = _WORKER_SESSION
     if session is None:  # pragma: no cover - initializer always ran
         raise MatchingError("pool worker used before initialisation")
     start = time.perf_counter()
-    before_executed = session.stats.queries_executed
     before_reused = session.stats.results_reused
-    results: "list[tuple[int, Any]]" = [
-        (index, session._execute(spec)) for index, spec in tasks
-    ]
+    results: "list[tuple[int, Any, bool]]" = []
+    executed = 0
+    for index, spec in tasks:
+        before = session.stats.queries_executed
+        result = session._execute(spec)
+        ran = session.stats.queries_executed > before
+        executed += ran
+        results.append((index, result, ran))
     stats = {
-        "queries_executed": float(
-            session.stats.queries_executed - before_executed
-        ),
+        "queries_executed": float(executed),
         "results_reused": float(session.stats.results_reused - before_reused),
         "elapsed_seconds": time.perf_counter() - start,
     }
@@ -173,14 +170,16 @@ class WorkerPool:
     def run(
         self,
         tasks: "Sequence[tuple[int, QuerySpec]]",
-    ) -> "tuple[list[tuple[int, Any]], list[WorkerBatchStats]]":
+    ) -> "tuple[list[tuple[int, Any, bool]], list[WorkerBatchStats]]":
         """Run ``(index, spec)`` tasks across the pool.
 
         Tasks are grouped by pattern structure signature and whole
         groups are packed onto workers greedily (largest first onto the
-        least-loaded worker).  Returns every ``(index, result)`` pair
-        (unordered — the caller restores input order by index) plus one
-        :class:`WorkerBatchStats` per worker that received work.
+        least-loaded worker).  Returns every ``(index, result,
+        executed)`` triple (unordered — the caller restores input order
+        by index; ``executed`` is false for a worker result-store hit)
+        plus one :class:`WorkerBatchStats` per worker that received
+        work.
         """
         if self._closed:
             raise MatchingError("worker pool is closed")
@@ -210,7 +209,7 @@ class WorkerPool:
             for worker, bucket in enumerate(buckets)
             if bucket
         ]
-        results: "list[tuple[int, Any]]" = []
+        results: "list[tuple[int, Any, bool]]" = []
         stats: "list[WorkerBatchStats]" = []
         for worker, count, future in futures:
             worker_results, worker_stats = future.result()

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 from repro.errors import MatchingError, StaleSessionError
 from repro.graph import csr
 from repro.graph.digraph import Graph
-from repro.obs import instrumentation, trace
+from repro.obs import trace
 from repro.patterns.pattern import Pattern
 from repro.ranking.diversification import DiversificationObjective
 from repro.ranking.relevance import RelevanceFunction
@@ -308,7 +308,7 @@ class MatchSession:
             ranked.append((rank, index, handle))
         ranked.sort(key=lambda item: (item[0], item[1]))
         cfg = self.config
-        with instrumentation(cfg), trace(
+        with trace(
             "session.run_batch",
             queries=len(handles),
             groups=len(group_rank),
@@ -363,18 +363,15 @@ class MatchSession:
         Fills each shipped handle in place; handles that are already
         done, reusable from the result store, or not poolable (custom
         relevance/objective, unpicklable specs) are left pending for
-        the caller's serial loop.  For every pooled result the parent
-        republishes the engine stats / slow-query record its serial
-        execution would have produced (workers run stripped — see
+        the caller's serial loop.  For every result a worker executed
+        (not served from its own result store) the parent calls
+        :func:`repro.obs.record_run`, as the serial path's wrapper
+        would have (workers run stripped — see
         :func:`repro.session.parallel.worker_config`), then folds the
         per-worker serving deltas into :class:`SessionStats` and the
         ``repro_worker_*`` series.
         """
-        from repro.obs import (
-            current_metrics,
-            maybe_log_slow_query,
-            publish_engine_stats,
-        )
+        from repro.obs import current_metrics, record_run
         from repro.session.parallel import spec_is_poolable
 
         tasks: list[tuple[int, QuerySpec]] = []
@@ -400,7 +397,7 @@ class MatchSession:
             results, worker_stats = pool.run(tasks)
 
         handle_of = {index: handle for _, index, handle in ranked}
-        for index, result in results:
+        for index, result, executed in results:
             handle = handle_of[index]
             handle._result = result
             handle._done = True
@@ -409,25 +406,10 @@ class MatchSession:
             key = self._result_key(spec, cfg_q)
             if key is not None:
                 self.cache.store_result(spec.pattern, key, self._copy_result(result))
-            # Mirror the serial epilogue (record_run) exactly once per
-            # result: workers executed with collectors stripped.
-            with instrumentation(cfg_q):
-                registry = current_metrics()
-                parts = (
-                    tuple(result.values())
-                    if isinstance(result, dict)
-                    else (result,)
-                )
-                for res in parts:
-                    if registry is not None:
-                        publish_engine_stats(registry, res.stats, res.algorithm)
-                    maybe_log_slow_query(
-                        res.algorithm,
-                        spec.pattern,
-                        spec.k,
-                        res.stats.elapsed_seconds,
-                        cfg_q,
-                    )
+            if executed:
+                parts = result.values() if isinstance(result, dict) else (result,)
+                for part in parts:
+                    record_run(part, spec.pattern, spec.k, cfg_q)
 
         for ws in worker_stats:
             self.stats.queries_executed += ws.queries_executed
@@ -553,9 +535,7 @@ class MatchSession:
     def _execute(self, spec: QuerySpec) -> TopKResult | dict[int, TopKResult]:
         self._check_fresh()
         cfg = self._config_for(spec)
-        with instrumentation(cfg), trace(
-            "session.query", mode=spec.mode, k=spec.k
-        ) as span:
+        with trace("session.query", mode=spec.mode, k=spec.k) as span:
             key = self._result_key(spec, cfg)
             if key is not None:
                 cached = self.cache.cached_result(key)

@@ -16,7 +16,7 @@ import time
 from typing import TYPE_CHECKING
 
 from repro.graph.digraph import Graph
-from repro.obs import instrumentation, record_run
+from repro.obs import record_run
 from repro.patterns.pattern import Pattern
 from repro.ranking.relevance import RelevanceFunction
 from repro.session.config import ExecutionConfig
@@ -50,19 +50,18 @@ def top_k(
     """
     cfg = ExecutionConfig.adapt(config, optimized=optimized, seed=seed)
     name = "TopK" if cfg.optimized else "TopKnopt"
-    with instrumentation(cfg):
-        started = time.perf_counter()
-        engine = TopKEngine(
-            pattern,
-            graph,
-            k,
-            policy=RelevancePolicy(),
-            relevance_fn=relevance_fn,
-            algorithm_name=name,
-            output_node=output_node,
-            config=cfg,
-            cache=cache,
-        )
-        result = engine.run()
-        result.stats.elapsed_seconds = time.perf_counter() - started
-        return record_run(result, pattern, k, cfg)
+    started = time.perf_counter()
+    engine = TopKEngine(
+        pattern,
+        graph,
+        k,
+        policy=RelevancePolicy(),
+        relevance_fn=relevance_fn,
+        algorithm_name=name,
+        output_node=output_node,
+        config=cfg,
+        cache=cache,
+    )
+    result = engine.run()
+    result.stats.elapsed_seconds = time.perf_counter() - started
+    return record_run(result, pattern, k, cfg)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import MatchingError
 from repro.graph.digraph import Graph
-from repro.obs import instrumentation, record_run
+from repro.obs import record_run
 from repro.patterns.pattern import Pattern
 from repro.ranking.relevance import RelevanceFunction
 from repro.session.config import ExecutionConfig
@@ -56,19 +56,18 @@ def top_k_dag(
         raise MatchingError("TopKDAG requires a DAG pattern; use top_k for cyclic patterns")
     cfg = ExecutionConfig.adapt(config, optimized=optimized, seed=seed)
     name = "TopKDAG" if cfg.optimized else "TopKDAGnopt"
-    with instrumentation(cfg):
-        started = time.perf_counter()
-        engine = TopKEngine(
-            pattern,
-            graph,
-            k,
-            policy=RelevancePolicy(),
-            relevance_fn=relevance_fn,
-            algorithm_name=name,
-            output_node=output_node,
-            config=cfg,
-            cache=cache,
-        )
-        result = engine.run()
-        result.stats.elapsed_seconds = time.perf_counter() - started
-        return record_run(result, pattern, k, cfg)
+    started = time.perf_counter()
+    engine = TopKEngine(
+        pattern,
+        graph,
+        k,
+        policy=RelevancePolicy(),
+        relevance_fn=relevance_fn,
+        algorithm_name=name,
+        output_node=output_node,
+        config=cfg,
+        cache=cache,
+    )
+    result = engine.run()
+    result.stats.elapsed_seconds = time.perf_counter() - started
+    return record_run(result, pattern, k, cfg)

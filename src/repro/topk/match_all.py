@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import MatchingError
 from repro.graph.digraph import Graph
-from repro.obs import instrumentation, record_run
+from repro.obs import record_run
 from repro.patterns.pattern import Pattern
 from repro.ranking.context import RankingContext
 from repro.ranking.relevance import (
@@ -48,8 +48,8 @@ def match_baseline(
 
     ``context`` may be supplied to reuse an existing full evaluation (the
     diversified baseline does this to avoid recomputing ``M(Q, G)``).
-    ``config=`` carries the run's observability settings (``Match``
-    visits every match, so ``optimized`` does not apply), and ``cache``
+    ``config=`` carries the slow-query threshold (``Match`` visits
+    every match, so ``optimized`` does not apply), and ``cache``
     serves the context from a session, over the evaluation its top-k
     queries share.
     """
@@ -59,27 +59,26 @@ def match_baseline(
     started = time.perf_counter()
     fn = relevance_fn if relevance_fn is not None else CardinalityRelevance()
 
-    with instrumentation(config):
-        if context is None:
-            if cache is not None:
-                context = cache.ranking_context(pattern)
-            else:
-                context = RankingContext(pattern, graph)
-        stats = EngineStats()
-        if not context.simulation.total:
-            stats.elapsed_seconds = time.perf_counter() - started
-            stats.total_matches = 0
-            return record_run(
-                TopKResult([], {}, "Match", stats), pattern, k, config
-            )
-
-        selected = top_k_by_relevance(context, k, fn)
-        fn.prepare(context)
-        scores = {v: fn.value(context, v, context.relevant[v]) for v in selected}
-
-        stats.inspected_matches = len(context.matches)
-        stats.total_matches = len(context.matches)
+    if context is None:
+        if cache is not None:
+            context = cache.ranking_context(pattern)
+        else:
+            context = RankingContext(pattern, graph)
+    stats = EngineStats()
+    if not context.simulation.total:
         stats.elapsed_seconds = time.perf_counter() - started
+        stats.total_matches = 0
         return record_run(
-            TopKResult(selected, scores, "Match", stats), pattern, k, config
+            TopKResult([], {}, "Match", stats), pattern, k, config
         )
+
+    selected = top_k_by_relevance(context, k, fn)
+    fn.prepare(context)
+    scores = {v: fn.value(context, v, context.relevant[v]) for v in selected}
+
+    stats.inspected_matches = len(context.matches)
+    stats.total_matches = len(context.matches)
+    stats.elapsed_seconds = time.perf_counter() - started
+    return record_run(
+        TopKResult(selected, scores, "Match", stats), pattern, k, config
+    )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
@@ -77,6 +78,19 @@ class TestBatchObservability:
         names = {s["name"] for s in load_jsonl(trace_file)}
         assert "session.run_batch" in names
         assert "session.query" in names
+
+    def test_slow_query_flag_logs_each_query(
+        self, tmp_path, graph_file, pattern_file, caplog
+    ):
+        queries_file = self._queries_file(tmp_path, pattern_file)
+        with caplog.at_level(logging.WARNING, logger="repro.slowquery"):
+            assert main(["batch", "--graph", str(graph_file),
+                         "--queries", str(queries_file),
+                         "--slow-query", "1e-9"]) == 0
+        messages = [r.getMessage() for r in caplog.records if r.name == "repro.slowquery"]
+        assert len(messages) == 2
+        assert any(" k=2 " in m for m in messages)
+        assert any(" k=3 " in m for m in messages)
 
 
 class TestMetricsCommand:

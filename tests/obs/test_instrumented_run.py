@@ -2,29 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.obs import (
     MetricsRegistry,
     Tracer,
-    default_metrics,
-    default_tracer,
-    instrumentation,
     load_jsonl,
-    reset_defaults,
     use_metrics,
     use_tracer,
 )
 from repro.session import MatchSession, QuerySpec
-from repro.session.config import ExecutionConfig
 from repro.topk.cyclic import top_k
-
-
-@pytest.fixture()
-def clean_defaults():
-    reset_defaults()
-    yield
-    reset_defaults()
 
 
 class TestTracedEngineRun:
@@ -77,6 +63,16 @@ class TestTracedEngineRun:
         top_k(fig1.pattern, fig1.graph, 2)  # nothing ambient
         assert tracer.spans == []
 
+    def test_traced_and_untraced_answers_agree(self, fig1):
+        plain = top_k(fig1.pattern, fig1.graph, 2)
+        tracer = Tracer()
+        registry = MetricsRegistry()
+        with use_tracer(tracer), use_metrics(registry):
+            traced = top_k(fig1.pattern, fig1.graph, 2)
+        assert traced.matches  # instrumentation never perturbs the answer
+        assert plain.matches == traced.matches
+        assert plain.scores == traced.scores
+
 
 class TestPublishedMetrics:
     def test_engine_counters_match_result_stats(self, fig1):
@@ -112,37 +108,3 @@ class TestPublishedMetrics:
             if labels["outcome"] == "hit"
         )
         assert hits > 0
-
-
-class TestConfigDrivenInstrumentation:
-    def test_flags_off_is_a_shared_noop(self):
-        cm = instrumentation(ExecutionConfig())
-        assert cm is instrumentation(None)
-
-    def test_config_installs_process_defaults(self, fig1, clean_defaults):
-        config = ExecutionConfig(trace=True, metrics=True)
-        result = top_k(fig1.pattern, fig1.graph, 2, config=config)
-        tracer = default_tracer()
-        registry = default_metrics()
-        assert any(s.name == "engine.run" for s in tracer.spans)
-        assert registry.value("repro_engine_runs_total", algorithm="TopK") == 1.0
-        assert result.matches  # instrumentation never perturbs the answer
-
-    def test_ambient_collectors_are_never_shadowed(self, fig1, clean_defaults):
-        explicit = MetricsRegistry()
-        config = ExecutionConfig(metrics=True)
-        with use_metrics(explicit):
-            top_k(fig1.pattern, fig1.graph, 2, config=config)
-        # The explicitly installed registry got the run; the process
-        # default was never materialised on top of it.
-        assert explicit.value("repro_engine_runs_total", algorithm="TopK") == 1.0
-        assert default_metrics().value("repro_engine_runs_total", algorithm="TopK") == 0.0
-
-    def test_traced_and_untraced_answers_agree(self, fig1):
-        plain = top_k(fig1.pattern, fig1.graph, 2)
-        tracer = Tracer()
-        registry = MetricsRegistry()
-        with use_tracer(tracer), use_metrics(registry):
-            traced = top_k(fig1.pattern, fig1.graph, 2)
-        assert plain.matches == traced.matches
-        assert plain.scores == traced.scores

@@ -50,15 +50,6 @@ class TestCounter:
             registry.histogram("m")
 
 
-class TestGauge:
-    def test_set_and_inc(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("repro_depth", "queue depth")
-        gauge.set(5, queue="deltas")
-        gauge.inc(-2, queue="deltas")
-        assert registry.value("repro_depth", queue="deltas") == 3.0
-
-
 class TestHistogram:
     def test_buckets_are_cumulative(self):
         histogram = Histogram("h", "", buckets=(0.1, 1.0, 10.0))
@@ -216,13 +207,6 @@ class TestThreadSafety:
         counter = Counter("repro_worker_queries_total", "")
         self._hammer(lambda: counter.inc(1, worker="0"))
         assert counter.value(worker="0") == self.THREADS * self.ITERATIONS
-
-    def test_concurrent_gauge_increments_are_not_lost(self):
-        from repro.obs import Gauge
-
-        gauge = Gauge("repro_pool_inflight", "")
-        self._hammer(lambda: gauge.inc(1))
-        assert gauge.value() == self.THREADS * self.ITERATIONS
 
     def test_concurrent_histogram_observations_are_not_lost(self):
         histogram = Histogram("repro_worker_dispatch_seconds", "")

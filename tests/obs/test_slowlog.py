@@ -1,4 +1,4 @@
-"""Slow-query log: threshold resolution and the emitted WARNING line."""
+"""Slow-query log: the config threshold and the emitted WARNING line."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import logging
 import pytest
 
 from repro.errors import MatchingError
-from repro.obs import SLOW_QUERY_ENV, maybe_log_slow_query, slow_query_threshold
+from repro.obs import maybe_log_slow_query
 from repro.session.config import ExecutionConfig
 from tests.conftest import make_random_pattern
 
@@ -18,24 +18,11 @@ def pattern():
 
 
 class TestThresholdResolution:
-    def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv(SLOW_QUERY_ENV, raising=False)
-        assert slow_query_threshold(None) is None
-        assert slow_query_threshold(ExecutionConfig()) is None
-
-    def test_environment_default(self, monkeypatch):
-        monkeypatch.setenv(SLOW_QUERY_ENV, "0.5")
-        assert slow_query_threshold(None) == 0.5
-        assert slow_query_threshold(ExecutionConfig()) == 0.5
-
-    def test_config_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(SLOW_QUERY_ENV, "0.5")
-        assert slow_query_threshold(ExecutionConfig(slow_query_seconds=2.0)) == 2.0
-
-    def test_garbage_environment_values_disable(self, monkeypatch):
-        for raw in ("not-a-number", "", "-1", "0"):
-            monkeypatch.setenv(SLOW_QUERY_ENV, raw)
-            assert slow_query_threshold(None) is None
+    def test_off_by_default(self, pattern, caplog):
+        assert ExecutionConfig().slow_query_seconds is None
+        with caplog.at_level(logging.WARNING, logger="repro.slowquery"):
+            assert maybe_log_slow_query("TopK", pattern, 10, 100.0, ExecutionConfig()) is False
+        assert not caplog.records
 
     def test_config_rejects_non_positive_threshold(self):
         with pytest.raises(MatchingError, match="slow_query_seconds"):
@@ -45,8 +32,7 @@ class TestThresholdResolution:
 
 
 class TestLogging:
-    def test_breach_emits_one_warning(self, pattern, caplog, monkeypatch):
-        monkeypatch.delenv(SLOW_QUERY_ENV, raising=False)
+    def test_breach_emits_one_warning(self, pattern, caplog):
         config = ExecutionConfig(slow_query_seconds=0.1)
         with caplog.at_level(logging.WARNING, logger="repro.slowquery"):
             emitted = maybe_log_slow_query("TopK", pattern, 10, 0.25, config)
@@ -58,22 +44,14 @@ class TestLogging:
         shape = pattern.shape
         assert f"|Q|=({shape[0]},{shape[1]})" in message
 
-    def test_below_threshold_is_silent(self, pattern, caplog, monkeypatch):
-        monkeypatch.delenv(SLOW_QUERY_ENV, raising=False)
+    def test_below_threshold_is_silent(self, pattern, caplog):
         config = ExecutionConfig(slow_query_seconds=1.0)
         with caplog.at_level(logging.WARNING, logger="repro.slowquery"):
             emitted = maybe_log_slow_query("TopK", pattern, 10, 0.25, config)
         assert emitted is False
         assert not caplog.records
 
-    def test_no_threshold_is_silent(self, pattern, caplog, monkeypatch):
-        monkeypatch.delenv(SLOW_QUERY_ENV, raising=False)
+    def test_no_threshold_is_silent(self, pattern, caplog):
         with caplog.at_level(logging.WARNING, logger="repro.slowquery"):
             assert maybe_log_slow_query("TopK", pattern, 10, 100.0) is False
         assert not caplog.records
-
-    def test_environment_threshold_without_config(self, pattern, caplog, monkeypatch):
-        monkeypatch.setenv(SLOW_QUERY_ENV, "0.05")
-        with caplog.at_level(logging.WARNING, logger="repro.slowquery"):
-            assert maybe_log_slow_query("Match", pattern, 5, 0.1) is True
-        assert "Match" in caplog.records[0].getMessage()

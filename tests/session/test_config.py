@@ -17,8 +17,6 @@ class TestValidation:
         assert [field.name for field in dataclasses.fields(ExecutionConfig)] == [
             "optimized",
             "seed",
-            "trace",
-            "metrics",
             "slow_query_seconds",
             "workers",
             "snapshot_patching",

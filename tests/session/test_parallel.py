@@ -9,6 +9,7 @@ what serial execution would have published (no double-counting when
 worker stats fold back in).
 """
 
+import logging
 import random
 
 import pytest
@@ -75,12 +76,12 @@ def test_no_double_counting_in_published_stats():
 
     serial_registry = MetricsRegistry()
     with use_metrics(serial_registry):
-        with MatchSession(graph, config=ExecutionConfig(metrics=True)) as s:
+        with MatchSession(graph) as s:
             serial_results = s.run_batch(specs)
 
     pooled_registry = MetricsRegistry()
     with use_metrics(pooled_registry):
-        cfg = ExecutionConfig(workers=2, metrics=True)
+        cfg = ExecutionConfig(workers=2)
         with MatchSession(graph, config=cfg) as s:
             pooled_results = s.run_batch(specs)
             pooled_stats = s.stats
@@ -109,6 +110,53 @@ def test_no_double_counting_in_published_stats():
         ).samples()
     )
     assert shipped == pooled_stats.queries_executed + pooled_stats.results_reused
+
+
+def _engine_samples(registry):
+    """``repro_engine_*`` samples; a histogram contributes its count."""
+    samples = {}
+    for name in registry.names():
+        if name.startswith("repro_engine_"):
+            for labels, value in registry.get(name).samples():
+                if isinstance(value, dict):  # elapsed times differ per run
+                    value = value["count"]
+                samples[name, tuple(sorted(labels.items()))] = value
+    return samples
+
+
+def test_worker_result_store_hits_publish_nothing(caplog):
+    """A spec a worker serves from its own result store is published
+    once, as a serial result-store hit is: registry samples and
+    slow-query records equal the serial session's."""
+    graph = make_random_graph(5, num_nodes=16, num_edges=30)
+    pattern = mixed_batch(5)[0].pattern
+    batch = [
+        QuerySpec(pattern, k=3),
+        QuerySpec(pattern, k=3),
+        QuerySpec(pattern, k=3, mode="baseline"),
+    ]
+    seen = []
+    for workers in (0, 2):
+        registry = MetricsRegistry()
+        cfg = ExecutionConfig(workers=workers, slow_query_seconds=1e-9)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="repro.slowquery"):
+            with use_metrics(registry), MatchSession(graph, config=cfg) as s:
+                results = s.run_batch(batch)
+                counts = (s.stats.queries_executed, s.stats.results_reused)
+        records = [r for r in caplog.records if r.name == "repro.slowquery"]
+        seen.append((results, _engine_samples(registry), len(records), counts))
+
+    (serial, serial_samples, serial_logged, serial_counts), pooled = seen
+    for got, want in zip(pooled[0], serial):
+        assert_same(got, want)
+    assert serial_counts == pooled[3] == (2, 1)
+    assert serial_logged == pooled[2] == 2
+    assert sum(
+        value for (name, _), value in serial_samples.items()
+        if name == "repro_engine_runs_total"
+    ) == 2
+    assert pooled[1] == serial_samples
 
 
 def test_custom_relevance_fn_falls_back_to_parent():
@@ -164,15 +212,15 @@ def test_workers_zero_and_one_stay_serial():
 
 def test_worker_config_strips_serving_knobs():
     cfg = ExecutionConfig(
-        workers=4, trace=True, metrics=True, slow_query_seconds=0.5,
-        optimized=False, seed=7,
+        workers=4, slow_query_seconds=0.5,
+        optimized=False, seed=7, snapshot_patching=True,
     )
     stripped = worker_config(cfg)
     assert stripped.workers == 0
-    assert not stripped.trace and not stripped.metrics
-    assert stripped.slow_query_seconds == float("inf")
+    assert stripped.slow_query_seconds is None
     # Engine toggles survive — answers must not change.
     assert not stripped.optimized and stripped.seed == 7
+    assert stripped.snapshot_patching
 
 
 def test_worker_pool_validation_and_close():

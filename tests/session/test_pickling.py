@@ -116,7 +116,7 @@ def test_patched_snapshot_roundtrip_preserves_overlay_reads():
 def test_execution_config_roundtrip():
     cfg = ExecutionConfig(
         optimized=False, seed=9, workers=3, snapshot_patching=True,
-        slow_query_seconds=0.5, metrics=True,
+        slow_query_seconds=0.5,
     )
     assert roundtrip(cfg) == cfg
 
