@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import logging
+
+import pytest
+
+from repro.diversify.approx import top_k_diversified_approx
+from repro.diversify.heuristic import top_k_diversified_heuristic
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -9,8 +15,31 @@ from repro.obs import (
     use_metrics,
     use_tracer,
 )
+from repro.patterns.pattern import Pattern
 from repro.session import MatchSession, QuerySpec
+from repro.session.config import ExecutionConfig
 from repro.topk.cyclic import top_k
+from repro.topk.dag import top_k_dag
+from repro.topk.match_all import match_baseline
+
+# (wrapper, pattern fixture, algorithm label of its result): every
+# engine wrapper, and both labels of the diversified heuristic.
+WRAPPERS = [
+    pytest.param(top_k, "fig1", "TopK", id="TopK"),
+    pytest.param(top_k_dag, "q1_dag", "TopKDAG", id="TopKDAG"),
+    pytest.param(match_baseline, "fig1", "Match", id="Match"),
+    pytest.param(top_k_diversified_heuristic, "fig1", "TopKDH", id="TopKDH"),
+    pytest.param(top_k_diversified_heuristic, "q1_dag", "TopKDAGDH", id="TopKDAGDH"),
+    pytest.param(top_k_diversified_approx, "fig1", "TopKDiv", id="TopKDiv"),
+]
+
+
+def _pattern(which, fig1, q1_dag):
+    return fig1.pattern if which == "fig1" else q1_dag
+
+
+def _slow_query_messages(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "repro.slowquery"]
 
 
 class TestTracedEngineRun:
@@ -108,3 +137,66 @@ class TestPublishedMetrics:
             if labels["outcome"] == "hit"
         )
         assert hits > 0
+
+
+class TestEveryWrapper:
+    """Each wrapper's epilogue reaches the ambient registry and the
+    config's slow-query threshold, and nothing else."""
+
+    @pytest.mark.parametrize("wrapper, which, algorithm", WRAPPERS)
+    def test_run_is_published_once_to_the_ambient_registry(
+        self, wrapper, which, algorithm, fig1, q1_dag
+    ):
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            result = wrapper(_pattern(which, fig1, q1_dag), fig1.graph, 2)
+        assert result.algorithm == algorithm
+        runs = {
+            labels["algorithm"]: value
+            for labels, value in registry.get("repro_engine_runs_total").samples()
+        }
+        assert runs == {algorithm: 1.0}
+        assert (
+            registry.value("repro_engine_inspected_matches_total", algorithm=algorithm)
+            == result.stats.inspected_matches
+        )
+        elapsed = registry.get("repro_engine_elapsed_seconds")
+        assert elapsed.snapshot(algorithm=algorithm)["count"] == 1
+
+    @pytest.mark.parametrize("wrapper, which, algorithm", WRAPPERS)
+    def test_config_threshold_logs_the_run_once(
+        self, wrapper, which, algorithm, fig1, q1_dag, caplog
+    ):
+        pattern = _pattern(which, fig1, q1_dag)
+        plain = wrapper(pattern, fig1.graph, 2)
+        config = ExecutionConfig(slow_query_seconds=1e-9)
+        with caplog.at_level(logging.WARNING, logger="repro.slowquery"):
+            logged = wrapper(pattern, fig1.graph, 2, config=config)
+        messages = _slow_query_messages(caplog)
+        assert len(messages) == 1
+        assert messages[0].startswith(f"slow query: {algorithm} |Q|=")
+        assert " k=2 " in messages[0]
+        assert logged.matches == plain.matches  # the log never perturbs the answer
+
+    @pytest.mark.parametrize(
+        "wrapper, algorithm",
+        [
+            pytest.param(match_baseline, "Match", id="Match"),
+            pytest.param(top_k_diversified_approx, "TopKDiv", id="TopKDiv"),
+        ],
+    )
+    def test_empty_answer_is_published_and_logged(self, wrapper, algorithm, fig1, caplog):
+        # No node of the graph carries the label: the early return runs.
+        pattern = Pattern()
+        pattern.add_node("NoSuchLabel", output=True)
+        registry = MetricsRegistry()
+        config = ExecutionConfig(slow_query_seconds=1e-9)
+        with caplog.at_level(logging.WARNING, logger="repro.slowquery"):
+            with use_metrics(registry):
+                result = wrapper(pattern, fig1.graph, 2, config=config)
+        assert result.matches == []
+        assert result.stats.total_matches == 0
+        assert registry.value("repro_engine_runs_total", algorithm=algorithm) == 1.0
+        messages = _slow_query_messages(caplog)
+        assert len(messages) == 1
+        assert messages[0].startswith(f"slow query: {algorithm} |Q|=(1,0) k=2 ")
