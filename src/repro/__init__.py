@@ -17,12 +17,6 @@ graph store, the simulation fixpoint, relevant-set computation, bound
 indexes, dataset surrogates and an experiment harness reproducing every
 figure of the paper's evaluation.
 
-Beyond the paper's one-shot algorithms, :mod:`repro.incremental`
-materializes *match views*: registered patterns whose match relation
-and ranking stay consistent while the graph mutates (``add_edge`` /
-``remove_edge`` / ``add_node`` / ``remove_node`` / ``apply_delta``),
-maintained by delta simulation instead of per-query recomputation.
-
 For batched multi-query serving, :mod:`repro.session` pins one
 compiled snapshot generation and amortises candidates, simulation
 and top-k evaluations across a heterogeneous query batch::
@@ -31,6 +25,13 @@ and top-k evaluations across a heterogeneous query batch::
 
     with MatchSession(g) as session:
         results = session.run_batch([QuerySpec(q1, k=10), QuerySpec(q2, k=5)])
+
+The same session serves update streams.  Its cache repairs every
+cached match relation by delta simulation (:mod:`repro.incremental`)
+at each write (``add_edge`` / ``remove_edge`` / ``add_node`` /
+``remove_node`` / ``set_attrs`` / ``apply_delta``), and a session
+opened with ``on_mutation="refresh"`` ranks from the repaired relation
+without recomputing it per query.
 
 Quickstart::
 
@@ -57,8 +58,6 @@ from repro.errors import (
 from repro.graph.delta import DeltaOp
 from repro.graph.digraph import Graph
 from repro.graph.labels import LabelTable
-from repro.incremental.manager import MatchViewManager
-from repro.incremental.view import MatchView
 from repro.patterns.builder import PatternBuilder
 from repro.patterns.pattern import Pattern, pattern_from_edges
 from repro.ranking.context import RankingContext
@@ -79,8 +78,6 @@ __all__ = [
     "GraphError",
     "LabelTable",
     "MatchSession",
-    "MatchView",
-    "MatchViewManager",
     "MatchingError",
     "Pattern",
     "PatternBuilder",

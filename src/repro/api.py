@@ -29,13 +29,15 @@ Execution settings are one :class:`repro.session.ExecutionConfig`
 remain accepted through :meth:`~repro.session.ExecutionConfig.adapt`,
 which maps them onto the same config.
 
-For update streams, register the pattern once and mutate the graph —
-the view's cache repairs the match relation at each write, without
-per-query recomputation:
+For update streams, keep one session open with
+``on_mutation="refresh"`` and mutate the graph: its cache repairs each
+cached match relation at every write, and the next query acknowledges
+the writes and ranks from the repaired relation:
 
->>> view = api.register_view(pattern, graph, k=10)     # doctest: +SKIP
->>> api.update_graph(graph, ops)                       # doctest: +SKIP
->>> top = view.top_k()                                 # doctest: +SKIP
+>>> session = MatchSession(graph, on_mutation="refresh")            # doctest: +SKIP
+>>> session.baseline(pattern, 10)                                   # doctest: +SKIP
+>>> graph.apply_delta(ops)                                          # doctest: +SKIP
+>>> top = session.baseline(pattern, 10)                             # doctest: +SKIP
 
 **Observability.**  Every one-shot call (and every session query) runs
 through the instrumented engine wrappers of :mod:`repro.obs`.  A run
@@ -53,12 +55,7 @@ latency histograms go to the ambient collectors, which
 
 from __future__ import annotations
 
-from typing import Any, Iterable
-
 from repro.errors import MatchingError
-from repro.graph.delta import DeltaOp
-from repro.incremental.manager import MatchViewManager
-from repro.incremental.view import MatchView
 from repro.graph.digraph import Graph
 from repro.patterns.pattern import Pattern
 from repro.ranking.context import RankingContext
@@ -148,45 +145,6 @@ def diversified_matches(
         return session.diversified(
             pattern, k, lam=lam, method=method, objective=objective
         )
-
-
-def view_manager(graph: Graph) -> MatchViewManager:
-    """The shared :class:`MatchViewManager` of ``graph`` (created lazily)."""
-    return MatchViewManager.for_graph(graph)
-
-
-def register_view(
-    pattern: Pattern,
-    graph: Graph,
-    k: int = 10,
-    name: str | None = None,
-    **view_options: Any,
-) -> MatchView:
-    """Materialize a :class:`MatchView` of ``pattern`` over ``graph``.
-
-    The view's match relation and ranking stay consistent under every
-    subsequent mutation of ``graph`` (``add_edge`` / ``remove_edge`` /
-    ``add_node`` / ``remove_node`` / ``set_attrs`` / ``apply_delta``):
-    the cache of the graph's :class:`MatchViewManager` repairs the
-    relation by delta simulation at each write, instead of per-query
-    recomputation.  ``graph`` must be mutable — call :meth:`Graph.thaw`
-    on frozen dataset graphs first.  Options forward to
-    :class:`MatchView` (``lam``, ``relevance_fn``).  To share one
-    relation with a serving session's queries, register through
-    :meth:`MatchSession.register_view` instead.
-    """
-    return view_manager(graph).register(pattern, k=k, name=name, **view_options)
-
-
-def update_graph(graph: Graph, ops: Iterable[DeltaOp]) -> list[int | None]:
-    """Apply a batched delta to ``graph``, updating every registered view.
-
-    Returns the per-op results: the assigned node id for ``add_node``
-    ops, ``None`` otherwise.  Equivalent to ``graph.apply_delta(ops)`` —
-    views subscribe to the graph's change events, so direct mutation
-    calls keep them consistent too.
-    """
-    return graph.apply_delta(ops)
 
 
 def ranking_context(pattern: Pattern, graph: Graph) -> RankingContext:

@@ -300,23 +300,24 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_update_stream(args: argparse.Namespace) -> int:
-    from repro import api
+    from repro.session import MatchSession
 
     graph = load_json(args.graph)
     pattern = load_pattern(args.pattern)
     ops = load_delta_file(args.deltas)
+    pattern.validate()
 
-    view = api.register_view(
-        pattern,
-        graph,
-        k=args.k,
-        name="cli",
-        lam=args.lam,
-    )
-    api.update_graph(graph, ops)
-    result = view.diversified() if args.diversify else view.top_k()
+    with MatchSession(graph, on_mutation="refresh") as session:
+        # Cache M(Q, G) before the replay, so each op repairs it.
+        session.cache.simulation(pattern)
+        graph.apply_delta(ops)
+        if args.diversify:
+            result = session.diversified(pattern, args.k, lam=args.lam, method="approx")
+        else:
+            result = session.baseline(pattern, args.k)
+        total = session.cache.simulation(pattern)[0].total
+        stats = session.cache.repair_stats(pattern)
 
-    stats = view.stats
     payload = {
         "algorithm": result.algorithm,
         "k": args.k,
@@ -326,7 +327,7 @@ def _cmd_update_stream(args: argparse.Namespace) -> int:
             for v in result.matches
         ],
         "view": {
-            "total": view.total,
+            "total": total,
             "ops_applied": stats.ops_applied,
             "ops_skipped": stats.ops_skipped,
             "incremental_ops": stats.incremental_ops,
@@ -434,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     stream = sub.add_parser(
         "update-stream",
-        help="replay a delta file against a materialized match view",
+        help="replay a delta file through a refresh-mode MatchSession, "
+             "then rank the repaired match relation",
     )
     stream.add_argument("--graph", required=True)
     stream.add_argument("--pattern", required=True)
@@ -443,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--k", type=int, default=10)
     stream.add_argument("--lam", type=float, default=0.5)
     stream.add_argument("--diversify", action="store_true",
-                        help="rank the final answer with topKDP instead of topKP")
+                        help="rank the final answer with TopKDiv (topKDP) "
+                             "instead of Match (topKP)")
     stream.add_argument("--out", help="write the updated graph JSON here")
     stream.add_argument("--json", action="store_true", help="machine-readable output")
     stream.set_defaults(func=_cmd_update_stream)

@@ -21,10 +21,11 @@ same vocabulary):
 ``set_attrs(node, attrs)``
     Merge attribute values into a node.  Structure is untouched, but
     attribute predicates (Section 2.2 patterns) read these values, so
-    match views re-evaluate the node's candidacy.
+    session caches re-evaluate the node's candidacy for cached predicate
+    patterns.
 
 The module also provides a line-oriented JSON serialisation (one op per
-line) used by ``repro update-stream`` and the incremental benchmark.
+line) that ``repro update-stream`` replays.
 """
 
 from __future__ import annotations

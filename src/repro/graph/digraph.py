@@ -81,7 +81,7 @@ class Graph:
         #: mutation clears it, whatever the key.
         self.derived: dict[Any, Any] = {}
         #: Persistent per-graph attachments (e.g. the graph's
-        #: MatchViewManager).  Unlike :attr:`derived`, never cleared.
+        #: SnapshotPatcher).  Unlike :attr:`derived`, never cleared.
         self.extensions: dict[Any, Any] = {}
 
     # ------------------------------------------------------------------
@@ -167,8 +167,9 @@ class Graph:
         """Set (merge) attributes on ``node``.
 
         Emits a ``set_attrs`` change event: attribute values feed the
-        predicate search conditions of Section 2.2 patterns, so
-        registered match views must re-evaluate the node's candidacy.
+        predicate search conditions of Section 2.2 patterns, so every
+        session cache holding a predicate pattern re-evaluates the
+        node's candidacy.
         Everything in :attr:`derived` depends on topology and labels
         only, so nothing there is cleared.
         """

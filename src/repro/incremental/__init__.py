@@ -1,8 +1,8 @@
-"""Incremental matching: materialized match views under graph updates.
+"""Incremental matching: the delta routines that repair ``M(Q, G)``.
 
 The batch algorithms of this library answer one query against one frozen
-graph.  This subsystem keeps a registered pattern's match relation —
-and its top-k / diversified ranking — *alive* while the graph mutates:
+graph.  Under writes, a pattern's match relation is repaired op by op
+instead of recomputed:
 
 * :mod:`repro.incremental.delta_sim` repairs a maximal simulation after
   one update (localized re-expansion on edge insertion, seeded
@@ -12,18 +12,10 @@ and its top-k / diversified ranking — *alive* while the graph mutates:
   update can touch.
 
 :class:`~repro.session.cache.SessionCache` runs both at each change
-event for every pattern it caches — the one write path, shared by
-sessions and views:
-
-* :class:`~repro.incremental.view.MatchView` is a named handle on one
-  pattern of a cache, ranking from the maintained relation;
-* :class:`~repro.incremental.manager.MatchViewManager` is the per-graph
-  registry of views, over one cache of its own.
-
-Entry points: ``repro.api.register_view`` / ``repro.api.update_graph``,
-``MatchSession.register_view``, the ``repro update-stream`` CLI command,
-and ``benchmarks/bench_incremental.py`` for the update-throughput
-numbers.
+event for every pattern it caches — the one write path.  Update streams
+are served by a ``MatchSession(graph, on_mutation="refresh")``, whose
+queries rank from the repaired relation; the ``repro update-stream``
+CLI command replays a delta file that way.
 """
 
 from repro.incremental.delta_sim import (
@@ -34,13 +26,9 @@ from repro.incremental.delta_sim import (
     node_added,
     node_removed,
 )
-from repro.incremental.manager import MatchViewManager
-from repro.incremental.view import MatchView
 
 __all__ = [
     "DeltaOutcome",
-    "MatchView",
-    "MatchViewManager",
     "attrs_changed",
     "edge_added",
     "edge_removed",

@@ -44,9 +44,8 @@ A write also marks the cache *stale*, and the owning
 :class:`~repro.session.session.MatchSession` refuses or refreshes per
 its policy.  :meth:`SessionCache.refresh` starts a fresh generation: it
 keeps every repaired artifact and drops only the label buckets, whose
-snapshot tokens the writes retired.  A
-:class:`~repro.incremental.view.MatchView` is a handle on one pattern
-of a cache, so views and session queries read one repaired relation.
+snapshot tokens the writes retired.  A write repairs only the patterns
+already cached; a pattern first read after the writes is built fresh.
 """
 
 from __future__ import annotations
@@ -118,7 +117,7 @@ class SessionCacheStats:
 
 @dataclass
 class RepairStats:
-    """Write-maintenance counters of one cached pattern (a view's ``stats``).
+    """Write-maintenance counters of one cached pattern.
 
     Attributes
     ----------
@@ -129,8 +128,8 @@ class RepairStats:
     incremental_ops:
         Events repaired by the delta routines.
     full_recomputes:
-        Events whose repair passed :func:`repair_threshold` and reran
-        the fixpoint, plus forced :meth:`SessionCache.rebuild` calls.
+        Threshold fallbacks: events whose repair passed
+        :func:`repair_threshold` and reran the fixpoint.
     pairs_touched:
         Candidate pairs the delta routines examined in total.
     relation_changes:
@@ -420,14 +419,6 @@ class SessionCache:
         entry.contexts.clear()
         entry.results.clear()
 
-    def rebuild(self, pattern: Pattern) -> None:
-        """Recompute ``pattern``'s candidates and simulation from scratch."""
-        entry = self._entry(pattern)
-        self._drop_ranking(entry)
-        entry.simulation = None
-        entry.stats.full_recomputes += 1
-        self.simulation(pattern)
-
     def repair_stats(self, pattern: Pattern) -> RepairStats:
         """The write-maintenance counters of ``pattern``'s entry."""
         return self._entry(pattern).stats
@@ -495,7 +486,13 @@ class SessionCache:
 
     def simulation(self, pattern: Pattern) -> tuple[SimulationResult, bool]:
         """The maximal simulation with its candidate rows; returns
-        ``(simulation, was_hit)``."""
+        ``(simulation, was_hit)``.
+
+        The relation is live, not a copy: each later write repairs its
+        sets in place or replaces the result, so read it again after a
+        write, and copy ``sim`` to keep the state before one.  Reading a
+        pattern caches it, and from then on every write repairs it.
+        """
         entry = self._entry(pattern)
         if entry.simulation is not None:
             self.stats.sim_hits += 1

@@ -51,7 +51,6 @@ from repro.session.cache import SessionCache, pattern_structure_key
 from repro.session.config import ExecutionConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a topk import cycle)
-    from repro.incremental.view import MatchView
     from repro.session.parallel import WorkerPool
     from repro.topk.result import TopKResult
 
@@ -68,7 +67,9 @@ class QuerySpec:
     (topKDP via ``method`` — the early-terminating heuristic or the
     2-approximation), ``"baseline"`` (the find-all ``Match``), and
     ``"multi"`` (topKP fanned out over every designated output node,
-    returning ``{output_node: TopKResult}``).  ``config`` overrides the
+    returning ``{output_node: TopKResult}``).  ``output_node`` ranks a
+    ``"topk"`` query at another of the pattern's query nodes than its
+    designated one; other modes reject it.  ``config`` overrides the
     session's :class:`ExecutionConfig` for this query only.
     """
 
@@ -94,6 +95,16 @@ class QuerySpec:
             )
         if self.k < 1:
             raise MatchingError(f"k must be positive; got {self.k}")
+        if self.output_node is not None:
+            if self.mode != "topk":
+                raise MatchingError(
+                    f"output_node applies to mode 'topk' only; got mode {self.mode!r}"
+                )
+            if self.output_node not in range(self.pattern.num_nodes):
+                raise MatchingError(
+                    f"output_node {self.output_node!r} is not a query node of a "
+                    f"{self.pattern.num_nodes}-node pattern"
+                )
 
 
 class QueryHandle:
@@ -459,20 +470,6 @@ class MatchSession:
         node; each output node has its own top-k evaluation.
         """
         return self.submit(pattern, k, mode="multi", **options).result()
-
-    def register_view(
-        self, pattern: Pattern, k: int = 10, **view_options: Any
-    ) -> "MatchView":
-        """A :class:`MatchView` of ``pattern`` over this session's cache.
-
-        The view and the session's queries read one relation, which the
-        cache repairs at each write; the view follows the graph until
-        the session closes.  Options forward to :class:`MatchView`
-        (``lam``, ``relevance_fn``, ``name``).
-        """
-        from repro.incremental.view import MatchView
-
-        return MatchView(pattern, self.cache, k=k, **view_options)
 
     # ------------------------------------------------------------------
     # execution

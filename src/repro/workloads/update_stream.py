@@ -1,6 +1,6 @@
 """Random-but-valid graph update streams for the incremental workloads.
 
-The incremental benchmark and the ``repro update-stream`` CLI replay a
+The write-path tests and the ``repro update-stream`` CLI replay a
 sequence of :class:`repro.graph.delta.DeltaOp`; this module generates
 such sequences against a *snapshot* of a graph, tracking the evolving
 edge set and live-node set locally so that every emitted op is valid at
@@ -8,8 +8,8 @@ its application time (no duplicate edge insertions, no removal of an
 absent edge, no edges at removed nodes).
 
 ``churn_labels`` restricts edge endpoints to nodes carrying the given
-labels — pointing the churn at a registered pattern's labels is how the
-benchmark stresses a view instead of generating mostly-skipped ops.
+labels — pointing the churn at a cached pattern's labels is how a stream
+stresses its repair instead of generating mostly-skipped ops.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def single_edge_stream(
     seed: int = 0,
     churn_labels: Sequence[str] | None = None,
 ) -> list[DeltaOp]:
-    """An edges-only stream (the single-edge-delta regime of the bench)."""
+    """An edges-only stream (the single-edge-delta regime)."""
     return random_update_stream(
         graph,
         num_ops,
@@ -156,7 +156,7 @@ def single_edge_stream(
 
 
 def stream_summary(ops: Iterable[DeltaOp]) -> dict[str, int]:
-    """Op-kind histogram of a stream (benchmark reporting)."""
+    """Op-kind histogram of a stream."""
     summary: dict[str, int] = {}
     for op in ops:
         summary[op.kind] = summary.get(op.kind, 0) + 1

@@ -3,8 +3,8 @@
 from repro.graph import csr
 from repro.graph.csr import CSR_SNAPSHOT_KEY, CSRSnapshot
 from repro.graph.digraph import Graph
-from repro.incremental.manager import MatchViewManager
 from repro.patterns.pattern import pattern_from_edges
+from repro.session import MatchSession
 
 
 def small_graph() -> Graph:
@@ -116,20 +116,23 @@ class TestCachingAndInvalidation:
         g.set_attrs(0, score=3)
         assert g.snapshot() is before
 
-    def test_write_under_manager_drops_every_derived_entry(self):
-        # A MatchViewManager changes nothing about invalidation: a write
-        # clears graph.derived whole, the snapshot and any other key.
+    def test_write_under_repairing_session_drops_every_derived_entry(self):
+        # A session whose cache repairs a relation changes nothing about
+        # invalidation: a write clears graph.derived whole, the snapshot
+        # and any other key.
         g = small_graph()
-        manager = MatchViewManager.for_graph(g)
-        manager.register(pattern_from_edges(["A", "B"], [(0, 1)], output=0))
-        snap = g.snapshot()
-        g.derived["user:custom"] = "dropped"
-        g.add_edge(4, 2)
-        assert g.derived.get(CSR_SNAPSHOT_KEY) is not snap
-        assert "user:custom" not in g.derived
-        fresh = g.snapshot()
-        assert fresh.num_edges == g.num_edges
-        manager.close()
+        pattern = pattern_from_edges(["A", "B"], [(0, 1)], output=0)
+        with MatchSession(g, on_mutation="refresh") as session:
+            session.cache.simulation(pattern)
+            snap = g.snapshot()
+            g.derived["user:custom"] = "dropped"
+            g.add_edge(4, 2)
+            stats = session.cache.repair_stats(pattern)
+            assert stats.ops_applied + stats.ops_skipped == 1
+            assert g.derived.get(CSR_SNAPSHOT_KEY) is not snap
+            assert "user:custom" not in g.derived
+            fresh = g.snapshot()
+            assert fresh.num_edges == g.num_edges
 
     def test_snapshot_after_remove_node(self):
         g = small_graph()

@@ -3,7 +3,8 @@
 Every structural write clears ``graph.derived``, whatever the key and
 whatever listens on the graph: a CSR snapshot, a descendant count and
 an entry under an arbitrary key all go, with or without a
-``MatchViewManager`` or a ``MatchSession`` attached.  ``set_attrs``,
+``MatchSession`` attached, with or without the snapshot patcher that
+keeps its op log in ``graph.extensions``.  ``set_attrs``,
 failed mutations and no-ops clear nothing, and ``graph.extensions``
 survives every write.
 """
@@ -14,10 +15,9 @@ from repro.errors import GraphError
 from repro.graph.csr import CSR_SNAPSHOT_KEY
 from repro.graph.delta import DeltaOp
 from repro.graph.digraph import Graph
-from repro.incremental.manager import MatchViewManager
 from repro.index.descendants import hop_counts, unbounded_counts
 from repro.patterns.pattern import pattern_from_edges
-from repro.session import MatchSession
+from repro.session import ExecutionConfig, MatchSession
 
 PATTERN = pattern_from_edges(["A", "B"], [(0, 1)], output=0)
 
@@ -35,19 +35,26 @@ def _bare(graph):
     return lambda: None
 
 
-def _manager(graph):
-    manager = MatchViewManager.for_graph(graph)
-    manager.register(PATTERN, k=2)
-    return manager.close
-
-
 def _session(graph):
     session = MatchSession(graph, on_mutation="refresh")
     session.submit(PATTERN, k=2).result()
     return session.close
 
 
-ATTACHMENTS = {"bare": _bare, "manager": _manager, "session": _session}
+def _patching_session(graph):
+    # The snapshot patcher keeps its op log in ``graph.extensions``.
+    session = MatchSession(
+        graph, config=ExecutionConfig(snapshot_patching=True), on_mutation="refresh"
+    )
+    session.submit(PATTERN, k=2).result()
+    return session.close
+
+
+ATTACHMENTS = {
+    "bare": _bare,
+    "session": _session,
+    "patching_session": _patching_session,
+}
 
 STRUCTURAL_OPS = {
     "add_node": lambda g: g.add_node("C"),

@@ -1,10 +1,12 @@
 """The incremental subsystem's correctness oracle.
 
-Property: after ANY sequence of graph updates, a :class:`MatchView`'s
-maintained state must equal a from-scratch ``maximal_simulation`` plus
-re-rank on the mutated graph.  Exercised over randomized delta sequences
-on synthetic graphs through the manager's cache (label-filtered repair),
-with :func:`repro.session.cache.repair_threshold` patched to force the
+Property: after ANY sequence of graph updates, the relation a
+``MatchSession`` cache repairs must equal a from-scratch
+``maximal_simulation`` on the mutated graph, and the session's ``Match``
+answer must equal a re-rank of it.  Exercised over randomized delta
+sequences on synthetic graphs through a refresh-mode session
+(label-filtered repair), with
+:func:`repro.session.cache.repair_threshold` patched to force the
 pure-incremental and the always-recompute paths.
 
 The acceptance bar of the subsystem is >= 200 randomized sequences; the
@@ -19,9 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.digraph import Graph
-from repro.incremental.manager import MatchViewManager
 from repro.ranking.context import RankingContext
 from repro.ranking.relevance import top_k_by_relevance
+from repro.session import MatchSession
 from repro.simulation.match import maximal_simulation
 
 from tests.conftest import make_random_graph, make_random_pattern
@@ -80,28 +82,36 @@ def check_sequence(seed: int, cyclic: bool, threshold: int | None) -> None:
         _check_sequence(seed, cyclic)
 
 
+def repaired(session, pattern):
+    """The session's cached relation; a miss would be a fresh build."""
+    relation, hit = session.cache.simulation(pattern)
+    assert hit
+    return relation
+
+
 def _check_sequence(seed: int, cyclic: bool) -> None:
     rng = random.Random(seed)
     graph = make_random_graph(seed, num_nodes=12, num_edges=24)
     pattern = make_random_pattern(
         seed + 1, num_nodes=3 + seed % 2, extra_edges=1, cyclic=cyclic
     )
-    manager = MatchViewManager(graph)
-    view = manager.register(pattern, k=3)
-    for _ in range(OPS_PER_SEQUENCE):
-        if not random_op(rng, graph):
-            continue
-        oracle = maximal_simulation(pattern, graph)
-        assert view.simulation().sim == oracle.sim, (
-            f"relation diverged (seed={seed}, cyclic={cyclic})"
-        )
-        assert view.total == oracle.total
-        # Re-rank equivalence: the view's top-k equals ranking the
-        # from-scratch relation (when the pattern matches at all).
-        if oracle.total:
-            ctx = RankingContext(pattern, graph, simulation=oracle)
-            assert view.top_k(k=3).matches == top_k_by_relevance(ctx, 3)
-    manager.close()
+    with MatchSession(graph, on_mutation="refresh") as session:
+        session.cache.simulation(pattern)  # cached: every write repairs it
+        for _ in range(OPS_PER_SEQUENCE):
+            if not random_op(rng, graph):
+                continue
+            oracle = maximal_simulation(pattern, graph)
+            relation = repaired(session, pattern)
+            assert relation.sim == oracle.sim, (
+                f"relation diverged (seed={seed}, cyclic={cyclic})"
+            )
+            assert relation.total == oracle.total
+            # Re-rank equivalence: the session's Match answer equals
+            # ranking the from-scratch relation (when the pattern
+            # matches at all).
+            if oracle.total:
+                ctx = RankingContext(pattern, graph, simulation=oracle)
+                assert session.baseline(pattern, 3).matches == top_k_by_relevance(ctx, 3)
 
 
 @pytest.mark.parametrize("seed", range(NUM_SEQUENCES))
@@ -147,17 +157,16 @@ def test_equivalence_with_attribute_deltas(seed):
     pattern.add_edge(a, b)
     pattern.add_edge(b, c)
 
-    manager = MatchViewManager(graph)
-    view = manager.register(pattern, k=3)
-    for _ in range(OPS_PER_SEQUENCE):
-        if rng.random() < 0.5:
-            live = [v for v in graph.nodes() if graph.is_live(v)]
-            graph.set_attrs(rng.choice(live), w=rng.randint(0, 9))
-        elif not random_op(rng, graph):
-            continue
-        oracle = maximal_simulation(pattern, graph)
-        assert view.simulation().sim == oracle.sim
-    manager.close()
+    with MatchSession(graph, on_mutation="refresh") as session:
+        session.cache.simulation(pattern)
+        for _ in range(OPS_PER_SEQUENCE):
+            if rng.random() < 0.5:
+                live = [v for v in graph.nodes() if graph.is_live(v)]
+                graph.set_attrs(rng.choice(live), w=rng.randint(0, 9))
+            elif not random_op(rng, graph):
+                continue
+            oracle = maximal_simulation(pattern, graph)
+            assert repaired(session, pattern).sim == oracle.sim
 
 
 SETTINGS = settings(

@@ -58,6 +58,33 @@ class TestHandles:
             with pytest.raises(MatchingError):
                 session.submit(dag_pattern, 0)
 
+    @pytest.mark.parametrize(
+        "mode, output_node",
+        [
+            ("topk", 99),
+            ("topk", -1),
+            ("baseline", 99),
+            ("diversified", 99),
+            ("baseline", 1),
+            ("multi", 1),
+        ],
+    )
+    def test_bad_output_node_rejected(self, fig1, mode, output_node):
+        # Figure 1's pattern has 4 query nodes; only topk ranks at
+        # another one than the designated output node.
+        with MatchSession(fig1.graph) as session:
+            with pytest.raises(MatchingError, match="output_node"):
+                session.submit(
+                    fig1.pattern, 2, mode=mode, output_node=output_node
+                ).result()
+
+    def test_output_node_ranks_another_query_node(self, fig1):
+        db = fig1.query_nodes["DB"]
+        with MatchSession(fig1.graph) as session:
+            result = session.submit(fig1.pattern, 2, output_node=db).result()
+        assert fig1.names(result.matches) <= {"DB1", "DB2", "DB3"}
+        assert len(result.matches) == 2
+
 
 class TestBatch:
     def test_results_in_input_order_despite_grouping(self, graph, dag_pattern,
@@ -265,15 +292,15 @@ class TestStaleness:
             assert session.stats.refreshes == 2
             assert session.cache_stats()["refreshes"] == 1
 
-    def test_view_repair_does_not_waive_the_refuse_latch(self, graph, dag_pattern):
+    def test_repair_does_not_waive_the_refuse_latch(self, graph, dag_pattern):
         with MatchSession(graph) as session:
-            view = session.register_view(dag_pattern, k=2)
             session.top_k(dag_pattern, 2)
-            # The cache repairs the view's relation at the write — but
+            # The cache repairs the pattern's relation at the write — but
             # the refuse policy must still demand an explicit
             # session.refresh().
             graph.add_node("A")
-            assert view.stats.ops_applied + view.stats.ops_skipped == 1
+            stats = session.cache.repair_stats(dag_pattern)
+            assert stats.ops_applied + stats.ops_skipped == 1
             assert session.stale
             with pytest.raises(StaleSessionError):
                 session.top_k(dag_pattern, 2)
@@ -302,29 +329,33 @@ class TestStaleness:
         assert not session.stale  # no longer subscribed
 
 
-class TestSessionViews:
-    def test_view_shares_simulation_with_queries(self, graph, dag_pattern):
+class TestSessionRepair:
+    def test_query_kinds_share_one_relation(self, graph, dag_pattern):
         with MatchSession(graph, on_mutation="refresh") as session:
-            view = session.register_view(dag_pattern, k=3)
+            relation, _ = session.cache.simulation(dag_pattern)
             session.top_k(dag_pattern, 3)
-            stats = session.cache_stats()
-            assert stats["sim_builds"] == 1  # view rebuild + query: one fixpoint
-            assert sorted(view.top_k(k=100).matches) == sorted(view.matches())
+            session.baseline(dag_pattern, 3)
+            session.diversified(dag_pattern, 3, method="approx")
+            assert session.cache_stats()["sim_builds"] == 1  # one fixpoint
+            assert session.cache.simulation(dag_pattern) == (relation, True)
 
-    def test_view_stays_consistent_under_updates(self, graph, dag_pattern, monkeypatch):
+    def test_relation_stays_consistent_under_updates(
+        self, graph, dag_pattern, monkeypatch
+    ):
         # Threshold 0: an edge repair that touches a pair falls back to
         # a fixpoint rerun from the repaired rows.
         monkeypatch.setattr(
             "repro.session.cache.repair_threshold", lambda pattern, graph: 0
         )
         with MatchSession(graph, on_mutation="refresh") as session:
-            view = session.register_view(dag_pattern, k=3)
+            session.cache.simulation(dag_pattern)
             for target in range(3):
                 node = graph.add_node(dag_pattern.label(0))
                 graph.add_edge(node, target)
             graph.remove_edge(*next(iter(graph.edges())))
-            fresh = api.register_view(dag_pattern, graph, k=3, name="oracle")
-            assert sorted(view.matches()) == sorted(fresh.matches())
+            relation, hit = session.cache.simulation(dag_pattern)
+            assert hit
+            assert relation.sim == api.find_matches(dag_pattern, graph).sim
             result = session.top_k(dag_pattern, 3)
             expected = api.top_k_matches(dag_pattern, graph, 3)
             assert result.matches == expected.matches

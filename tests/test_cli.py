@@ -100,44 +100,68 @@ class TestUpdateStream:
         save_delta_file(random_update_stream(g, 40, seed=2), delta_file)
         return pattern_file, delta_file
 
-    def test_replay_reports_view_state(self, tmp_path, graph_file, capsys):
-        pattern_file, delta_file = self._inputs(tmp_path, graph_file)
-        assert main(["update-stream", "--graph", str(graph_file),
-                     "--pattern", str(pattern_file), "--deltas", str(delta_file),
-                     "--k", "3", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["algorithm"] == "MatchView"
-        assert payload["ops_replayed"] == 40
-        view = payload["view"]
-        # remove_node ops expand into per-edge events, so the view sees
-        # at least one event per replayed op.
-        assert view["ops_applied"] + view["ops_skipped"] >= 40
-        assert len(payload["matches"]) <= 3
-
-    def test_final_answer_matches_batch_rerun(self, tmp_path, graph_file, capsys):
-        from repro import api
-        from repro.graph.delta import load_delta_file
+    def _replay(self, tmp_path, graph_file, capsys, *flags):
+        """Run ``update-stream --json --out``; returns the payload, the
+        pattern, the delta file and the replayed graph."""
+        from repro.patterns.io import load_pattern
 
         pattern_file, delta_file = self._inputs(tmp_path, graph_file)
         out_file = tmp_path / "after.json"
         assert main(["update-stream", "--graph", str(graph_file),
                      "--pattern", str(pattern_file), "--deltas", str(delta_file),
-                     "--k", "3", "--json", "--out", str(out_file)]) == 0
+                     "--k", "3", "--json", "--out", str(out_file), *flags]) == 0
         payload = json.loads(capsys.readouterr().out.split("wrote")[0])
-        updated = load_json(out_file)
-        from repro.patterns.io import load_pattern
+        return payload, load_pattern(pattern_file), delta_file, load_json(out_file)
 
-        expected = api.baseline_matches(load_pattern(pattern_file), updated, 3)
+    def test_replay_reports_view_state(self, tmp_path, graph_file, capsys):
+        from dataclasses import asdict
+
+        from repro.graph.delta import load_delta_file
+        from repro.session import MatchSession
+
+        payload, pattern, delta_file, _ = self._replay(tmp_path, graph_file, capsys)
+        assert payload["algorithm"] == "Match"
+        assert payload["ops_replayed"] == 40
+        view = payload["view"]
+        # remove_node ops expand into per-edge events, so the cache sees
+        # at least one event per replayed op.
+        assert view["ops_applied"] + view["ops_skipped"] >= 40
+        assert len(payload["matches"]) <= 3
+        # The block is the cache's repair record of the same replay.
+        graph = load_json(graph_file)
+        with MatchSession(graph, on_mutation="refresh") as session:
+            session.cache.simulation(pattern)
+            graph.apply_delta(load_delta_file(delta_file))
+            stats = asdict(session.cache.repair_stats(pattern))
+            total = session.cache.simulation(pattern)[0].total
+        assert stats["ops_applied"] > 0
+        assert view == {"total": total, **stats}
+
+    def test_final_answer_matches_batch_rerun(self, tmp_path, graph_file, capsys):
+        from repro import api
+
+        payload, pattern, _, updated = self._replay(tmp_path, graph_file, capsys)
+        expected = api.baseline_matches(pattern, updated, 3)
+        assert expected.matches
         assert [m["node"] for m in payload["matches"]] == expected.matches
+        assert [m["score"] for m in payload["matches"]] == [
+            round(expected.scores[v], 4) for v in expected.matches
+        ]
 
     def test_diversified_replay(self, tmp_path, graph_file, capsys):
-        pattern_file, delta_file = self._inputs(tmp_path, graph_file)
-        assert main(["update-stream", "--graph", str(graph_file),
-                     "--pattern", str(pattern_file), "--deltas", str(delta_file),
-                     "--k", "3", "--diversify", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["algorithm"] == "MatchView/TopKDiv"
-        assert "objective_value" in payload
+        from repro import api
+
+        payload, pattern, _, updated = self._replay(
+            tmp_path, graph_file, capsys, "--diversify"
+        )
+        expected = api.diversified_matches(pattern, updated, 3, method="approx")
+        assert payload["algorithm"] == "TopKDiv"
+        assert expected.matches
+        assert [m["node"] for m in payload["matches"]] == expected.matches
+        assert [m["score"] for m in payload["matches"]] == [
+            round(expected.scores[v], 4) for v in expected.matches
+        ]
+        assert payload["objective_value"] == round(expected.objective_value, 4)
 
 
 class TestBatch:
@@ -204,4 +228,19 @@ class TestBatch:
             "queries": [{"pattern": dag_path.name, "mod": "diversified"}],
         }))
         with pytest.raises(MatchingError, match="unknown keys.*mod"):
+            main(["batch", "--graph", str(graph_file), "--queries", str(bad)])
+
+    @pytest.mark.parametrize(
+        "query", [{"output_node": 99}, {"output_node": 1, "mode": "baseline"}]
+    )
+    def test_batch_rejects_bad_output_node(self, tmp_path, graph_file, query):
+        from repro.errors import MatchingError
+
+        _, dag_path = self._batch_file(tmp_path, graph_file)
+        bad = tmp_path / "output.json"
+        bad.write_text(json.dumps({
+            "format": "repro-batch-json",
+            "queries": [{"pattern": dag_path.name, **query}],
+        }))
+        with pytest.raises(MatchingError, match="output_node"):
             main(["batch", "--graph", str(graph_file), "--queries", str(bad)])

@@ -5,7 +5,8 @@ labels only.  Here the graphs carry attributes and tombstoned nodes,
 and the patterns mix plain labels, wildcards and attribute predicates.
 On each, ``maximal_simulation``, ``top_k_matches`` (both visiting
 orders), ``diversified_matches`` (both methods) and a wildcard
-``MatchView`` under a delta stream are checked against the reference
+pattern's repaired relation and ``Match`` answer in a refresh-mode
+``MatchSession`` under a delta stream are checked against the reference
 (``tests/reference.py``): naive simulation, BFS relevant sets and
 enumerated optima.  Instances that do not match must yield empty
 answers.
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 from repro import api
 from repro.diversify.approx import top_k_diversified_approx
 from repro.diversify.heuristic import top_k_diversified_heuristic
-from repro.incremental.manager import MatchViewManager
+from repro.session import MatchSession
 from repro.simulation.candidates import WILDCARD_LABEL
 from repro.simulation.match import maximal_simulation
 from repro.topk.cyclic import top_k
@@ -159,16 +160,16 @@ class TestDiversifiedEquivalence:
 
 
 class TestUpdateStreamEquivalence:
-    """A wildcard view under a delta stream stays equal to the reference.
+    """A wildcard pattern's repaired relation stays equal to the reference.
 
     Also the regression test for wildcard-pattern event starvation: a
-    wildcard view that misses deltas goes stale against the reference
-    immediately.
+    cached wildcard relation that misses deltas goes stale against the
+    reference immediately.
     """
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("threshold", [None, 0])
-    def test_wildcard_view_follows_stream(self, seed, threshold, monkeypatch):
+    def test_wildcard_relation_follows_stream(self, seed, threshold, monkeypatch):
         if threshold is not None:
             monkeypatch.setattr(
                 "repro.session.cache.repair_threshold",
@@ -181,11 +182,14 @@ class TestUpdateStreamEquivalence:
             # Force at least one wildcard node into the mix.
             extra = pattern.add_node(WILDCARD_LABEL)
             pattern.add_edge(0, extra)
-        manager = MatchViewManager(graph)
-        view = manager.register(pattern, k=3)
-        for _ in range(10):
-            if not random_op(rng, graph):
-                continue
-            assert view.simulation().sim == reference.naive_simulation(pattern, graph)
-            check_top_k(view.top_k(), reference_sets(pattern, graph), 3)
-        manager.close()
+        with MatchSession(graph, on_mutation="refresh") as session:
+            session.cache.simulation(pattern)  # cached: every write repairs it
+            for _ in range(10):
+                if not random_op(rng, graph):
+                    continue
+                relation, hit = session.cache.simulation(pattern)
+                assert hit
+                assert relation.sim == reference.naive_simulation(pattern, graph)
+                check_top_k(
+                    session.baseline(pattern, 3), reference_sets(pattern, graph), 3
+                )

@@ -20,7 +20,6 @@ from repro import api
 from repro.diversify.approx import top_k_diversified_approx
 from repro.graph import csr
 from repro.graph.digraph import Graph
-from repro.incremental.manager import MatchViewManager
 from repro.patterns.pattern import pattern_from_edges
 from repro.ranking.generalized import PreferentialAttachment
 from repro.ranking.relevance import CardinalityRelevance
@@ -218,21 +217,22 @@ def test_evaluation_equals_reference(make):
 @pytest.mark.parametrize("instance", INSTANCES[::5], ids=instance_id)
 def test_evaluation_after_a_write_reads_live_adjacency(instance):
     """A write drops the snapshot; the evaluation of the relation a
-    :class:`MatchView` repaired in place gathers from the live adjacency
+    session's cache repaired in place gathers from the live adjacency
     and compiles nothing."""
     graph, pattern = reference.planted_instance(*instance)
-    manager = MatchViewManager(graph)
-    view = manager.register(pattern)
-    assert csr.has_cached_snapshot(graph)
-    grow(graph, random.Random(instance[0]))
-    assert not csr.has_cached_snapshot(graph)
-    sim = view.simulation().sim
-    assert sim == reference.simulation(pattern, graph)
-    for node in pattern.nodes():
-        evaluation = build_evaluation(pattern, graph, sim, node)
+    with MatchSession(graph, on_mutation="refresh") as session:
+        session.cache.simulation(pattern)
+        assert csr.has_cached_snapshot(graph)
+        grow(graph, random.Random(instance[0]))
         assert not csr.has_cached_snapshot(graph)
-        assert_evaluation_matches(evaluation, pattern, graph, sim, node)
-    manager.close()
+        relation, hit = session.cache.simulation(pattern)
+        assert hit
+        sim = relation.sim
+        assert sim == reference.simulation(pattern, graph)
+        for node in pattern.nodes():
+            evaluation = build_evaluation(pattern, graph, sim, node)
+            assert not csr.has_cached_snapshot(graph)
+            assert_evaluation_matches(evaluation, pattern, graph, sim, node)
 
 
 def test_special_instances_reach_their_cases():
