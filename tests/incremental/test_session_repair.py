@@ -1,11 +1,15 @@
 """The session cache's write repair: relation, ranking and fallback.
 
 A ``MatchSession`` caches a pattern's relation at its first read, and
-from then on its cache repairs the relation at each write.  Every test
-caches the pattern before mutating the graph, so it checks the repair,
-not a fresh build, and reads the result through the cache
+from then on its cache repairs the relation at each write.  Every repair
+test caches the pattern before mutating the graph, so it checks the
+repair, not a fresh build, and reads the result through the cache
 (``session.cache.simulation``, ``repair_stats``) or a session query.
+``test_uncached_pattern_is_built_after_the_writes`` pins the other case.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -19,6 +23,7 @@ from repro.ranking.relevance import NormalisedRelevance
 from repro.session import MatchSession
 from repro.session.cache import repair_threshold
 from repro.simulation.match import maximal_simulation
+from repro.topk.match_all import match_baseline
 
 
 @pytest.fixture()
@@ -66,6 +71,13 @@ class TestStaticAgreement:
             assert result.sim == maximal_simulation(fig.pattern, fig.graph).sim
             assert result.total
             assert fig.names(result.output_matches()) == {"PM1", "PM2", "PM3", "PM4"}
+
+    def test_top_k_matches_baseline_ranking(self, fig):
+        with serving(fig.graph, fig.pattern) as session:
+            expected = match_baseline(fig.pattern, fig.graph, 2)
+            got = session.baseline(fig.pattern, 2)
+            assert got.matches == expected.matches
+            assert got.scores == expected.scores
 
     def test_diversified_matches_example6(self, fig):
         # Example 6: at lambda = 0.5, k = 2 the diversified answer is
@@ -149,6 +161,20 @@ class TestMaintenance:
                     DeltaOp.add_edge(pm1, fig.node("PRG3")),
                 ]
             )
+            assert_fresh(session, fig.pattern, fig.graph)
+
+    def test_refresh_keeps_the_repaired_relation(self, fig):
+        with serving(fig.graph, fig.pattern) as session:
+            fig.graph.remove_edge(fig.node("PRG1"), fig.node("DB1"))
+            session.refresh()
+            assert not session.stale
+            assert session.cache.stats.selective_refreshes == 1
+            assert session.cache.repair_stats(fig.pattern).full_recomputes == 0
+            assert fig.names(relation(session, fig.pattern).output_matches()) == {
+                "PM2",
+                "PM3",
+                "PM4",
+            }
             assert_fresh(session, fig.pattern, fig.graph)
 
 
@@ -249,6 +275,20 @@ class TestDispatch:
             assert session.cache.repair_stats(wild).ops_skipped == 1
             assert_fresh(session, wild, fig.graph)
 
+    def test_uncached_pattern_is_built_after_the_writes(self, fig):
+        # Writes repair only the patterns already cached; one read for
+        # the first time afterwards is a fresh build over the new graph.
+        analysts = pattern_from_edges(["BA", "UD"], [(0, 1)], output=0)
+        with serving(fig.graph, fig.pattern) as session:
+            fig.graph.remove_edge(fig.node("BA1"), fig.node("UD1"))
+            assert session.cache.repair_stats(analysts).ops_applied == 0
+            result, hit = session.cache.simulation(analysts)
+            assert not hit
+            assert result.sim == maximal_simulation(analysts, fig.graph).sim
+            fig.graph.remove_edge(fig.node("BA1"), fig.node("UD2"))
+            assert session.cache.repair_stats(analysts).ops_applied == 1
+            assert relation(session, analysts).output_matches() == set()
+
 
 class TestRankingCacheReuse:
     def test_irrelevant_edge_keeps_cached_context(self, fig):
@@ -296,3 +336,33 @@ class TestOptions:
             session.cache.simulation(fig.pattern)
         with pytest.raises(MatchingError):
             session.baseline(fig.pattern, 2)
+
+
+class TestLifecycle:
+    def test_dropping_the_graph_reclaims_session_and_cache(self):
+        # Built here, not by the fixture, which pytest keeps alive.
+        fig = figure1()
+        fig.graph.thaw()
+        session = serving(fig.graph, fig.pattern)
+        fig.graph.remove_edge(fig.node("PRG1"), fig.node("DB1"))
+        graph_ref = weakref.ref(fig.graph)
+        cache_ref = weakref.ref(session.cache)
+        del fig, session
+        gc.collect()
+        assert graph_ref() is None
+        assert cache_ref() is None
+
+    def test_sessions_on_one_graph_repair_independently(self, fig):
+        first = serving(fig.graph, fig.pattern)
+        with serving(fig.graph, fig.pattern) as second:
+            assert first.cache is not second.cache
+            fig.graph.remove_edge(fig.node("PRG1"), fig.node("DB1"))
+            assert first.cache.repair_stats(fig.pattern).ops_applied == 1
+            assert second.cache.repair_stats(fig.pattern).ops_applied == 1
+            # Closing one session leaves the other one repairing.
+            closed_stats = first.cache.repair_stats(fig.pattern)
+            first.close()
+            fig.graph.remove_edge(fig.node("PM2"), fig.node("DB2"))
+            assert closed_stats.ops_applied == 1
+            assert second.cache.repair_stats(fig.pattern).ops_applied == 2
+            assert_fresh(second, fig.pattern, fig.graph)

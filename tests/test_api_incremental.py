@@ -1,11 +1,16 @@
-"""Tests for the incremental entry points of the public API."""
+"""The public API under writes: a refresh-mode session serves the stream.
+
+Each test caches the pattern in a ``MatchSession(on_mutation="refresh")``
+before mutating the graph, then checks the session's answers against
+the one-shot ``api`` calls on the mutated graph.
+"""
 
 import pytest
 
 from repro import api
 from repro.datasets.examples import figure1
 from repro.graph.delta import DeltaOp
-from repro.simulation.match import maximal_simulation
+from repro.session import MatchSession
 
 
 @pytest.fixture()
@@ -15,34 +20,64 @@ def fig():
     return fig
 
 
-class TestRegisterView:
-    def test_view_follows_updates(self, fig):
-        view = api.register_view(fig.pattern, fig.graph, k=2, name="teams")
-        api.update_graph(
-            fig.graph, [DeltaOp.remove_edge(fig.node("PRG1"), fig.node("DB1"))]
-        )
-        assert view.simulation().sim == maximal_simulation(fig.pattern, fig.graph).sim
-        assert fig.names(view.matches()) == {"PM2", "PM3", "PM4"}
+def serving(fig):
+    """A refresh-mode session with Figure 1's pattern cached."""
+    session = MatchSession(fig.graph, on_mutation="refresh")
+    session.cache.simulation(fig.pattern)
+    return session
 
-    def test_update_graph_returns_assigned_ids(self, fig):
-        api.register_view(fig.pattern, fig.graph, name="teams")
-        results = api.update_graph(
-            fig.graph,
-            [DeltaOp.add_node("PM"), DeltaOp.add_edge(0, 1)],
-        )
-        assert results[0] == 18 and results[1] is None
 
-    def test_view_manager_is_shared(self, fig):
-        manager = api.view_manager(fig.graph)
-        view = api.register_view(fig.pattern, fig.graph, name="q")
-        assert manager.view("q") is view
+class TestSessionUnderWrites:
+    def test_session_follows_updates(self, fig):
+        with serving(fig) as session:
+            fig.graph.apply_delta(
+                [DeltaOp.remove_edge(fig.node("PRG1"), fig.node("DB1"))]
+            )
+            result, hit = session.cache.simulation(fig.pattern)
+            assert hit
+            assert result.sim == api.find_matches(fig.pattern, fig.graph).sim
+            assert fig.names(result.output_matches()) == {"PM2", "PM3", "PM4"}
+
+    def test_apply_delta_returns_assigned_ids(self, fig):
+        with serving(fig) as session:
+            results = fig.graph.apply_delta(
+                [DeltaOp.add_node("PM"), DeltaOp.add_edge(0, 1)]
+            )
+            assert results[0] == 18 and results[1] is None
+            stats = session.cache.repair_stats(fig.pattern)
+            assert stats.ops_applied + stats.ops_skipped == 2
 
     def test_static_answers_agree_with_batch_api(self, fig):
-        view = api.register_view(fig.pattern, fig.graph, k=3, name="q")
-        batch = api.baseline_matches(fig.pattern, fig.graph, 3)
-        assert view.top_k().matches == batch.matches
+        with serving(fig) as session:
+            batch = api.baseline_matches(fig.pattern, fig.graph, 3)
+            assert session.baseline(fig.pattern, 3).matches == batch.matches
+
+    def test_answers_agree_with_batch_api_after_writes(self, fig):
+        with serving(fig) as session:
+            session.top_k(fig.pattern, 3)
+            session.diversified(fig.pattern, 3, lam=0.5, method="approx")
+            fig.graph.remove_edge(fig.node("PRG1"), fig.node("DB1"))
+            fig.graph.add_edge(fig.node("PM4"), fig.node("DB3"))
+            graph, pattern = fig.graph, fig.pattern
+            pairs = [
+                (session.top_k(pattern, 3), api.top_k_matches(pattern, graph, 3)),
+                (
+                    session.baseline(pattern, 3),
+                    api.baseline_matches(pattern, graph, 3),
+                ),
+                (
+                    session.diversified(pattern, 3, lam=0.5, method="approx"),
+                    api.diversified_matches(
+                        pattern, graph, 3, lam=0.5, method="approx"
+                    ),
+                ),
+            ]
+            for got, expected in pairs:
+                assert got.matches == expected.matches
+                assert got.scores == expected.scores
+            assert pairs[2][0].objective_value == pairs[2][1].objective_value
 
     def test_direct_mutation_calls_also_dispatch(self, fig):
-        view = api.register_view(fig.pattern, fig.graph, name="q")
-        fig.graph.remove_edge(fig.node("PRG1"), fig.node("DB1"))
-        assert view.stats.ops_applied == 1
+        with serving(fig) as session:
+            fig.graph.remove_edge(fig.node("PRG1"), fig.node("DB1"))
+            assert session.cache.repair_stats(fig.pattern).ops_applied == 1
